@@ -1,12 +1,18 @@
-//! Real-engine FFT benchmark: throughput and correctness of the native
-//! kernels that every modeled run ultimately prices. Emits
-//! `BENCH_fft.json` — the throughput numbers are wall-clock (volatile, the
-//! artifact is structure-checked); the gates sit only on accuracy, which
-//! is deterministic.
+//! Real-engine FFT benchmark: correctness and throughput of the native
+//! kernels that every modeled run ultimately prices, and the lane-batched
+//! `cft_2xy_buf`/`cft_1z` raced in the same run against the per-column loop
+//! they replace, on the two wall-clock benchmark rank shapes (60×60×30 and
+//! 14×14×7). Emits `BENCH_fft.json` — the throughput numbers are wall-clock
+//! (volatile, the artifact is structure-checked); the gates sit on accuracy,
+//! on bitwise identity of the batched and per-column paths, and on the
+//! in-run lane/per-column time ratio of the 60×60×30 xy batch.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
-use fftx_fft::opcount::{fft_3d_flops, fft_flops};
-use fftx_fft::{c64, max_dist, naive_dft, scale_in_place, Complex64, Direction, Fft, Fft3};
+use fftx_fft::opcount::{fft_3d_flops, fft_flops, fft_xy_batch_flops, fft_z_batch_flops};
+use fftx_fft::{
+    c64, cft_1z, cft_2xy_buf, max_dist, naive_dft, scale_in_place, Complex64, Direction, Fft, Fft3,
+};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn signal(n: usize) -> Vec<Complex64> {
@@ -28,10 +34,155 @@ fn time3<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     best
 }
 
+/// Best wall seconds per call of `a` and of `b`, timed in `rounds`
+/// alternating rounds of `iters` calls each, so host noise falls on both.
+fn race<A: FnMut(), B: FnMut()>(rounds: usize, iters: usize, mut a: A, mut b: B) -> (f64, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        best_a = best_a.min(time3(iters, &mut a));
+        best_b = best_b.min(time3(iters, &mut b));
+    }
+    (best_a, best_b)
+}
+
+/// `cft_1z` one stick at a time through `Fft::process_with`: the per-column
+/// loop the lane-batched kernel replaces.
+fn per_column_1z(
+    plan: &Fft,
+    data: &mut [Complex64],
+    nsl: usize,
+    ldz: usize,
+    dir: Direction,
+    scratch: &mut Vec<Complex64>,
+) {
+    let nz = plan.len();
+    for s in 0..nsl {
+        let stick = &mut data[s * ldz..s * ldz + nz];
+        plan.process_with(stick, scratch, dir);
+        if dir == Direction::Forward {
+            scale_in_place(stick, 1.0 / nz as f64);
+        }
+    }
+}
+
+/// `cft_2xy_buf` one row and one gathered column at a time, then the
+/// forward scaling pass: the per-column loop the lane-batched kernel
+/// replaces.
+#[allow(clippy::too_many_arguments)]
+fn per_column_2xy(
+    px: &Fft,
+    py: &Fft,
+    data: &mut [Complex64],
+    nzl: usize,
+    ldx: usize,
+    ldy: usize,
+    dir: Direction,
+    scratch: &mut Vec<Complex64>,
+    col: &mut Vec<Complex64>,
+) {
+    let (nx, ny) = (px.len(), py.len());
+    col.resize(ny, Complex64::ZERO);
+    for plane in data.chunks_exact_mut(ldx * ldy).take(nzl) {
+        for y in 0..ny {
+            px.process_with(&mut plane[y * ldx..y * ldx + nx], scratch, dir);
+        }
+        for x in 0..nx {
+            for (y, slot) in col.iter_mut().enumerate() {
+                *slot = plane[x + y * ldx];
+            }
+            py.process_with(col, scratch, dir);
+            for (y, &v) in col.iter().enumerate() {
+                plane[x + y * ldx] = v;
+            }
+        }
+        if dir == Direction::Forward {
+            for y in 0..ny {
+                scale_in_place(&mut plane[y * ldx..y * ldx + nx], 1.0 / (nx * ny) as f64);
+            }
+        }
+    }
+}
+
+fn same_bits(a: &[Complex64], b: &[Complex64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
+/// One batched kernel raced against its per-column loop on one shape.
+struct Race {
+    /// `cft_2xy` or `cft_1z`.
+    transform: &'static str,
+    /// Shape label, e.g. `60x60x30` or `60x1200`.
+    shape: String,
+    /// Flops of one call, from `fftx_fft::opcount`.
+    flops: f64,
+    /// Best seconds per call, lane-batched.
+    lanes_s: f64,
+    /// Best seconds per call, per column.
+    per_column_s: f64,
+    /// Both directions gave bit-identical output on both paths.
+    bitwise: bool,
+}
+
+impl Race {
+    fn ratio(&self) -> f64 {
+        self.lanes_s / self.per_column_s
+    }
+}
+
+/// Checks the batched `run` against the per-column `reference` in both
+/// directions, then races them on inverse+forward pairs (which keep the
+/// data bounded: the forward pass carries the 1/N scaling).
+fn race_kernel<R, P>(
+    transform: &'static str,
+    shape: String,
+    flops: f64,
+    len: usize,
+    iters: usize,
+    mut run: R,
+    mut reference: P,
+) -> Race
+where
+    R: FnMut(&mut [Complex64], Direction),
+    P: FnMut(&mut [Complex64], Direction),
+{
+    let input = signal(len);
+    let mut bitwise = true;
+    for dir in [Direction::Inverse, Direction::Forward] {
+        let (mut a, mut b) = (input.clone(), input.clone());
+        run(&mut a, dir);
+        reference(&mut b, dir);
+        bitwise &= same_bits(&a, &b);
+    }
+    let (mut a, mut b) = (input.clone(), input);
+    let (lanes_pair, per_column_pair) = race(
+        5,
+        iters,
+        || {
+            run(black_box(&mut a), Direction::Inverse);
+            run(black_box(&mut a), Direction::Forward);
+        },
+        || {
+            reference(black_box(&mut b), Direction::Inverse);
+            reference(black_box(&mut b), Direction::Forward);
+        },
+    );
+    Race {
+        transform,
+        shape,
+        flops,
+        lanes_s: lanes_pair / 2.0,
+        per_column_s: per_column_pair / 2.0,
+        bitwise,
+    }
+}
+
 fn main() {
     println!("=== Real FFT engine: correctness and throughput ===\n");
     let mut h = Harness::new_volatile("fft");
-    let mut rows = String::from("transform,n,seconds,mflops\n");
+    let mut rows = String::from("transform,shape,seconds,mflops\n");
 
     // --- Correctness: every fast path vs the O(n^2) oracle. Sizes cover
     // the radix kernels, the mixed-radix path and Bluestein (prime 127).
@@ -88,15 +239,74 @@ fn main() {
     let s3 = time3(8, || plan3.forward(&mut buf3));
     let mflops3 = fft_3d_flops(nx, ny, nz) / s3 / 1e6;
     println!("3-D {nx}x{ny}x{nz}  {s3:.3e}s/transform  {mflops3:8.1} MFLOP/s");
-    rows.push_str(&format!("fft3d,{vol},{s3:.6e},{mflops3:.1}\n"));
+    rows.push_str(&format!("fft3d,{nx}x{ny}x{nz},{s3:.6e},{mflops3:.1}\n"));
+
+    // --- Lane-batched kernels against the per-column loop, in the same
+    // run, on the wallbench rank shapes: dense-slab (60³ grid, 30 planes
+    // and about 1200 sticks per rank) and sparse-async (14³, 7 planes).
+    let mut races = Vec::new();
+    for &(n, planes, sticks, iters) in &[(60usize, 30usize, 1200usize, 2usize), (14, 7, 100, 200)] {
+        let plan = Fft::new(n);
+        let (mut s1, mut c1, mut s2, mut c2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        races.push(race_kernel(
+            "cft_2xy",
+            format!("{n}x{n}x{planes}"),
+            fft_xy_batch_flops(n, n, planes),
+            n * n * planes,
+            iters,
+            |d, dir| cft_2xy_buf(&plan, &plan, d, planes, n, n, dir, &mut s1, &mut c1),
+            |d, dir| per_column_2xy(&plan, &plan, d, planes, n, n, dir, &mut s2, &mut c2),
+        ));
+        let (mut s1, mut s2) = (Vec::new(), Vec::new());
+        races.push(race_kernel(
+            "cft_1z",
+            format!("{n}x{sticks}"),
+            fft_z_batch_flops(n, sticks),
+            n * sticks,
+            iters,
+            |d, dir| cft_1z(&plan, d, sticks, n, dir, &mut s1),
+            |d, dir| per_column_1z(&plan, d, sticks, n, dir, &mut s2),
+        ));
+    }
+    println!();
+    for r in &races {
+        let (lanes, per_column) = (r.flops / r.lanes_s / 1e6, r.flops / r.per_column_s / 1e6);
+        println!(
+            "{:<8} {:<9} lanes {:.3e}s {lanes:8.1} MFLOP/s | per-column {:.3e}s {per_column:8.1} MFLOP/s | ratio {:.3} | bitwise {}",
+            r.transform,
+            r.shape,
+            r.lanes_s,
+            r.per_column_s,
+            r.ratio(),
+            r.bitwise
+        );
+        rows.push_str(&format!(
+            "{}_lanes,{},{:.6e},{lanes:.1}\n",
+            r.transform, r.shape, r.lanes_s
+        ));
+        rows.push_str(&format!(
+            "{}_per_column,{},{:.6e},{per_column:.1}\n",
+            r.transform, r.shape, r.per_column_s
+        ));
+    }
 
     h.artifact("fft.csv", &rows, CheckKind::Structure);
     h.metric_f64("max_norm_err_vs_naive", max_err, 18)
         .metric_f64("roundtrip_err_1d", rt_err, 18)
         .metric_f64("roundtrip_err_3d", rt3_err, 18)
         .metric_f64("peak_1d_mflops", peak_1d, 1)
-        .metric_f64("fft3d_mflops", mflops3, 1)
-        .metric_bool("throughput_positive", peak_1d > 0.0 && mflops3 > 0.0);
+        .metric_f64("fft3d_mflops", mflops3, 1);
+    for r in &races {
+        let key = format!("{}_{}", r.transform, r.shape);
+        h.metric_f64(&format!("{key}_lanes_mflops"), r.flops / r.lanes_s / 1e6, 1)
+            .metric_f64(
+                &format!("{key}_per_column_mflops"),
+                r.flops / r.per_column_s / 1e6,
+                1,
+            )
+            .metric_f64(&format!("{key}_time_ratio"), r.ratio(), 3);
+    }
+    h.metric_bool("lanes_bitwise_equal", races.iter().all(|r| r.bitwise));
     h.gate(
         "fast 1-D transforms match the naive DFT oracle",
         "max_norm_err_vs_naive",
@@ -116,10 +326,16 @@ fn main() {
         1e-10,
     )
     .gate(
-        "the engine produced finite positive throughput",
-        "throughput_positive",
+        "lane-batched cft_2xy/cft_1z are bit-identical to the per-column loop",
+        "lanes_bitwise_equal",
         GateOp::Eq,
         1.0,
+    )
+    .gate(
+        "lane-batched cft_2xy takes at most 0.6x the per-column time on 60x60x30",
+        "cft_2xy_60x60x30_time_ratio",
+        GateOp::Le,
+        0.6,
     );
     std::process::exit(h.finish());
 }

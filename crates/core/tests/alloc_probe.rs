@@ -11,9 +11,13 @@
 //! preallocated buffers, exactly the engine-side work the zero-alloc
 //! guarantee covers.
 //!
+//! Two geometries are probed: the small cutoff-derived grid, whose FFT
+//! sizes all take the direct mixed-radix path, and the same grid with z
+//! forced to the prime 41, so every z-FFT takes the Bluestein path.
+//!
 //! The measured counts land in `results/alloc.csv`.
 
-use fftx_core::{BufferArena, FftxConfig, Mode, Problem};
+use fftx_core::{BufferArena, Cell, FftGrid, FftxConfig, Mode, Problem, DUAL};
 use fftx_fft::{cft_1z, cft_2xy_buf, Complex64, Direction};
 use fftx_pw::apply_potential_slab;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -146,15 +150,19 @@ fn route(arenas: &[BufferArena], recvs: &mut [Vec<Complex64>]) {
     }
 }
 
-#[test]
-fn steady_state_engine_iteration_allocates_nothing() {
-    let cfg = FftxConfig::small(2, 2, Mode::Original);
-    let problem = Problem::new(cfg);
+/// Warmup + steady-state allocation counts of one problem:
+/// `(groups, members, warmup_allocs, steady_allocs)` over `ITERS` steady
+/// iterations, asserting the steady state repeats the warmup's results.
+fn probe(name: &str, problem: &Problem) -> (usize, usize, u64, u64) {
     let r = problem.layout.r;
     let t = problem.layout.t;
     // Band-0 share of every member rank, per group: the deposit inputs.
     let shares: Vec<Vec<Vec<Complex64>>> = (0..r)
-        .map(|g| (0..t).map(|j| problem.initial_shares(g * t + j).remove(0)).collect())
+        .map(|g| {
+            (0..t)
+                .map(|j| problem.initial_shares(g * t + j).remove(0))
+                .collect()
+        })
         .collect();
     let mut arenas: Vec<BufferArena> = (0..r).map(|_| BufferArena::new()).collect();
     let mut recvs: Vec<Vec<Complex64>> = (0..r)
@@ -164,30 +172,65 @@ fn steady_state_engine_iteration_allocates_nothing() {
 
     // Warmup: grows every arena buffer and the extraction outputs.
     let before_warmup = allocs();
-    iteration(&problem, &shares, &mut arenas, &mut recvs, &mut outs);
+    iteration(problem, &shares, &mut arenas, &mut recvs, &mut outs);
     let warmup_allocs = allocs() - before_warmup;
-    assert!(warmup_allocs > 0, "warmup must grow the arena buffers");
+    assert!(
+        warmup_allocs > 0,
+        "{name}: warmup must grow the arena buffers"
+    );
     let warmup_out = outs.clone();
 
-    // Steady state: zero heap traffic per iteration, stable results.
-    const ITERS: u64 = 8;
+    // Steady state: stable results (checked after the measured region).
     let before = allocs();
     for _ in 0..ITERS {
-        iteration(&problem, &shares, &mut arenas, &mut recvs, &mut outs);
+        iteration(problem, &shares, &mut arenas, &mut recvs, &mut outs);
     }
     let steady_allocs = allocs() - before;
-    assert_eq!(
-        steady_allocs, 0,
-        "steady-state iterations must not touch the heap ({steady_allocs} allocations over {ITERS} iterations)"
-    );
     for (g, (got, want)) in outs.iter().zip(&warmup_out).enumerate() {
-        assert_eq!(got, want, "group {g}: arena reuse changed the results");
+        assert_eq!(
+            got, want,
+            "{name} group {g}: arena reuse changed the results"
+        );
     }
+    (r, t, warmup_allocs, steady_allocs)
+}
 
-    // Record the measurement (after the measured region — the CSV write
+const ITERS: u64 = 8;
+
+#[test]
+fn steady_state_engine_iteration_allocates_nothing() {
+    let small = Problem::new(FftxConfig::small(2, 2, Mode::Original));
+    // The same cutoff-derived x/y sizes with z forced to 41 (prime, above
+    // the direct-radix limit): every z-FFT runs Bluestein.
+    let cfg = FftxConfig::small(2, 2, Mode::Original);
+    let base = FftGrid::from_cutoff(&Cell::cubic(cfg.alat), DUAL * cfg.ecutwfc);
+    let prime41 = Problem::with_grid(cfg, FftGrid::raw(base.nr1, base.nr2, 41));
+
+    let mut csv = String::from(
+        "workload,groups,members,warmup_allocs,steady_iterations,steady_allocs_per_iteration\n",
+    );
+    let mut failures = Vec::new();
+    for (name, problem) in [("small-2x2", &small), ("prime41-2x2", &prime41)] {
+        let (r, t, warmup_allocs, steady_allocs) = probe(name, problem);
+        if steady_allocs != 0 {
+            failures.push(format!(
+                "{name}: {steady_allocs} allocations over {ITERS} iterations"
+            ));
+        }
+        let _ = writeln!(
+            csv,
+            "{name},{r},{t},{warmup_allocs},{ITERS},{}",
+            steady_allocs / ITERS
+        );
+    }
+    assert!(
+        failures.is_empty(),
+        "steady-state iterations must not touch the heap: {}",
+        failures.join("; ")
+    );
+
+    // Record the measurement (after the measured regions — the CSV write
     // itself allocates freely).
-    let mut csv = String::from("workload,groups,members,warmup_allocs,steady_iterations,steady_allocs_per_iteration\n");
-    let _ = writeln!(csv, "small-2x2,{r},{t},{warmup_allocs},{ITERS},{}", steady_allocs / ITERS);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/alloc.csv");
     std::fs::write(path, csv).expect("write results/alloc.csv");
 }

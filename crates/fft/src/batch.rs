@@ -9,10 +9,17 @@
 //! (r-space → G-space) carries the normalisation — `1/nz` in `cft_1z` and
 //! `1/(nx*ny)` in `cft_2xy`, so a full forward 3-D pass scales by `1/N` and
 //! the backward pass is unnormalised.
+//!
+//! Every batch runs through one function, [`transform`]: direct sizes go
+//! through the mixed-radix kernel four columns at a time (see
+//! [`crate::kernel::Quad`]), bitwise identical to transforming them one by
+//! one; a remainder of fewer than four columns, and every column of a
+//! Bluestein size, runs one at a time through [`Fft::process_with`].
 
 use crate::complex::Complex64;
 use crate::dft::Direction;
 use crate::fft1d::Fft;
+use crate::kernel::{pack, unpack, Lane, LANES};
 
 /// Transforms `nsl` sticks of logical length `plan.len()` stored with leading
 /// dimension `ldz` (`data[s*ldz .. s*ldz + plan.len()]` is stick `s`).
@@ -37,16 +44,20 @@ pub fn cft_1z(
         data.len(),
         nsl * ldz
     );
-    let scale = 1.0 / nz.max(1) as f64;
-    for s in 0..nsl {
-        let stick = &mut data[s * ldz..s * ldz + nz];
-        plan.process_with(stick, scratch, dir);
-        if dir == Direction::Forward {
-            for v in stick.iter_mut() {
-                *v = v.scale(scale);
-            }
-        }
-    }
+    let scale = (dir == Direction::Forward).then(|| 1.0 / nz.max(1) as f64);
+    // Sticks are contiguous, so the one-at-a-time path never gathers and the
+    // empty column buffer is never grown.
+    transform(
+        plan,
+        data,
+        nsl,
+        ldz,
+        1,
+        dir,
+        scale,
+        scratch,
+        &mut Vec::new(),
+    );
 }
 
 /// Transforms `nzl` xy planes in place. Each plane occupies `ldx * ldy`
@@ -70,10 +81,10 @@ pub fn cft_2xy(
 }
 
 /// [`cft_2xy`] with a caller-owned y-column gather buffer: `col` is grown
-/// to `plan_y.len()` on first use and reused afterwards, so a warm caller
-/// (plan + scratch + col retained across iterations) performs no heap
-/// allocation per call — the plan-once/execute-many contract of the
-/// execution engines' buffer arenas.
+/// to `plan_y.len()` the first time a y-column is transformed on its own
+/// and reused afterwards, so a warm caller (plan + scratch + col retained
+/// across iterations) performs no heap allocation per call — the
+/// plan-once/execute-many contract of the execution engines' buffer arenas.
 #[allow(clippy::too_many_arguments)] // mirrors QE's cft_2xy signature
 pub fn cft_2xy_buf(
     plan_x: &Fft,
@@ -97,30 +108,83 @@ pub fn cft_2xy_buf(
         data.len(),
         nzl * plane_len
     );
-    let scale = 1.0 / (nx.max(1) * ny.max(1)) as f64;
-    col.clear();
-    col.resize(ny, Complex64::ZERO);
+    let scale = (dir == Direction::Forward).then(|| 1.0 / (nx.max(1) * ny.max(1)) as f64);
     for z in 0..nzl {
         let plane = &mut data[z * plane_len..(z + 1) * plane_len];
-        // Rows along x are contiguous.
-        for y in 0..ny {
-            plan_x.process_with(&mut plane[y * ldx..y * ldx + nx], scratch, dir);
+        // Rows along x are contiguous; columns along y are strided by ldx.
+        transform(plan_x, plane, ny, ldx, 1, dir, None, scratch, col);
+        transform(plan_y, plane, nx, 1, ldx, dir, scale, scratch, col);
+    }
+}
+
+/// Transforms `count` sequences of `n = plan.len()` points in place:
+/// sequence `i` is `data[i * dist + j * stride]` for `j in 0..n`. Outputs
+/// are multiplied by `scale` when it is given.
+///
+/// A direct plan runs whole groups of [`LANES`] sequences in lockstep: each
+/// group is packed into [`crate::kernel::Quad`]s carved from `scratch` (`n` inputs, `n`
+/// outputs and the butterfly gather buffer), transformed and unpacked. The
+/// remainder, and every sequence of a Bluestein or identity plan, runs one
+/// at a time through [`Fft::process_with`], in place when `stride == 1` and
+/// through `col` otherwise.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn transform(
+    plan: &Fft,
+    data: &mut [Complex64],
+    count: usize,
+    dist: usize,
+    stride: usize,
+    dir: Direction,
+    scale: Option<f64>,
+    scratch: &mut Vec<Complex64>,
+    col: &mut Vec<Complex64>,
+) {
+    let n = plan.len();
+    let mut done = 0;
+    if let Some(p) = plan.direct().filter(|_| count >= LANES) {
+        let want = LANES * (2 * n + p.max_radix());
+        if scratch.len() < want {
+            scratch.resize(want, Complex64::ZERO);
         }
-        // Columns along y are strided by ldx: gather, transform, scatter.
-        for x in 0..nx {
-            for (y, slot) in col.iter_mut().enumerate() {
-                *slot = plane[x + y * ldx];
+        let (quads, _) = scratch.as_chunks_mut::<LANES>();
+        let (src, rest) = quads.split_at_mut(n);
+        let (dst, gather) = rest.split_at_mut(n);
+        while done + LANES <= count {
+            let at = |l: usize, j: usize| (done + l) * dist + j * stride;
+            for (j, q) in src.iter_mut().enumerate() {
+                *q = pack([0, 1, 2, 3].map(|l| data[at(l, j)]));
             }
-            plan_y.process_with(col, scratch, dir);
-            for (y, &v) in col.iter().enumerate() {
-                plane[x + y * ldx] = v;
-            }
-        }
-        if dir == Direction::Forward {
-            for y in 0..ny {
-                for v in plane[y * ldx..y * ldx + nx].iter_mut() {
-                    *v = v.scale(scale);
+            p.run(src, dst, gather, dir);
+            for (j, &q) in dst.iter().enumerate() {
+                let q = scale.map_or(q, |s| q.scale(s));
+                for (l, v) in unpack(q).into_iter().enumerate() {
+                    data[at(l, j)] = v;
                 }
+            }
+            done += LANES;
+        }
+    }
+    for i in done..count {
+        let base = i * dist;
+        if stride == 1 {
+            let seq = &mut data[base..base + n];
+            plan.process_with(seq, scratch, dir);
+            if let Some(s) = scale {
+                for v in seq.iter_mut() {
+                    *v = v.scale(s);
+                }
+            }
+        } else {
+            if col.len() < n {
+                col.resize(n, Complex64::ZERO);
+            }
+            let seq = &mut col[..n];
+            for (j, slot) in seq.iter_mut().enumerate() {
+                *slot = data[base + j * stride];
+            }
+            plan.process_with(seq, scratch, dir);
+            for (j, &v) in seq.iter().enumerate() {
+                data[base + j * stride] = scale.map_or(v, |s| v.scale(s));
             }
         }
     }

@@ -67,7 +67,10 @@ impl BluesteinPlan {
         false
     }
 
-    /// Executes the transform in place. `scratch` grows to `2 * m`.
+    /// Executes the transform in place. `scratch` grows to `2 * m` plus the
+    /// inner plan's largest radix (at most 4): the zero-padded convolution
+    /// buffer, then the inner FFT's own scratch. Passing the same buffer
+    /// across calls keeps the transform free of heap allocation.
     pub fn process(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>, dir: Direction) {
         assert_eq!(data.len(), self.n, "BluesteinPlan: buffer length mismatch");
         match dir {
@@ -87,23 +90,22 @@ impl BluesteinPlan {
 
     fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>) {
         let m = self.m;
-        scratch.clear();
-        scratch.resize(m, Complex64::ZERO);
-        let work: &mut [Complex64] = scratch;
-        // The inner plan needs its own scratch; it is allocated per call,
-        // which is fine because Bluestein sizes never occur on the miniapp's
-        // hot path (grid dimensions are always "good" sizes).
-        let mut inner_scratch = Vec::new();
+        let want = 2 * m + self.inner.max_radix();
+        if scratch.len() < want {
+            scratch.resize(want, Complex64::ZERO);
+        }
+        let (work, inner_scratch) = scratch.split_at_mut(m);
         for (w, (&x, &c)) in work.iter_mut().zip(data.iter().zip(&self.chirp)) {
             *w = x * c;
         }
+        work[self.n..].fill(Complex64::ZERO);
         self.inner
-            .process(work, &mut inner_scratch, Direction::Forward);
+            .process_in(work, inner_scratch, Direction::Forward);
         for (w, &f) in work.iter_mut().zip(&self.filter_hat) {
             *w *= f;
         }
         self.inner
-            .process(work, &mut inner_scratch, Direction::Inverse);
+            .process_in(work, inner_scratch, Direction::Inverse);
         for (out, (&w, &c)) in data.iter_mut().zip(work.iter().zip(&self.chirp)) {
             *out = w * c;
         }

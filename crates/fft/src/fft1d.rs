@@ -46,6 +46,15 @@ impl Fft {
         self.n == 0
     }
 
+    /// The mixed-radix plan behind a direct size; `None` for the identity
+    /// and for Bluestein sizes.
+    pub(crate) fn direct(&self) -> Option<&MixedRadixPlan> {
+        match &self.kind {
+            Kind::Direct(p) => Some(p),
+            _ => None,
+        }
+    }
+
     /// Unnormalised in-place transform reusing a caller-provided scratch
     /// buffer (grows as needed, never shrinks).
     pub fn process_with(

@@ -1,7 +1,7 @@
 //! Serial dense 3-D FFT (QE's `cfft3d`), used as the single-rank reference
 //! the distributed pipeline is verified against.
 
-use crate::batch::{cft_1z, cft_2xy};
+use crate::batch::{cft_1z, cft_2xy, transform};
 use crate::complex::Complex64;
 use crate::dft::Direction;
 use crate::fft1d::Fft;
@@ -55,24 +55,21 @@ impl Fft3 {
             dir,
             &mut scratch,
         );
-        // ... then z columns, which are strided by nx*ny: gather/scatter.
+        // ... then z columns, which are strided by nx*ny.
         let stride = self.nx * self.ny;
-        let mut col = vec![Complex64::ZERO; self.nz];
-        let zscale = 1.0 / self.nz.max(1) as f64;
-        for xy in 0..stride {
-            for (z, slot) in col.iter_mut().enumerate() {
-                *slot = data[xy + z * stride];
-            }
-            self.plan_z.process_with(&mut col, &mut scratch, dir);
-            if dir == Direction::Forward {
-                for v in col.iter_mut() {
-                    *v = v.scale(zscale);
-                }
-            }
-            for (z, &v) in col.iter().enumerate() {
-                data[xy + z * stride] = v;
-            }
-        }
+        let zscale = (dir == Direction::Forward).then(|| 1.0 / self.nz.max(1) as f64);
+        let mut col = Vec::new();
+        transform(
+            &self.plan_z,
+            data,
+            stride,
+            1,
+            stride,
+            dir,
+            zscale,
+            &mut scratch,
+            &mut col,
+        );
     }
 
     /// Forward (r→G) transform, scaled by `1/N`.

@@ -6,11 +6,122 @@
 //! factors are precomputed per recursion level for both directions, so one
 //! plan serves forward and inverse transforms — exactly how the FFTXlib
 //! reuses one `fft_scalar` plan for `fwfft`/`invfft`.
+//!
+//! The recursion and its butterflies are generic over a [`Lane`] element:
+//! one transform's point (`Complex64`) or the same point of four independent
+//! transforms in lockstep ([`Quad`]). Each lane of a `Quad` performs the
+//! scalar op sequence in the same order, and Rust never contracts a multiply
+//! and an add into an FMA, so a batched transform is bitwise identical to
+//! the same transforms run one at a time.
 
-use crate::complex::Complex64;
+use crate::complex::{c64, Complex64};
 use crate::dft::Direction;
 use crate::planner::radix_schedule;
 use std::f64::consts::PI;
+
+/// Number of transforms a [`Quad`] carries.
+pub(crate) const LANES: usize = 4;
+
+/// The same point of [`LANES`] independent transforms, stored
+/// structure-of-arrays: slots 0–1 hold the four real parts and slots 2–3 the
+/// four imaginary parts, so every slot-wise `Complex64` op is four lane ops.
+pub(crate) type Quad = [Complex64; LANES];
+
+/// Packs one point of each of [`LANES`] transforms into a [`Quad`].
+#[inline(always)]
+pub(crate) fn pack([a, b, c, d]: [Complex64; LANES]) -> Quad {
+    [
+        c64(a.re, b.re),
+        c64(c.re, d.re),
+        c64(a.im, b.im),
+        c64(c.im, d.im),
+    ]
+}
+
+/// Inverse of [`pack`].
+#[inline(always)]
+pub(crate) fn unpack([r01, r23, i01, i23]: Quad) -> [Complex64; LANES] {
+    [
+        c64(r01.re, i01.re),
+        c64(r01.im, i01.im),
+        c64(r23.re, i23.re),
+        c64(r23.im, i23.im),
+    ]
+}
+
+/// An element the recursion runs on. Every op matches the `Complex64`
+/// operator of the same name lane by lane, in the same order.
+pub(crate) trait Lane: Copy {
+    /// All lanes zero.
+    const ZERO: Self;
+    fn add(self, rhs: Self) -> Self;
+    fn sub(self, rhs: Self) -> Self;
+    fn scale(self, s: f64) -> Self;
+    fn mul_i(self) -> Self;
+    /// Multiplies every lane by the same complex factor.
+    fn mul(self, w: Complex64) -> Self;
+}
+
+impl Lane for Complex64 {
+    const ZERO: Self = Complex64::ZERO;
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        self - rhs
+    }
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        Complex64::scale(self, s)
+    }
+    #[inline(always)]
+    fn mul_i(self) -> Self {
+        Complex64::mul_i(self)
+    }
+    #[inline(always)]
+    fn mul(self, w: Complex64) -> Self {
+        self * w
+    }
+}
+
+impl Lane for Quad {
+    const ZERO: Self = [Complex64::ZERO; LANES];
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        let [a, b, c, d] = self;
+        let [e, f, g, h] = rhs;
+        [a + e, b + f, c + g, d + h]
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        let [a, b, c, d] = self;
+        let [e, f, g, h] = rhs;
+        [a - e, b - f, c - g, d - h]
+    }
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        self.map(|v| v.scale(s))
+    }
+    #[inline(always)]
+    fn mul_i(self) -> Self {
+        // (re, im) -> (-im, re)
+        let [r01, r23, i01, i23] = self;
+        [-i01, -i23, r01, r23]
+    }
+    #[inline(always)]
+    fn mul(self, w: Complex64) -> Self {
+        // (re, im) * w = (re*w.re - im*w.im, re*w.im + im*w.re)
+        let [r01, r23, i01, i23] = self;
+        [
+            r01.scale(w.re) - i01.scale(w.im),
+            r23.scale(w.re) - i23.scale(w.im),
+            r01.scale(w.im) + i01.scale(w.re),
+            r23.scale(w.im) + i23.scale(w.re),
+        ]
+    }
+}
 
 /// One recursion level of the decomposition.
 struct Stage {
@@ -108,6 +219,13 @@ impl MixedRadixPlan {
         self.n == 0
     }
 
+    /// Largest radix of the schedule: the length of the butterfly gather
+    /// buffer [`Self::run`] needs.
+    #[inline]
+    pub(crate) fn max_radix(&self) -> usize {
+        self.max_radix
+    }
+
     /// Executes the transform in place. `scratch` is resized to
     /// `n + max_radix` as needed (input copy plus the butterfly gather
     /// buffer); passing the same buffer across calls keeps the hot path
@@ -121,21 +239,39 @@ impl MixedRadixPlan {
         if scratch.len() < want {
             scratch.resize(want, Complex64::ZERO);
         }
+        self.process_in(data, scratch, dir);
+    }
+
+    /// [`Self::process`] on a scratch slice the caller carved, at least
+    /// `n + max_radix` long.
+    pub(crate) fn process_in(
+        &self,
+        data: &mut [Complex64],
+        scratch: &mut [Complex64],
+        dir: Direction,
+    ) {
         let (src, gather) = scratch.split_at_mut(self.n);
         src.copy_from_slice(data);
-        self.recurse(0, src, 1, data, dir, &mut gather[..self.max_radix]);
+        self.run(src, data, gather, dir);
+    }
+
+    /// Transforms the `n` points of `src` into `dst`, using the first
+    /// `max_radix` elements of `gather` for the butterfly inputs.
+    #[inline]
+    pub(crate) fn run<L: Lane>(&self, src: &[L], dst: &mut [L], gather: &mut [L], dir: Direction) {
+        self.recurse(0, src, 1, dst, dir, &mut gather[..self.max_radix]);
     }
 
     /// Recursive DIT step: reads `sub`-strided input from `src`, writes the
     /// length-`stages[idx].len` spectrum contiguously into `dst`.
-    fn recurse(
+    fn recurse<L: Lane>(
         &self,
         idx: usize,
-        src: &[Complex64],
+        src: &[L],
         stride: usize,
-        dst: &mut [Complex64],
+        dst: &mut [L],
         dir: Direction,
-        gather: &mut [Complex64],
+        gather: &mut [L],
     ) {
         if idx == self.stages.len() {
             dst[0] = src[0];
@@ -145,7 +281,8 @@ impl MixedRadixPlan {
         let r = stage.radix;
         let m = stage.sub;
         debug_assert_eq!(dst.len(), stage.len);
-        if m == 1 && idx + 1 == self.stages.len() {
+        let leaf = m == 1 && idx + 1 == self.stages.len();
+        if leaf {
             // Leaf: a bare radix-r DFT of r strided points.
             for (j, g) in gather[..r].iter_mut().enumerate() {
                 *g = src[j * stride];
@@ -171,18 +308,18 @@ impl MixedRadixPlan {
             Direction::Inverse => &stage.roots_inv,
         };
         for k in 0..m {
-            if !(m == 1 && idx + 1 == self.stages.len()) {
+            if !leaf {
                 gather[0] = dst[k];
                 for j in 1..r {
-                    gather[j] = dst[j * m + k] * tw[(j - 1) * m + k];
+                    gather[j] = dst[j * m + k].mul(tw[(j - 1) * m + k]);
                 }
             }
             // `gather[..r]` now holds the r inputs of the radix-r butterfly.
             match r {
                 2 => {
                     let (a, b) = (gather[0], gather[1]);
-                    dst[k] = a + b;
-                    dst[m + k] = a - b;
+                    dst[k] = a.add(b);
+                    dst[m + k] = a.sub(b);
                 }
                 3 => {
                     butterfly3(gather, dir.sign(), &mut dst[k..], m);
@@ -193,9 +330,15 @@ impl MixedRadixPlan {
                 _ => {
                     // Generic O(r^2) DFT across the gathered points.
                     for q in 0..r {
-                        let mut acc = Complex64::ZERO;
-                        for (j, &g) in gather[..r].iter().enumerate() {
-                            acc += g * roots[(j * q) % r];
+                        let mut acc = L::ZERO;
+                        // `t` walks (j * q) % r without a division.
+                        let mut t = 0;
+                        for &g in &gather[..r] {
+                            acc = acc.add(g.mul(roots[t]));
+                            t += q;
+                            if t >= r {
+                                t -= r;
+                            }
                         }
                         dst[q * m + k] = acc;
                     }
@@ -207,30 +350,30 @@ impl MixedRadixPlan {
 
 /// Radix-3 butterfly writing outputs at `out[0]`, `out[m]`, `out[2m]`.
 #[inline]
-fn butterfly3(v: &[Complex64], sign: f64, out: &mut [Complex64], m: usize) {
+fn butterfly3<L: Lane>(v: &[L], sign: f64, out: &mut [L], m: usize) {
     const SQRT3_2: f64 = 0.866_025_403_784_438_6;
-    let s = v[1] + v[2];
-    let d = v[1] - v[2];
-    let t = v[0] - s.scale(0.5);
+    let s = v[1].add(v[2]);
+    let d = v[1].sub(v[2]);
+    let t = v[0].sub(s.scale(0.5));
     // i * sign * (sqrt(3)/2) * d
     let rot = d.mul_i().scale(sign * SQRT3_2);
-    out[0] = v[0] + s;
-    out[m] = t + rot;
-    out[2 * m] = t - rot;
+    out[0] = v[0].add(s);
+    out[m] = t.add(rot);
+    out[2 * m] = t.sub(rot);
 }
 
 /// Radix-4 butterfly writing outputs at `out[0]`, `out[m]`, `out[2m]`, `out[3m]`.
 #[inline]
-fn butterfly4(v: &[Complex64], sign: f64, out: &mut [Complex64], m: usize) {
-    let t0 = v[0] + v[2];
-    let t1 = v[0] - v[2];
-    let t2 = v[1] + v[3];
+fn butterfly4<L: Lane>(v: &[L], sign: f64, out: &mut [L], m: usize) {
+    let t0 = v[0].add(v[2]);
+    let t1 = v[0].sub(v[2]);
+    let t2 = v[1].add(v[3]);
     // w(4,1) = e^{sign*i*pi/2} = sign * i
-    let t3 = (v[1] - v[3]).mul_i().scale(sign);
-    out[0] = t0 + t2;
-    out[m] = t1 + t3;
-    out[2 * m] = t0 - t2;
-    out[3 * m] = t1 - t3;
+    let t3 = v[1].sub(v[3]).mul_i().scale(sign);
+    out[0] = t0.add(t2);
+    out[m] = t1.add(t3);
+    out[2 * m] = t0.sub(t2);
+    out[3 * m] = t1.sub(t3);
 }
 
 #[cfg(test)]

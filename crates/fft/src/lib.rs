@@ -14,6 +14,7 @@
 //!   unnormalised.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod bluestein;

@@ -1,11 +1,15 @@
 //! Property-based tests for the FFT engine: every size class against the
 //! naive DFT oracle, plus algebraic invariants (round trip, linearity,
-//! Parseval, shift theorem).
+//! Parseval, shift theorem), and a deterministic sweep of the batched entry
+//! points (`cft_1z`, `cft_2xy_buf`) over every length 1..=256: bit-equal to
+//! transforming the same columns one at a time, padding untouched, and
+//! within an O(ε log n) bound of the naive DFT.
 
+use fftx_fft::batch::{cft_1z, cft_2xy_buf};
 use fftx_fft::complex::{c64, max_dist, Complex64};
-use fftx_fft::dft::{naive_dft, Direction};
+use fftx_fft::dft::{naive_dft, naive_dft_3d, Direction};
 use fftx_fft::fft1d::{scale_in_place, Fft};
-use fftx_fft::planner::{factorize, good_fft_order, is_good_size};
+use fftx_fft::planner::{factorize, good_fft_order, is_direct_size, is_good_size};
 use proptest::prelude::*;
 
 fn complex_vec(n: usize) -> impl Strategy<Value = Vec<Complex64>> {
@@ -113,6 +117,202 @@ proptest! {
         prop_assert!(is_good_size(g));
         for m in n..g {
             prop_assert!(!is_good_size(m), "{m} was good but skipped");
+        }
+    }
+}
+
+/// Every length the batched sweep covers. The Bluestein primes 41, 97 and
+/// 127 are inside the range; `sweep_covers_bluestein_primes` pins that.
+const SWEEP: std::ops::RangeInclusive<usize> = 1..=256;
+
+/// Deterministic pseudo-random points in `[-1, 1)²` (xorshift64).
+fn signal(len: usize, seed: u64) -> Vec<Complex64> {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    };
+    (0..len).map(|_| c64(next(), next())).collect()
+}
+
+/// Transforms `count` sequences (`data[i*dist + j*stride]`) one at a time
+/// with `Fft::process_with`, gathering strided ones: the width-one path.
+fn per_column(
+    plan: &Fft,
+    data: &mut [Complex64],
+    count: usize,
+    dist: usize,
+    stride: usize,
+    dir: Direction,
+) {
+    let n = plan.len();
+    let (mut scratch, mut col) = (Vec::new(), vec![Complex64::ZERO; n]);
+    for i in 0..count {
+        for (j, slot) in col.iter_mut().enumerate() {
+            *slot = data[i * dist + j * stride];
+        }
+        plan.process_with(&mut col, &mut scratch, dir);
+        for (j, &v) in col.iter().enumerate() {
+            data[i * dist + j * stride] = v;
+        }
+    }
+}
+
+/// `v.scale(s)` over `count` sequences, the forward normalisation pass.
+fn scale_columns(
+    data: &mut [Complex64],
+    count: usize,
+    dist: usize,
+    stride: usize,
+    n: usize,
+    s: f64,
+) {
+    for i in 0..count {
+        for j in 0..n {
+            let v = &mut data[i * dist + j * stride];
+            *v = v.scale(s);
+        }
+    }
+}
+
+fn assert_bits_eq(got: &[Complex64], want: &[Complex64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+            "{what}: element {i}: {g} != {w}"
+        );
+    }
+}
+
+/// Max-norm error allowed against the naive DFT for a transform over
+/// `points` values: the O(ε log n)·‖X‖₂ bound of a Cooley–Tukey FFT (which
+/// also bounds a single element). The sweep's worst case, Bluestein sizes
+/// and the oracle's own rounding included, uses about a third of it at a
+/// constant of 1; the constant 2 leaves a sixfold margin.
+fn oracle_tol(points: usize, expect: &[Complex64]) -> f64 {
+    let norm = expect.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
+    2.0 * f64::EPSILON * (2.0 * points as f64).log2() * norm
+}
+
+#[test]
+fn sweep_covers_bluestein_primes() {
+    for p in [41, 97, 127] {
+        assert!(SWEEP.contains(&p) && !is_direct_size(p), "{p}");
+    }
+}
+
+#[test]
+fn cft_1z_is_per_column_bitwise_and_near_the_oracle() {
+    let mut scratch = Vec::new();
+    for n in SWEEP {
+        let plan = Fft::new(n);
+        // Stick counts 1..=8 cover every residue mod 4 with and without a
+        // full group; `ldz > nz` pads two sizes in three.
+        let nsl = 1 + n % 8;
+        let ldz = n + n % 3;
+        let data = signal(nsl * ldz + 3, n as u64);
+        for dir in [Direction::Inverse, Direction::Forward] {
+            let what = format!("cft_1z n={n} nsl={nsl} ldz={ldz} {dir:?}");
+            let mut got = data.clone();
+            cft_1z(&plan, &mut got, nsl, ldz, dir, &mut scratch);
+
+            let mut want = data.clone();
+            per_column(&plan, &mut want, nsl, ldz, 1, dir);
+            if dir == Direction::Forward {
+                scale_columns(&mut want, nsl, ldz, 1, n, 1.0 / n as f64);
+            }
+            assert_bits_eq(&got, &want, &what);
+
+            for s in 0..nsl {
+                let pad = s * ldz + n..(s + 1) * ldz;
+                assert_eq!(
+                    &got[pad.clone()],
+                    &data[pad],
+                    "{what}: padding of stick {s}"
+                );
+            }
+            assert_eq!(&got[nsl * ldz..], &data[nsl * ldz..], "{what}: tail");
+
+            // Oracle on the first stick (lane path when nsl >= 4) and the
+            // last (one-at-a-time remainder when nsl % 4 != 0).
+            for s in [0, nsl - 1] {
+                let stick = s * ldz..s * ldz + n;
+                let mut expect = naive_dft(&data[stick.clone()], dir);
+                if dir == Direction::Forward {
+                    scale_in_place(&mut expect, 1.0 / n as f64);
+                }
+                let err = max_dist(&got[stick], &expect);
+                assert!(
+                    err <= oracle_tol(n, &expect),
+                    "{what}: stick {s} err {err:e}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn cft_2xy_is_per_column_bitwise_and_near_the_oracle() {
+    let (mut scratch, mut col) = (Vec::new(), Vec::new());
+    let nzl = 2;
+    for n in SWEEP {
+        let k = 1 + n % 4;
+        // Each length once along x and once along y, against a partner
+        // whose count covers every residue mod 4.
+        for (nx, ny) in [(n, k), (k, n)] {
+            let (px, py) = (Fft::new(nx), Fft::new(ny));
+            let (ldx, ldy) = (nx + n % 2, ny + (n / 2) % 2);
+            let plane = ldx * ldy;
+            let data = signal(nzl * plane + 3, (nx * 1000 + ny) as u64);
+            for dir in [Direction::Inverse, Direction::Forward] {
+                let what = format!("cft_2xy {nx}x{ny} ld {ldx}x{ldy} {dir:?}");
+                let mut got = data.clone();
+                cft_2xy_buf(
+                    &px,
+                    &py,
+                    &mut got,
+                    nzl,
+                    ldx,
+                    ldy,
+                    dir,
+                    &mut scratch,
+                    &mut col,
+                );
+
+                let mut want = data.clone();
+                for z in 0..nzl {
+                    let p = &mut want[z * plane..(z + 1) * plane];
+                    per_column(&px, p, ny, ldx, 1, dir);
+                    per_column(&py, p, nx, 1, ldx, dir);
+                    if dir == Direction::Forward {
+                        scale_columns(p, ny, ldx, 1, nx, 1.0 / (nx * ny) as f64);
+                    }
+                }
+                assert_bits_eq(&got, &want, &what);
+
+                for (i, (g, d)) in got.iter().zip(&data).enumerate() {
+                    let (x, y, z) = (i % plane % ldx, i % plane / ldx, i / plane);
+                    if x >= nx || y >= ny || z >= nzl {
+                        assert_eq!(g, d, "{what}: padding element {i}");
+                    }
+                }
+
+                // Oracle on the first plane.
+                let pick = |v: &[Complex64]| -> Vec<Complex64> {
+                    (0..ny)
+                        .flat_map(|y| v[y * ldx..y * ldx + nx].to_vec())
+                        .collect()
+                };
+                let mut expect = naive_dft_3d(&pick(&data), nx, ny, 1, dir);
+                if dir == Direction::Forward {
+                    scale_in_place(&mut expect, 1.0 / (nx * ny) as f64);
+                }
+                let err = max_dist(&pick(&got), &expect);
+                assert!(err <= oracle_tol(nx * ny, &expect), "{what}: err {err:e}");
+            }
         }
     }
 }
