@@ -1,18 +1,31 @@
 //! Real-engine FFT benchmark: correctness and throughput of the native
-//! kernels that every modeled run ultimately prices, and the lane-batched
-//! `cft_2xy_buf`/`cft_1z` raced in the same run against the per-column loop
-//! they replace, on the two wall-clock benchmark rank shapes (60×60×30 and
-//! 14×14×7). Emits `BENCH_fft.json` — the throughput numbers are wall-clock
-//! (volatile, the artifact is structure-checked); the gates sit on accuracy,
-//! on bitwise identity of the batched and per-column paths, and on the
-//! in-run lane/per-column time ratio of the 60×60×30 xy batch.
+//! kernels that every modeled run ultimately prices, and two in-run races:
+//!
+//! * the lane-batched `cft_2xy_buf`/`cft_1z` against the per-column loop
+//!   they replace, on fixed shapes of the 60³ and 14³ grids (60×60×30
+//!   planes and 1200 sticks, 14×14×7 and 100) — lane tests, not rank
+//!   shapes;
+//! * the stick-aware `cft_2xy_sticks` against the whole-plane
+//!   `cft_2xy_buf`, on the true rank shapes of the two wall-clock benchmark
+//!   workloads as `Problem::new` lays them out: `dense-slab` has one task
+//!   group, so a rank owns all 60 planes and 621 sticks; `sparse-async`
+//!   ranks own 7 planes and 14 or 15 sticks.
+//!
+//! Emits `BENCH_fft.json` — the throughput numbers are wall-clock
+//! (volatile, the artifact is structure-checked); the gates sit on
+//! accuracy, on bitwise identity of each raced pair, on the in-run
+//! lane/per-column time ratio of the 60×60×30 xy batch, and on the in-run
+//! stick-aware/whole-plane time ratio of the `dense-slab` rank.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
+use fftx_core::{ExecPlan, FftxConfig, Mode, Problem};
 use fftx_fft::opcount::{fft_3d_flops, fft_flops, fft_xy_batch_flops, fft_z_batch_flops};
 use fftx_fft::{
-    c64, cft_1z, cft_2xy_buf, max_dist, naive_dft, scale_in_place, Complex64, Direction, Fft, Fft3,
+    c64, cft_1z, cft_2xy_buf, cft_2xy_sticks, max_dist, naive_dft, scale_in_place, Complex64,
+    Direction, Fft, Fft3,
 };
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn signal(n: usize) -> Vec<Complex64> {
@@ -179,6 +192,118 @@ where
     }
 }
 
+/// Task group 0's plan of each wall-clock benchmark workload, built the
+/// way `wallbench`'s `KernelSpec::config` builds it (the seed fixes only
+/// the data, never the geometry): `dense-slab` is the 60³ grid under the
+/// serial policy at 1×2, `sparse-async` the 14³ serving class under
+/// split-phase tasks at 2×1.
+fn wallbench_plans() -> [(&'static str, Arc<ExecPlan>); 2] {
+    let dense = FftxConfig {
+        ecutwfc: 40.0,
+        alat: 14.0,
+        nbnd: 2,
+        ..FftxConfig::small(1, 2, Mode::Original)
+    };
+    let sparse = FftxConfig {
+        ecutwfc: 6.0,
+        alat: 8.0,
+        nbnd: 32,
+        ..FftxConfig::small(2, 1, Mode::TaskAsync)
+    };
+    [("dense-slab", dense), ("sparse-async", sparse)]
+        .map(|(name, cfg)| (name, Arc::clone(Problem::new(cfg).exec_plan(0))))
+}
+
+/// `cft_2xy_sticks` raced against `cft_2xy_buf` on one rank's planes.
+struct SticksRace {
+    workload: &'static str,
+    plan: Arc<ExecPlan>,
+    /// Flops of one call (mean of the two directions) actually done:
+    /// rows·fft(nx) + columns·fft(ny) per plane.
+    sticks_flops: f64,
+    whole_flops: f64,
+    /// Best seconds per call.
+    sticks_s: f64,
+    whole_s: f64,
+    /// Bit-identical on every position the pipeline reads: the whole plane
+    /// after the inverse, the stick columns after the forward.
+    bitwise: bool,
+}
+
+impl SticksRace {
+    fn ratio(&self) -> f64 {
+        self.sticks_s / self.whole_s
+    }
+
+    fn key(&self) -> String {
+        self.workload.replace('-', "_")
+    }
+}
+
+/// Checks and races the two xy entry points on `plan`'s planes, starting
+/// every call pair from what the scatter writes: values on the stick
+/// positions of every plane, zero elsewhere.
+fn race_sticks(workload: &'static str, plan: Arc<ExecPlan>, iters: usize) -> SticksRace {
+    let (nx, ny, npp) = (plan.grid.nr1, plan.grid.nr2, plan.npp);
+    let values = signal(plan.planes_len());
+    let mut input = vec![Complex64::ZERO; plan.planes_len()];
+    for z in 0..npp {
+        for &at in plan.maps.plane_cols.iter().flatten() {
+            let i = z * plan.plane + at as usize;
+            input[i] = values[i];
+        }
+    }
+    let (rows, cols) = (&plan.stick_rows, &plan.stick_cols);
+    let (mut s1, mut c1, mut s2, mut c2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut sticks = |d: &mut [Complex64], dir| {
+        cft_2xy_sticks(
+            &plan.x, &plan.y, d, npp, nx, ny, rows, cols, dir, &mut s1, &mut c1,
+        )
+    };
+    let mut whole = |d: &mut [Complex64], dir| {
+        cft_2xy_buf(&plan.x, &plan.y, d, npp, nx, ny, dir, &mut s2, &mut c2)
+    };
+
+    let (mut a, mut b) = (input.clone(), input.clone());
+    sticks(&mut a, Direction::Inverse);
+    whole(&mut b, Direction::Inverse);
+    let mut bitwise = same_bits(&a, &b);
+    sticks(&mut a, Direction::Forward);
+    whole(&mut b, Direction::Forward);
+    bitwise &= (0..a.len())
+        .filter(|i| cols.contains(&(i % nx)))
+        .all(|i| same_bits(&a[i..=i], &b[i..=i]));
+
+    // Many short alternating rounds: the gate sits on this ratio, and host
+    // bursts last longer than a few rounds.
+    let (sticks_pair, whole_pair) = race(
+        31,
+        iters,
+        || {
+            a.copy_from_slice(&input);
+            sticks(black_box(&mut a), Direction::Inverse);
+            sticks(black_box(&mut a), Direction::Forward);
+        },
+        || {
+            b.copy_from_slice(&input);
+            whole(black_box(&mut b), Direction::Inverse);
+            whole(black_box(&mut b), Direction::Forward);
+        },
+    );
+    let flops = |nrows: usize, ncols: usize| {
+        npp as f64 * (nrows as f64 * fft_flops(nx) + ncols as f64 * fft_flops(ny))
+    };
+    SticksRace {
+        workload,
+        sticks_flops: (flops(rows.len(), nx) + flops(ny, cols.len())) / 2.0,
+        whole_flops: flops(ny, nx),
+        sticks_s: sticks_pair / 2.0,
+        whole_s: whole_pair / 2.0,
+        bitwise,
+        plan,
+    }
+}
+
 fn main() {
     println!("=== Real FFT engine: correctness and throughput ===\n");
     let mut h = Harness::new_volatile("fft");
@@ -242,8 +367,8 @@ fn main() {
     rows.push_str(&format!("fft3d,{nx}x{ny}x{nz},{s3:.6e},{mflops3:.1}\n"));
 
     // --- Lane-batched kernels against the per-column loop, in the same
-    // run, on the wallbench rank shapes: dense-slab (60³ grid, 30 planes
-    // and about 1200 sticks per rank) and sparse-async (14³, 7 planes).
+    // run, on fixed shapes of the 60³ and 14³ grids. These test the lanes,
+    // not the benchmark's rank shapes, which the stick race below uses.
     let mut races = Vec::new();
     for &(n, planes, sticks, iters) in &[(60usize, 30usize, 1200usize, 2usize), (14, 7, 100, 200)] {
         let plan = Fft::new(n);
@@ -290,6 +415,45 @@ fn main() {
         ));
     }
 
+    // --- The stick-aware xy pass against the whole plane, on the rank
+    // shapes of the wall-clock benchmark.
+    let sticks: Vec<SticksRace> = wallbench_plans()
+        .into_iter()
+        .zip([1usize, 50])
+        .map(|((workload, plan), iters)| race_sticks(workload, plan, iters))
+        .collect();
+    println!();
+    for r in &sticks {
+        let p = &r.plan;
+        let (mf_sticks, mf_whole) = (
+            r.sticks_flops / r.sticks_s / 1e6,
+            r.whole_flops / r.whole_s / 1e6,
+        );
+        println!(
+            "{:<12} {} planes, {} sticks, rows {}/{} cols {}/{}: sticks {:.3e}s {mf_sticks:8.1} MFLOP/s | whole {:.3e}s {mf_whole:8.1} MFLOP/s | ratio {:.3} | bitwise {}",
+            r.workload,
+            p.npp,
+            p.nst,
+            p.stick_rows.len(),
+            p.grid.nr2,
+            p.stick_cols.len(),
+            p.grid.nr1,
+            r.sticks_s,
+            r.whole_s,
+            r.ratio(),
+            r.bitwise
+        );
+        let shape = format!("{}:{}x{}x{}", r.workload, p.grid.nr1, p.grid.nr2, p.npp);
+        rows.push_str(&format!(
+            "cft_2xy_sticks,{shape},{:.6e},{mf_sticks:.1}\n",
+            r.sticks_s
+        ));
+        rows.push_str(&format!(
+            "cft_2xy_buf,{shape},{:.6e},{mf_whole:.1}\n",
+            r.whole_s
+        ));
+    }
+
     h.artifact("fft.csv", &rows, CheckKind::Structure);
     h.metric_f64("max_norm_err_vs_naive", max_err, 18)
         .metric_f64("roundtrip_err_1d", rt_err, 18)
@@ -307,6 +471,25 @@ fn main() {
             .metric_f64(&format!("{key}_time_ratio"), r.ratio(), 3);
     }
     h.metric_bool("lanes_bitwise_equal", races.iter().all(|r| r.bitwise));
+    for r in &sticks {
+        let (key, p) = (r.key(), &r.plan);
+        h.metric_u64(&format!("{key}_planes"), p.npp as u64)
+            .metric_u64(&format!("{key}_sticks"), p.nst as u64)
+            .metric_u64(&format!("{key}_stick_rows"), p.stick_rows.len() as u64)
+            .metric_u64(&format!("{key}_stick_cols"), p.stick_cols.len() as u64)
+            .metric_f64(
+                &format!("cft_2xy_sticks_{key}_mflops"),
+                r.sticks_flops / r.sticks_s / 1e6,
+                1,
+            )
+            .metric_f64(
+                &format!("cft_2xy_buf_{key}_mflops"),
+                r.whole_flops / r.whole_s / 1e6,
+                1,
+            )
+            .metric_f64(&format!("cft_2xy_sticks_{key}_time_ratio"), r.ratio(), 3);
+    }
+    h.metric_bool("sticks_bitwise_equal", sticks.iter().all(|r| r.bitwise));
     h.gate(
         "fast 1-D transforms match the naive DFT oracle",
         "max_norm_err_vs_naive",
@@ -336,6 +519,18 @@ fn main() {
         "cft_2xy_60x60x30_time_ratio",
         GateOp::Le,
         0.6,
+    )
+    .gate(
+        "cft_2xy_sticks is bit-identical to cft_2xy_buf wherever the pipeline reads",
+        "sticks_bitwise_equal",
+        GateOp::Eq,
+        1.0,
+    )
+    .gate(
+        "cft_2xy_sticks takes at most 0.9x the whole-plane time on the dense-slab rank",
+        "cft_2xy_sticks_dense_slab_time_ratio",
+        GateOp::Le,
+        0.9,
     );
     std::process::exit(h.finish());
 }

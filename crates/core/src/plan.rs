@@ -94,6 +94,14 @@ pub struct ExecPlan {
     pub plane_range: Vec<(usize, usize)>,
     /// Flat gather/scatter tables (deposit/extract, xy columns).
     pub maps: GroupIndexMaps,
+    /// The y-rows of an xy plane that hold a stick of any group, sorted:
+    /// the only rows the inverse xy pass transforms along x (the scatter
+    /// leaves every other row zero).
+    pub stick_rows: Vec<usize>,
+    /// The x-columns of an xy plane that hold a stick of any group,
+    /// sorted: the only columns the forward xy pass transforms along y
+    /// (the backward scatter reads no other).
+    pub stick_cols: Vec<usize>,
     /// Interned 1-D plan along x.
     pub x: Arc<Fft>,
     /// Interned 1-D plan along y.
@@ -115,6 +123,8 @@ impl ExecPlan {
     /// plans. Build once, execute many.
     pub fn for_layout_decomp(l: &TaskGroupLayout, g: usize, decomp: Decomposition) -> Self {
         let grid = l.grid;
+        let maps = l.index_maps(g);
+        let (stick_rows, stick_cols) = stick_lines(&maps, grid);
         ExecPlan {
             g,
             r: l.r,
@@ -128,7 +138,9 @@ impl ExecPlan {
             max_npp: l.max_npp(),
             ngw_group: l.ngw_group(g),
             plane_range: l.plane_range.clone(),
-            maps: l.index_maps(g),
+            maps,
+            stick_rows,
+            stick_cols,
             x: cached_plan(grid.nr1),
             y: cached_plan(grid.nr2),
             z: cached_plan(grid.nr3),
@@ -339,6 +351,24 @@ impl ExecPlan {
             }
         }
     }
+}
+
+/// The sorted y-rows and x-columns of an xy plane that `maps.plane_cols`
+/// (every group's stick positions `iy * nr1 + ix`) touches.
+fn stick_lines(maps: &GroupIndexMaps, grid: FftGrid) -> (Vec<usize>, Vec<usize>) {
+    let (mut row, mut col) = (vec![false; grid.nr2], vec![false; grid.nr1]);
+    for &at in maps.plane_cols.iter().flatten() {
+        let at = at as usize;
+        row[at / grid.nr1] = true;
+        col[at % grid.nr1] = true;
+    }
+    let held = |mask: Vec<bool>| {
+        mask.iter()
+            .enumerate()
+            .filter_map(|(i, &h)| h.then_some(i))
+            .collect()
+    };
+    (held(row), held(col))
 }
 
 /// The per-rank (per-worker, in task modes) buffer arena: every scratch

@@ -45,7 +45,7 @@ use crate::original::{finish_run, RunOutput, StepFlops};
 use crate::plan::{BufferArena, ExecPlan};
 use crate::problem::Problem;
 use crate::recorder::Recorder;
-use fftx_fft::{cft_1z, cft_2xy_buf, Complex64, Direction};
+use fftx_fft::{cft_1z, cft_2xy_sticks, Complex64, Direction};
 use fftx_pw::{apply_potential_slab, ProcessGrid, TaskGroupLayout};
 use fftx_taskrt::{Dep, Handle, Runtime, Shared, SlotArena, TaskGraph};
 use fftx_trace::{StateClass, TraceSink};
@@ -535,7 +535,10 @@ impl StageRunner<'_> {
         })
     }
 
-    /// `FftXyInv`/`FftXyFwd`: the 2-D FFT batch over the owned planes.
+    /// `FftXyInv`/`FftXyFwd`: the 2-D FFT batch over the owned planes,
+    /// restricted to the plan's stick rows (inverse) and stick columns
+    /// (forward) — bit-identical on every position the pipeline reads.
+    /// The recorded flop estimate stays the dense one the model prices.
     pub fn fft_xy(
         &self,
         kind: StageKind,
@@ -551,13 +554,15 @@ impl StageRunner<'_> {
         };
         self.span(kind, band, || {
             self.rec.compute(StateClass::FftXy, self.flops.fft_xy, || {
-                cft_2xy_buf(
+                cft_2xy_sticks(
                     &self.plan.x,
                     &self.plan.y,
                     planes,
                     self.plan.npp,
                     self.plan.grid.nr1,
                     self.plan.grid.nr2,
+                    &self.plan.stick_rows,
+                    &self.plan.stick_cols,
                     dir,
                     scratch,
                     col,

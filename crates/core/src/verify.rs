@@ -21,7 +21,11 @@
 //!   Quantum ESPRESSO scaling convention (forward carries `1/N`, backward
 //!   is unnormalised), so each leg multiplies total energy by exactly `N`
 //!   (inverse) or `1/N` (forward) up to rounding: `E_out ≈ factor · E_in`
-//!   within [`PARSEVAL_TOL`]. One pass over the buffer per leg.
+//!   within [`PARSEVAL_TOL`]. One pass over the buffer per leg. The
+//!   forward xy leg y-transforms only the stick columns and leaves the
+//!   rest x-transformed, so it checks the identity of that restricted
+//!   transform instead ([`Parseval::StickCols`]), which still covers every
+//!   element of the buffer.
 //! - **`full`** — recompute and compare. The leg input is snapshotted, the
 //!   leg recomputed on an independent (clean) path, and the outputs
 //!   compared bit-exactly. Catches *every* corrupting flip, at ~2× FFT
@@ -59,7 +63,7 @@
 
 use crate::config::Mode;
 use crate::original::{finish_run, RunOutput};
-use crate::plan::BufferArena;
+use crate::plan::{BufferArena, ExecPlan};
 use crate::problem::Problem;
 use crate::recorder::Recorder;
 use crate::recovery::run_eviction;
@@ -215,6 +219,47 @@ fn energy(buf: &[Complex64]) -> f64 {
     buf.iter().map(|c| c.re * c.re + c.im * c.im).sum()
 }
 
+/// The energy identity a leg's `cheap` check holds its output to.
+#[derive(Clone, Copy)]
+enum Parseval<'a> {
+    /// The leg transforms the whole buffer: `E_out = factor · E_in`.
+    Whole(f64),
+    /// The stick-aware forward xy leg of this plan. With `s = 1/(nx·ny)`,
+    /// `b` the output energy on the plan's stick columns (y-transformed
+    /// and scaled) and `a` the energy on the others (x-transformed only,
+    /// so row Parseval gives them `nx` times their input energy):
+    /// `a/(nx²·ny) + b = s·E_in`. With every column selected `a = 0` and
+    /// this is [`Parseval::Whole`]`(s)` to the bit.
+    StickCols(&'a ExecPlan),
+}
+
+impl Parseval<'_> {
+    /// `(want, got)`: the output energy the identity predicts from an
+    /// input of energy `e_in`, and the one `out` carries, weighed alike.
+    fn energies(self, e_in: f64, out: &[Complex64]) -> (f64, f64) {
+        match self {
+            Parseval::Whole(factor) => (factor * e_in, energy(out)),
+            Parseval::StickCols(plan) => {
+                let (nx, ny) = (plan.grid.nr1, plan.grid.nr2);
+                let (mut a, mut b) = (0.0, 0.0);
+                for row in out.chunks_exact(nx) {
+                    let mut cols = plan.stick_cols.iter().peekable();
+                    for (x, c) in row.iter().enumerate() {
+                        let e = c.re * c.re + c.im * c.im;
+                        if cols.next_if_eq(&&x).is_some() {
+                            b += e;
+                        } else {
+                            a += e;
+                        }
+                    }
+                }
+                let s = 1.0 / (nx * ny) as f64;
+                (s * e_in, a / (nx * nx * ny) as f64 + b)
+            }
+        }
+    }
+}
+
 /// Whether `got ≈ want` within relative tolerance `tol`. NaN never
 /// compares close (a NaN-poisoned buffer is a detection, not an escape).
 fn energy_close(got: f64, want: f64, tol: f64) -> bool {
@@ -327,14 +372,15 @@ fn inject(vx: &VerifyCtx, key: u64, attempt: u32, buf: &mut [Complex64]) {
 }
 
 /// Runs one FFT leg through the fault model and the selected invariant:
-/// compute, inject, then check (`cheap`: `E_out ≈ factor·E_in`; `full`:
-/// bit-exact recompute from the snapshot, repairing in place on mismatch).
+/// compute, inject, then check (`cheap`: the leg's [`Parseval`] identity;
+/// `full`: bit-exact recompute from the snapshot, repairing in place on
+/// mismatch).
 fn verified_leg(
     vx: &VerifyCtx,
     flags: &mut VerifyFlags,
     key: u64,
     attempt: u32,
-    factor: f64,
+    parseval: Parseval<'_>,
     buf: &mut [Complex64],
     mut leg: impl FnMut(&mut [Complex64]),
 ) {
@@ -348,7 +394,7 @@ fn verified_leg(
             leg(buf);
             inject(vx, key, attempt, buf);
             flags.checks += 1;
-            let (want, got) = (factor * e_in, energy(buf));
+            let (want, got) = parseval.energies(e_in, buf);
             if !energy_close(got, want, vx.tol) {
                 flags.detected = true;
                 flags.evidence.get_or_insert((want.to_bits(), got.to_bits()));
@@ -396,19 +442,23 @@ fn verified_transform(
     } = a;
     let nz = r.plan.grid.nr3 as f64;
     let nxy = (r.plan.grid.nr1 * r.plan.grid.nr2) as f64;
-    verified_leg(vx, flags, leg_key(base, 0), attempt, nz, zbuf, |b| {
+    // The inverse xy leg skips only rows that are zero in and out, so the
+    // whole-buffer identity holds for it as for the z legs.
+    let (z_inv, z_fwd) = (Parseval::Whole(nz), Parseval::Whole(1.0 / nz));
+    let (xy_inv, xy_fwd) = (Parseval::Whole(nxy), Parseval::StickCols(r.plan));
+    verified_leg(vx, flags, leg_key(base, 0), attempt, z_inv, zbuf, |b| {
         r.fft_z(StageKind::FftZInv, base, b, scratch)
     });
     r.scatter_fwd(base, sc, tag, zbuf, planes, scatter_send, scatter_recv, pencil_mid)?;
-    verified_leg(vx, flags, leg_key(base, 1), attempt, nxy, planes, |b| {
+    verified_leg(vx, flags, leg_key(base, 1), attempt, xy_inv, planes, |b| {
         r.fft_xy(StageKind::FftXyInv, base, b, scratch, col)
     });
     r.vofr(base, planes);
-    verified_leg(vx, flags, leg_key(base, 2), attempt, 1.0 / nxy, planes, |b| {
+    verified_leg(vx, flags, leg_key(base, 2), attempt, xy_fwd, planes, |b| {
         r.fft_xy(StageKind::FftXyFwd, base, b, scratch, col)
     });
     r.scatter_bwd(base, sc, tag, planes, zbuf, scatter_send, scatter_recv, pencil_mid)?;
-    verified_leg(vx, flags, leg_key(base, 3), attempt, 1.0 / nz, zbuf, |b| {
+    verified_leg(vx, flags, leg_key(base, 3), attempt, z_fwd, zbuf, |b| {
         r.fft_z(StageKind::FftZFwd, base, b, scratch)
     });
     Ok(())
@@ -749,6 +799,52 @@ mod tests {
         assert!(stats.detected_batches > 0, "p=1.0 must strike and be seen");
         assert!(stats.batch_rollbacks > 0);
         assert!(stats.checkpoint_bytes > 0);
+        assert_eq!(out.bands, baseline.bands, "recovery changed the answer");
+    }
+
+    #[test]
+    fn cheap_mode_sees_a_strike_off_the_stick_columns_after_forward_xy() {
+        // The forward xy leg leaves the columns without sticks
+        // x-transformed and nothing reads them, so only the restricted
+        // Parseval identity can see a strike there. Find a seed whose one
+        // strike lands in such a column right after that leg.
+        let problem = problem(2, 2);
+        let baseline = run_original(&problem);
+        let (l, ranks) = (&problem.layout, problem.config.vmpi_ranks());
+        let keys: Vec<u64> = (0..problem.config.iterations())
+            .flat_map(|k| (0..4).map(move |leg| leg_key(k * l.t, leg)))
+            .collect();
+        let bitflip = (0u64..)
+            .map(|seed| BitFlip::new(seed, 0.1, 1))
+            .find(|bf| {
+                let struck: Vec<u64> = keys
+                    .iter()
+                    .copied()
+                    .filter(|&k| bf.strike(k, 0).is_some())
+                    .collect();
+                let [key] = struck[..] else { return false };
+                let plan = problem.exec_plan(l.task_group_of(strike_target(key, ranks)));
+                let s = bf.strike(key, 0).expect("struck");
+                let at = (s.index_bits % (2 * plan.planes_len() as u64)) as usize / 2;
+                key & 7 == 2 && !plan.stick_cols.contains(&(at % plan.grid.nr1))
+            })
+            .expect("some seed strikes one column without sticks");
+        let corruption = CorruptionConfig {
+            bitflip: Some(bitflip),
+            ..CorruptionConfig::off()
+        };
+        let run = |mode| {
+            run_verified(&problem, corruption, mode, &RecoveryConfig::default())
+                .expect("one strike clears in one rollback")
+        };
+        let (off, _) = run(VerifyMode::Off);
+        assert_eq!(off.bands, baseline.bands, "the struck column is never read");
+        let (out, stats) = run(VerifyMode::Cheap);
+        assert_eq!(
+            stats.detected_batches, 1,
+            "the identity covers the whole buffer"
+        );
+        assert_eq!(stats.batch_rollbacks, 1);
         assert_eq!(out.bands, baseline.bands, "recovery changed the answer");
     }
 

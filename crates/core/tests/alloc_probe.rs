@@ -1,6 +1,7 @@
 //! Counting-allocator proof of the zero-allocation steady state: drives
 //! the planned engine's per-iteration work — deposit, z-FFT, padded
-//! scatter (loopback-routed), xy-FFT, VOFR, and the way back — through
+//! scatter (loopback-routed), the stick-aware xy-FFT the engine runs,
+//! VOFR, and the way back — through
 //! [`ExecPlan`] + [`BufferArena`] for every task group in-process, and
 //! asserts that after one warmup iteration (which grows every arena
 //! buffer) further iterations perform **zero** heap allocations.
@@ -18,7 +19,7 @@
 //! The measured counts land in `results/alloc.csv`.
 
 use fftx_core::{BufferArena, Cell, FftGrid, FftxConfig, Mode, Problem, DUAL};
-use fftx_fft::{cft_1z, cft_2xy_buf, Complex64, Direction};
+use fftx_fft::{cft_1z, cft_2xy_sticks, Complex64, Direction};
 use fftx_pw::apply_potential_slab;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -91,25 +92,29 @@ fn iteration(
         let plan = problem.exec_plan(g);
         let a = &mut arenas[g];
         plan.scatter_unpack_to_planes(&recvs[g], &mut a.planes);
-        cft_2xy_buf(
+        cft_2xy_sticks(
             &plan.x,
             &plan.y,
             &mut a.planes,
             plan.npp,
             plan.grid.nr1,
             plan.grid.nr2,
+            &plan.stick_rows,
+            &plan.stick_cols,
             Direction::Inverse,
             &mut a.scratch,
             &mut a.col,
         );
         apply_potential_slab(&mut a.planes, &problem.v, &plan.grid, plan.z0, plan.npp);
-        cft_2xy_buf(
+        cft_2xy_sticks(
             &plan.x,
             &plan.y,
             &mut a.planes,
             plan.npp,
             plan.grid.nr1,
             plan.grid.nr2,
+            &plan.stick_rows,
+            &plan.stick_cols,
             Direction::Forward,
             &mut a.scratch,
             &mut a.col,

@@ -4,17 +4,20 @@
 //!   "sticks" (the per-rank pencil batch between `pack` and `scatter`).
 //! * [`cft_2xy`] — 2-D transforms over whole xy planes (the per-rank slab
 //!   batch after `scatter`).
+//! * [`cft_2xy_sticks`] — the same planes, transforming only the x-rows
+//!   and y-columns a stick-distributed slab needs (QE's `dofft` map).
 //!
 //! Scaling follows Quantum ESPRESSO's convention: the *forward* direction
 //! (r-space → G-space) carries the normalisation — `1/nz` in `cft_1z` and
 //! `1/(nx*ny)` in `cft_2xy`, so a full forward 3-D pass scales by `1/N` and
 //! the backward pass is unnormalised.
 //!
-//! Every batch runs through one function, [`transform`]: direct sizes go
-//! through the mixed-radix kernel four columns at a time (see
-//! [`crate::kernel::Quad`]), bitwise identical to transforming them one by
-//! one; a remainder of fewer than four columns, and every column of a
-//! Bluestein size, runs one at a time through [`Fft::process_with`].
+//! Every batch runs through one function, [`transform_seqs`], over a
+//! selection of its sequences: direct sizes go through the mixed-radix
+//! kernel four sequences at a time (see [`crate::kernel::Quad`]), bitwise
+//! identical to transforming them one by one; a remainder of fewer than
+//! four, and every sequence of a Bluestein size, runs one at a time through
+//! [`Fft::process_with`].
 
 use crate::complex::Complex64;
 use crate::dft::Direction;
@@ -97,6 +100,94 @@ pub fn cft_2xy_buf(
     scratch: &mut Vec<Complex64>,
     col: &mut Vec<Complex64>,
 ) {
+    let (rows, cols) = (All(plan_y.len()), All(plan_x.len()));
+    xy(
+        plan_x, plan_y, data, nzl, ldx, ldy, rows, cols, dir, scratch, col,
+    );
+}
+
+/// [`cft_2xy_buf`] for a plane slab that holds data only on stick columns
+/// — QE's `cft_2xy` with its `dofft` map. `rows` lists the y-rows and
+/// `cols` the x-columns that hold a stick, each strictly increasing.
+///
+/// * **Inverse:** the x-pass runs only over `rows`; the y-pass runs over
+///   every column. The caller guarantees every other row is `+0.0`, and a
+///   direct-size FFT maps an all-`+0.0` row to all-`+0.0`, so every plane
+///   is bit-identical to [`cft_2xy_buf`]'s. (A Bluestein x size may give
+///   `-0.0` in a skipped row, which changes only the sign of zero outputs.)
+/// * **Forward:** the x-pass runs over every row; the y-pass, which carries
+///   the `1/(nx*ny)` scale, runs only over `cols`. Those columns are
+///   bit-identical to [`cft_2xy_buf`]'s; the others are left
+///   x-transformed and unscaled.
+///
+/// Both skips rest on the x-first order of [`cft_2xy_buf`]: in the inverse
+/// a row without a stick is still all zero when the x-pass would reach it
+/// (a y-first pass would have filled it), and in the forward the y-pass
+/// comes last, so a skipped column changes no other output.
+///
+/// # Panics
+/// Panics when `rows` or `cols` is not strictly increasing or holds an
+/// index outside the plane, and on the conditions of [`cft_2xy_buf`].
+#[allow(clippy::too_many_arguments)] // cft_2xy_buf's arguments plus the selection
+pub fn cft_2xy_sticks(
+    plan_x: &Fft,
+    plan_y: &Fft,
+    data: &mut [Complex64],
+    nzl: usize,
+    ldx: usize,
+    ldy: usize,
+    rows: &[usize],
+    cols: &[usize],
+    dir: Direction,
+    scratch: &mut Vec<Complex64>,
+    col: &mut Vec<Complex64>,
+) {
+    let (nx, ny) = (plan_x.len(), plan_y.len());
+    assert!(
+        is_selection(rows, ny),
+        "cft_2xy_sticks: rows must increase and be < {ny}"
+    );
+    assert!(
+        is_selection(cols, nx),
+        "cft_2xy_sticks: cols must increase and be < {nx}"
+    );
+    match dir {
+        Direction::Inverse => {
+            let cols = All(nx);
+            xy(
+                plan_x, plan_y, data, nzl, ldx, ldy, rows, cols, dir, scratch, col,
+            )
+        }
+        Direction::Forward => {
+            let rows = All(ny);
+            xy(
+                plan_x, plan_y, data, nzl, ldx, ldy, rows, cols, dir, scratch, col,
+            )
+        }
+    }
+}
+
+/// Whether `ids` is strictly increasing with every entry below `n`.
+fn is_selection(ids: &[usize], n: usize) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1]) && ids.last().is_none_or(|&i| i < n)
+}
+
+/// The xy pass over `nzl` planes: x-transforms the `rows`, then
+/// y-transforms the `cols` (scaled by `1/(nx*ny)` when forward).
+#[allow(clippy::too_many_arguments)]
+fn xy(
+    plan_x: &Fft,
+    plan_y: &Fft,
+    data: &mut [Complex64],
+    nzl: usize,
+    ldx: usize,
+    ldy: usize,
+    rows: impl Seqs,
+    cols: impl Seqs,
+    dir: Direction,
+    scratch: &mut Vec<Complex64>,
+    col: &mut Vec<Complex64>,
+) {
     let nx = plan_x.len();
     let ny = plan_y.len();
     assert!(ldx >= nx, "cft_2xy: ldx ({ldx}) < nx ({nx})");
@@ -112,8 +203,45 @@ pub fn cft_2xy_buf(
     for z in 0..nzl {
         let plane = &mut data[z * plane_len..(z + 1) * plane_len];
         // Rows along x are contiguous; columns along y are strided by ldx.
-        transform(plan_x, plane, ny, ldx, 1, dir, None, scratch, col);
-        transform(plan_y, plane, nx, 1, ldx, dir, scale, scratch, col);
+        transform_seqs(plan_x, plane, rows, ldx, 1, dir, None, scratch, col);
+        transform_seqs(plan_y, plane, cols, 1, ldx, dir, scale, scratch, col);
+    }
+}
+
+/// The sequences of a batch [`transform_seqs`] runs on: every one
+/// ([`All`]) or a list of indices (`&[usize]`). Each kind compiles to its
+/// own `transform_seqs`, so the whole-batch path indexes sequences exactly
+/// as a plain loop would, with no per-group dispatch.
+trait Seqs: Copy {
+    /// Number of selected sequences.
+    fn count(self) -> usize;
+    /// The index of the `i`-th selected sequence.
+    fn id(self, i: usize) -> usize;
+}
+
+/// Every sequence `0..count`.
+#[derive(Clone, Copy)]
+struct All(usize);
+
+impl Seqs for All {
+    fn count(self) -> usize {
+        self.0
+    }
+
+    #[inline(always)]
+    fn id(self, i: usize) -> usize {
+        i
+    }
+}
+
+impl Seqs for &[usize] {
+    fn count(self) -> usize {
+        self.len()
+    }
+
+    #[inline(always)]
+    fn id(self, i: usize) -> usize {
+        self[i]
     }
 }
 
@@ -121,12 +249,8 @@ pub fn cft_2xy_buf(
 /// sequence `i` is `data[i * dist + j * stride]` for `j in 0..n`. Outputs
 /// are multiplied by `scale` when it is given.
 ///
-/// A direct plan runs whole groups of [`LANES`] sequences in lockstep: each
-/// group is packed into [`crate::kernel::Quad`]s carved from `scratch` (`n` inputs, `n`
-/// outputs and the butterfly gather buffer), transformed and unpacked. The
-/// remainder, and every sequence of a Bluestein or identity plan, runs one
-/// at a time through [`Fft::process_with`], in place when `stride == 1` and
-/// through `col` otherwise.
+/// The whole-batch form of [`transform_seqs`], for the callers that
+/// transform every sequence (`cft_1z` and `Fft3`'s z-columns).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn transform(
     plan: &Fft,
@@ -139,7 +263,33 @@ pub(crate) fn transform(
     scratch: &mut Vec<Complex64>,
     col: &mut Vec<Complex64>,
 ) {
+    let seqs = All(count);
+    transform_seqs(plan, data, seqs, dist, stride, dir, scale, scratch, col);
+}
+
+/// [`transform`] over the `seqs` selection of the batch's sequences.
+///
+/// A direct plan runs whole groups of [`LANES`] selected sequences in
+/// lockstep: each group is packed into [`crate::kernel::Quad`]s carved from
+/// `scratch` (`n` inputs, `n` outputs and the butterfly gather buffer),
+/// transformed and unpacked. The remainder, and every sequence of a
+/// Bluestein or identity plan, runs one at a time through
+/// [`Fft::process_with`], in place when `stride == 1` and through `col`
+/// otherwise.
+#[allow(clippy::too_many_arguments)]
+fn transform_seqs(
+    plan: &Fft,
+    data: &mut [Complex64],
+    seqs: impl Seqs,
+    dist: usize,
+    stride: usize,
+    dir: Direction,
+    scale: Option<f64>,
+    scratch: &mut Vec<Complex64>,
+    col: &mut Vec<Complex64>,
+) {
     let n = plan.len();
+    let count = seqs.count();
     let mut done = 0;
     if let Some(p) = plan.direct().filter(|_| count >= LANES) {
         let want = LANES * (2 * n + p.max_radix());
@@ -150,22 +300,22 @@ pub(crate) fn transform(
         let (src, rest) = quads.split_at_mut(n);
         let (dst, gather) = rest.split_at_mut(n);
         while done + LANES <= count {
-            let at = |l: usize, j: usize| (done + l) * dist + j * stride;
+            let bases = [0, 1, 2, 3].map(|l| seqs.id(done + l) * dist);
             for (j, q) in src.iter_mut().enumerate() {
-                *q = pack([0, 1, 2, 3].map(|l| data[at(l, j)]));
+                *q = pack(bases.map(|b| data[b + j * stride]));
             }
             p.run(src, dst, gather, dir);
             for (j, &q) in dst.iter().enumerate() {
                 let q = scale.map_or(q, |s| q.scale(s));
-                for (l, v) in unpack(q).into_iter().enumerate() {
-                    data[at(l, j)] = v;
+                for (b, v) in bases.into_iter().zip(unpack(q)) {
+                    data[b + j * stride] = v;
                 }
             }
             done += LANES;
         }
     }
     for i in done..count {
-        let base = i * dist;
+        let base = seqs.id(i) * dist;
         if stride == 1 {
             let seq = &mut data[base..base + n];
             plan.process_with(seq, scratch, dir);

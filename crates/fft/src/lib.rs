@@ -27,7 +27,7 @@ pub mod kernel;
 pub mod opcount;
 pub mod planner;
 
-pub use batch::{cft_1z, cft_2xy, cft_2xy_buf};
+pub use batch::{cft_1z, cft_2xy, cft_2xy_buf, cft_2xy_sticks};
 pub use cache::cached_plan;
 pub use complex::{c64, max_dist, Complex64};
 pub use dft::{naive_dft, naive_dft_3d, Direction};

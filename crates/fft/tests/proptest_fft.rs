@@ -3,9 +3,11 @@
 //! Parseval, shift theorem), and a deterministic sweep of the batched entry
 //! points (`cft_1z`, `cft_2xy_buf`) over every length 1..=256: bit-equal to
 //! transforming the same columns one at a time, padding untouched, and
-//! within an O(ε log n) bound of the naive DFT.
+//! within an O(ε log n) bound of the naive DFT. The stick-aware
+//! `cft_2xy_sticks` is checked against `cft_2xy_buf` on every position it
+//! promises, together with the zero-row property its inverse relies on.
 
-use fftx_fft::batch::{cft_1z, cft_2xy_buf};
+use fftx_fft::batch::{cft_1z, cft_2xy_buf, cft_2xy_sticks};
 use fftx_fft::complex::{c64, max_dist, Complex64};
 use fftx_fft::dft::{naive_dft, naive_dft_3d, Direction};
 use fftx_fft::fft1d::{scale_in_place, Fft};
@@ -315,4 +317,168 @@ fn cft_2xy_is_per_column_bitwise_and_near_the_oracle() {
             }
         }
     }
+}
+
+/// The zero-row property the stick-aware inverse relies on: for every
+/// direct size, an all-`+0.0` input transforms to all-`+0.0` bits, one
+/// sequence at a time and four in lockstep (a zero plane with four rows,
+/// then four columns, of the size).
+#[test]
+fn direct_sizes_map_positive_zero_to_positive_zero() {
+    let is_pos_zero = |v: &Complex64| v.re.to_bits() == 0 && v.im.to_bits() == 0;
+    let (mut scratch, mut col) = (Vec::new(), Vec::new());
+    for n in SWEEP.filter(|&n| is_direct_size(n)) {
+        let plan = Fft::new(n);
+        for dir in [Direction::Inverse, Direction::Forward] {
+            let mut one = vec![Complex64::ZERO; n];
+            plan.process_with(&mut one, &mut scratch, dir);
+            assert!(one.iter().all(is_pos_zero), "n={n} {dir:?} width 1");
+            for (nx, ny) in [(n, 4), (4, n)] {
+                let (px, py) = (Fft::new(nx), Fft::new(ny));
+                let mut plane = vec![Complex64::ZERO; nx * ny];
+                cft_2xy_buf(&px, &py, &mut plane, 1, nx, ny, dir, &mut scratch, &mut col);
+                assert!(plane.iter().all(is_pos_zero), "{nx}x{ny} {dir:?} width 4");
+            }
+        }
+    }
+}
+
+/// `k` distinct indices below `n`, sorted, drawn with `seed`.
+fn selection(n: usize, k: usize, seed: u64) -> Vec<usize> {
+    let keys = signal(n, seed);
+    let mut ids: Vec<usize> = (0..n).collect();
+    ids.sort_by(|&a, &b| keys[a].re.total_cmp(&keys[b].re));
+    ids.truncate(k);
+    ids.sort_unstable();
+    ids
+}
+
+/// One comparison of `cft_2xy_sticks` with `cft_2xy_buf` on `nzl` padded
+/// planes of random data. Inverse: with the unselected rows zeroed, every
+/// element matches. Forward: the selected columns match, and the others
+/// hold the x-pass alone. Padding is untouched in both. `exact` demands
+/// equal bits everywhere; without it a zero may differ in sign (a
+/// Bluestein row of zeros), every other value must still match bit for
+/// bit.
+#[allow(clippy::too_many_arguments)]
+fn check_sticks(
+    nx: usize,
+    ny: usize,
+    ldx: usize,
+    ldy: usize,
+    rows: &[usize],
+    cols: &[usize],
+    seed: u64,
+    exact: bool,
+) {
+    let (px, py) = (Fft::new(nx), Fft::new(ny));
+    let (mut scratch, mut col) = (Vec::new(), Vec::new());
+    let nzl = 2;
+    let plane = ldx * ldy;
+    let mut data = signal(nzl * plane, seed);
+    // The scatter's invariant: rows without a stick hold `+0.0`.
+    for (i, v) in data.iter_mut().enumerate() {
+        let (x, y) = (i % plane % ldx, i % plane / ldx);
+        if x < nx && y < ny && !rows.contains(&y) {
+            *v = Complex64::ZERO;
+        }
+    }
+    for dir in [Direction::Inverse, Direction::Forward] {
+        let what = format!("{nx}x{ny} ld {ldx}x{ldy} rows {rows:?} cols {cols:?} {dir:?}");
+        let mut got = data.clone();
+        cft_2xy_sticks(
+            &px,
+            &py,
+            &mut got,
+            nzl,
+            ldx,
+            ldy,
+            rows,
+            cols,
+            dir,
+            &mut scratch,
+            &mut col,
+        );
+        let mut whole = data.clone();
+        cft_2xy_buf(
+            &px,
+            &py,
+            &mut whole,
+            nzl,
+            ldx,
+            ldy,
+            dir,
+            &mut scratch,
+            &mut col,
+        );
+        let mut xonly = data.clone();
+        for z in 0..nzl {
+            per_column(&px, &mut xonly[z * plane..(z + 1) * plane], ny, ldx, 1, dir);
+        }
+        for (i, g) in got.iter().enumerate() {
+            let (x, y) = (i % plane % ldx, i % plane / ldx);
+            let want = if x >= nx || y >= ny {
+                data[i]
+            } else if dir == Direction::Forward && !cols.contains(&x) {
+                xonly[i]
+            } else {
+                whole[i]
+            };
+            let same_bits =
+                g.re.to_bits() == want.re.to_bits() && g.im.to_bits() == want.im.to_bits();
+            assert!(
+                same_bits || (!exact && *g == want),
+                "{what}: element {i} (x {x}, y {y}): {g} != {want}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cft_2xy_sticks_matches_the_whole_plane_where_it_is_read() {
+    let mut seed = 1;
+    for (nx, ny) in [(12usize, 10usize), (9, 16), (15, 7), (8, 8), (1, 5)] {
+        for (ldx, ldy) in [(nx, ny), (nx + 3, ny + 2)] {
+            // Every count 0..=7 covers each residue mod 4 with and without
+            // a full lane group; the last pair is the full selection.
+            for k in (0..=7).chain([usize::MAX]) {
+                let (kr, kc) = (k.min(ny), k.min(nx));
+                let rows = selection(ny, kr, seed);
+                let cols = selection(nx, kc, seed + 1);
+                check_sticks(nx, ny, ldx, ldy, &rows, &cols, seed + 2, true);
+                seed += 3;
+            }
+        }
+    }
+}
+
+#[test]
+fn cft_2xy_sticks_with_a_bluestein_row_differs_at_most_in_zero_signs() {
+    let (nx, ny) = (41, 6);
+    assert!(!is_direct_size(nx));
+    for k in [0, 1, 3, 4] {
+        let rows = selection(ny, k, 7 + k as u64);
+        let cols = selection(nx, 5 + k, 11 + k as u64);
+        check_sticks(nx, ny, nx + 1, ny + 1, &rows, &cols, 13 + k as u64, false);
+    }
+}
+
+#[test]
+#[should_panic(expected = "rows must increase")]
+fn cft_2xy_sticks_rejects_an_unsorted_selection() {
+    let p = Fft::new(4);
+    let mut data = vec![Complex64::ZERO; 16];
+    cft_2xy_sticks(
+        &p,
+        &p,
+        &mut data,
+        1,
+        4,
+        4,
+        &[2, 1],
+        &[],
+        Direction::Inverse,
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
 }
