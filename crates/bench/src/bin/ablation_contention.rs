@@ -12,7 +12,7 @@
 //! the communication-efficiency decay.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
-use fftx_core::{run_modeled_with, FftxConfig, Mode};
+use fftx_core::{run_modeled_with, FftxConfig, SchedulerPolicy};
 use fftx_knlsim::{CommModel, ContentionModel, KnlConfig};
 use fftx_trace::StateClass;
 
@@ -42,8 +42,13 @@ fn main() {
     let mut rows = String::from("variant,mode,runtime_s,main_ipc\n");
     let mut table: Vec<(String, f64, f64, f64, f64)> = Vec::new();
     for (name, cont, cm) in variants {
-        let orig = run_modeled_with(FftxConfig::paper(8, Mode::Original), &knl, cont, cm);
-        let ompss = run_modeled_with(FftxConfig::paper(8, Mode::TaskPerFft), &knl, cont, cm);
+        let orig = run_modeled_with(FftxConfig::paper(8, SchedulerPolicy::Serial), &knl, cont, cm);
+        let ompss = run_modeled_with(
+            FftxConfig::paper(8, SchedulerPolicy::TaskPerFft),
+            &knl,
+            cont,
+            cm,
+        );
         let io = orig.trace.mean_ipc(StateClass::FftXy);
         let it = ompss.trace.mean_ipc(StateClass::FftXy);
         println!(

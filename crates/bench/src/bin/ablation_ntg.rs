@@ -5,7 +5,7 @@
 //! these two extreme cases should be benchmarked" — this binary does.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
-use fftx_core::{run_modeled, Decomposition, FftxConfig, Mode};
+use fftx_core::{run_modeled, Decomposition, FftxConfig, SchedulerPolicy};
 use fftx_trace::{render_bar_chart, CommOp};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
             nbnd: 128,
             nr: total / ntg,
             ntg,
-            mode: Mode::Original,
+            mode: SchedulerPolicy::Serial,
             decomp: Decomposition::Slab,
             seed: 2017,
         };

@@ -20,7 +20,7 @@
 use fftx_bench::{CheckKind, GateOp, Harness};
 use fftx_core::{
     choose_decomp, modeled_scatter_seconds, run_policy, simulate_config, Decomposition, FftxConfig,
-    Mode, Problem, SchedulerPolicy,
+    Problem, SchedulerPolicy,
 };
 use fftx_knlsim::{CommModel, ContentionModel, KnlConfig};
 use fftx_serve::{GeometryClass, Tuner, TunerConfig};
@@ -36,7 +36,7 @@ fn main() {
     let mut bitwise_ok = true;
     for policy in SchedulerPolicy::ALL {
         for (nr, ntg) in [(4, 1), (6, 1)] {
-            let mut slab_cfg = FftxConfig::small(nr, ntg, policy.mode());
+            let mut slab_cfg = FftxConfig::small(nr, ntg, policy);
             slab_cfg.seed = SEED;
             let pencil_cfg = slab_cfg.with_decomp(Decomposition::Pencil);
             let s = run_policy(&Problem::new(slab_cfg), policy);
@@ -100,7 +100,7 @@ fn main() {
         ..CommModel::paper()
     };
     let e2e_ratio = |nr: usize, ntg: usize| {
-        let mut cfg = FftxConfig::paper(nr, Mode::Original);
+        let mut cfg = FftxConfig::paper(nr, SchedulerPolicy::Serial);
         cfg.ntg = ntg;
         let slab = simulate_config(cfg, &knl, &contention, &mesh).runtime;
         let pencil = simulate_config(

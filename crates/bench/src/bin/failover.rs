@@ -112,7 +112,7 @@ fn main() {
         );
         sweep.push((shards, requests.len(), r));
     }
-    let mut h = Harness::new("recovery");
+    let mut h = Harness::new("failover");
     h.artifact("failover.csv", &csv, CheckKind::Byte);
     let sweep_conserved = sweep.iter().all(|(_, n, r)| conserved(r, *n));
     let sweep_deaths = sweep.iter().all(|(_, _, r)| r.counters.get("fleet.shard_down") >= 1);
@@ -203,7 +203,7 @@ fn main() {
     );
     println!();
 
-    // --- BENCH_recovery.json through the shared harness: headline numbers
+    // --- BENCH_failover.json through the shared harness: headline numbers
     // plus the gates (thresholds travel with the artifact). ---
     let (_, _, r3) = &sweep[0];
     let mut fl3 = r3.failover_latencies();

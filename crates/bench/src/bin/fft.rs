@@ -18,7 +18,7 @@
 //! stick-aware/whole-plane time ratio of the `dense-slab` rank.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
-use fftx_core::{ExecPlan, FftxConfig, Mode, Problem};
+use fftx_core::{ExecPlan, FftxConfig, Problem, SchedulerPolicy};
 use fftx_fft::opcount::{fft_3d_flops, fft_flops, fft_xy_batch_flops, fft_z_batch_flops};
 use fftx_fft::{
     c64, cft_1z, cft_2xy_buf, cft_2xy_sticks, max_dist, naive_dft, scale_in_place, Complex64,
@@ -202,13 +202,13 @@ fn wallbench_plans() -> [(&'static str, Arc<ExecPlan>); 2] {
         ecutwfc: 40.0,
         alat: 14.0,
         nbnd: 2,
-        ..FftxConfig::small(1, 2, Mode::Original)
+        ..FftxConfig::small(1, 2, SchedulerPolicy::Serial)
     };
     let sparse = FftxConfig {
         ecutwfc: 6.0,
         alat: 8.0,
         nbnd: 32,
-        ..FftxConfig::small(2, 1, Mode::TaskAsync)
+        ..FftxConfig::small(2, 1, SchedulerPolicy::TaskAsync)
     };
     [("dense-slab", dense), ("sparse-async", sparse)]
         .map(|(name, cfg)| (name, Arc::clone(Problem::new(cfg).exec_plan(0))))

@@ -4,14 +4,14 @@
 //! benefit — in fact a slowdown — from hyper-threading.
 
 use fftx_bench::{sweep, CheckKind, GateOp, Harness, MetricValue};
-use fftx_core::Mode;
+use fftx_core::SchedulerPolicy;
 use fftx_trace::render_bar_chart;
 
 fn main() {
     println!("=== Figure 2: FFT phase runtime vs MPI ranks (original) ===");
     println!("parameters: ecutwfc 80 Ry, alat 20 bohr, 128 bands, ntg 8\n");
 
-    let points = sweep(Mode::Original, &[1, 2, 4, 8, 16, 32]);
+    let points = sweep(SchedulerPolicy::Serial, &[1, 2, 4, 8, 16, 32]);
     let configs: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
     let runtimes: Vec<f64> = points.iter().map(|p| p.run.runtime).collect();
 

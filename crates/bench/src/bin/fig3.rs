@@ -4,7 +4,7 @@
 //! MPI calls, and the two sub-communicator families.
 
 use fftx_bench::{results_dir, CheckKind, GateOp, Harness};
-use fftx_core::{run_modeled, FftxConfig, Mode};
+use fftx_core::{run_modeled, FftxConfig, SchedulerPolicy};
 use fftx_trace::{
     communicator_summary, render_timeline, timeline_csv, CommOp, EventLog, StateClass,
     TimelineOptions,
@@ -12,7 +12,7 @@ use fftx_trace::{
 
 fn main() {
     println!("=== Figure 3: FFT-phase timeline, 8 x 8 original ===\n");
-    let run = run_modeled(FftxConfig::paper(8, Mode::Original));
+    let run = run_modeled(FftxConfig::paper(8, SchedulerPolicy::Serial));
     let trace = &run.trace;
 
     // Full phase (top of Fig. 3): 16 repeating iterations are visible as

@@ -5,14 +5,14 @@
 //! tolerates 2× hyper-threading far better.
 
 use fftx_bench::{sweep, CheckKind, GateOp, Harness, MetricValue};
-use fftx_core::Mode;
+use fftx_core::SchedulerPolicy;
 use fftx_trace::render_bar_chart;
 
 fn main() {
     println!("=== Figure 6: runtime, original (N x 8 ranks) vs OmpSs (N ranks x 8 threads) ===\n");
     let nrs = [1usize, 2, 4, 8, 16, 32];
-    let orig = sweep(Mode::Original, &nrs);
-    let ompss = sweep(Mode::TaskPerFft, &nrs);
+    let orig = sweep(SchedulerPolicy::Serial, &nrs);
+    let ompss = sweep(SchedulerPolicy::TaskPerFft, &nrs);
 
     let configs: Vec<String> = orig.iter().map(|p| p.label.clone()).collect();
     let orig_rt: Vec<f64> = orig.iter().map(|p| p.run.runtime).collect();

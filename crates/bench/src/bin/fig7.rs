@@ -5,7 +5,7 @@
 //! phase's IPC rises from ~0.75 to ~0.85.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
-use fftx_core::{run_modeled, FftxConfig, Mode, ModeledRun};
+use fftx_core::{run_modeled, FftxConfig, ModeledRun, SchedulerPolicy};
 use fftx_trace::{render_timeline, IpcHistogram, StateClass, TimelineOptions};
 
 /// Duration-weighted mean count of main-phase co-runners observed by a
@@ -39,8 +39,8 @@ fn concentration(run: &ModeledRun) -> f64 {
 
 fn main() {
     println!("=== Figure 7: de-synchronisation, original 8x8 vs OmpSs 8x8 ===\n");
-    let orig = run_modeled(FftxConfig::paper(8, Mode::Original));
-    let ompss = run_modeled(FftxConfig::paper(8, Mode::TaskPerFft));
+    let orig = run_modeled(FftxConfig::paper(8, SchedulerPolicy::Serial));
+    let ompss = run_modeled(FftxConfig::paper(8, SchedulerPolicy::TaskPerFft));
     let mut h = Harness::new("fig7");
 
     for (name, run) in [("original", &orig), ("ompss", &ompss)] {

@@ -10,7 +10,7 @@
 //!   compute automatically.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
-use fftx_core::{run_modeled, FftxConfig, Mode};
+use fftx_core::{run_modeled, FftxConfig, SchedulerPolicy};
 use fftx_trace::StateClass;
 
 fn comm_wait_per_lane(run: &fftx_core::ModeledRun) -> f64 {
@@ -23,13 +23,18 @@ fn main() {
     let mut rows = String::from("config,mode,runtime_s,comm_wait_per_lane_s,main_ipc\n");
     let mut results = Vec::new();
     for nr in [8usize, 16] {
-        for mode in [Mode::Original, Mode::TaskPerStep, Mode::TaskPerFft, Mode::TaskAsync] {
+        for mode in [
+            SchedulerPolicy::Serial,
+            SchedulerPolicy::TaskPerStep,
+            SchedulerPolicy::TaskPerFft,
+            SchedulerPolicy::TaskAsync,
+        ] {
             let run = run_modeled(FftxConfig::paper(nr, mode));
             let wait = comm_wait_per_lane(&run);
             println!(
                 "{:>2} x 8  {:<12} runtime {:.4}s   comm wait/lane {:.4}s   main IPC {:.3}",
                 nr,
-                mode.name(),
+                mode.label(),
                 run.runtime,
                 wait,
                 run.trace.mean_ipc(StateClass::FftXy)
@@ -37,7 +42,7 @@ fn main() {
             rows.push_str(&format!(
                 "{} x 8,{},{:.6},{:.6},{:.4}\n",
                 nr,
-                mode.name(),
+                mode.label(),
                 run.runtime,
                 wait,
                 run.trace.mean_ipc(StateClass::FftXy)
@@ -49,18 +54,18 @@ fn main() {
     let mut h = Harness::new("future_overlap");
     h.artifact("future_overlap.csv", &rows, CheckKind::Byte);
 
-    let get = |nr: usize, mode: Mode| {
+    let get = |nr: usize, mode: SchedulerPolicy| {
         results
             .iter()
             .find(|(n, m, _, _)| *n == nr && *m == mode)
             .map(|(_, _, rt, w)| (*rt, *w))
             .expect("present")
     };
-    let (steps8, steps8_wait) = get(8, Mode::TaskPerStep);
-    let (async8, async8_wait) = get(8, Mode::TaskAsync);
-    let (orig8, _) = get(8, Mode::Original);
-    let (steps16, _) = get(16, Mode::TaskPerStep);
-    let (async16, _) = get(16, Mode::TaskAsync);
+    let (steps8, steps8_wait) = get(8, SchedulerPolicy::TaskPerStep);
+    let (async8, async8_wait) = get(8, SchedulerPolicy::TaskAsync);
+    let (orig8, _) = get(8, SchedulerPolicy::Serial);
+    let (steps16, _) = get(16, SchedulerPolicy::TaskPerStep);
+    let (async16, _) = get(16, SchedulerPolicy::TaskAsync);
 
     println!(
         "8x8: async {async8:.4}s vs steps {steps8:.4}s vs original {orig8:.4}s; \

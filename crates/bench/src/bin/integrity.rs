@@ -19,7 +19,7 @@
 use fftx_bench::{CheckKind, GateOp, Harness, MetricValue};
 use fftx_core::stages::StagePlan;
 use fftx_core::{
-    run_original, run_verified, simulate_config, FftxConfig, Mode, Problem, VerifyMode,
+    run_policy, run_verified, simulate_config, FftxConfig, Problem, SchedulerPolicy, VerifyMode,
 };
 use fftx_fault::{BitFlip, CorruptionConfig, RecoveryConfig};
 use fftx_knlsim::{CommModel, ContentionModel, KnlConfig};
@@ -63,8 +63,8 @@ fn main() {
     let rc = RecoveryConfig::from_env();
 
     // --- Part 1: flip rate × verify mode sweep on the real engine. ---
-    let problem = Problem::new(FftxConfig::small(2, 2, Mode::Original));
-    let baseline = run_original(&problem);
+    let problem = Problem::new(FftxConfig::small(2, 2, SchedulerPolicy::Serial));
+    let baseline = run_policy(&problem, SchedulerPolicy::Serial);
     let mut rows: Vec<SweepRow> = Vec::new();
     for rate in RATES {
         for mode in VerifyMode::ALL {
@@ -208,7 +208,7 @@ fn main() {
     );
 
     // --- Part 3: modeled cheap-mode overhead at the paper 8×8. ---
-    let paper_cfg = FftxConfig::paper(8, Mode::Original);
+    let paper_cfg = FftxConfig::paper(8, SchedulerPolicy::Serial);
     let baseline_s = simulate_config(
         paper_cfg,
         &KnlConfig::paper(),

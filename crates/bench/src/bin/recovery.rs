@@ -14,10 +14,9 @@
 //! an eviction — all as fractions of the fault-free Fig. 3 runtime.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
-use fftx_core::taskmodes::run_task_per_fft;
 use fftx_core::{
-    run_eviction, run_original, run_retry, run_rollback, FftxConfig, Mode, Problem,
-    simulate_config,
+    run_eviction, run_policy, run_retry, run_rollback, simulate_config, FftxConfig, Problem,
+    SchedulerPolicy,
 };
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
 use fftx_knlsim::{CommModel, ContentionModel, KnlConfig};
@@ -62,11 +61,11 @@ fn main() {
 
     // --- Mechanism 1: task re-execution (task-per-FFT engine). Every band
     // task crashes once or twice; the retry budget absorbs all of it.
-    let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::TaskPerFft);
     // Every rank runs one task per band and each crashes at least once.
     let expected_retries = (cfg.nbnd * cfg.vmpi_ranks()) as u64;
     let problem = Problem::new(cfg);
-    let (baseline, clean_s) = wall(|| run_task_per_fft(&problem));
+    let (baseline, clean_s) = wall(|| run_policy(&problem, SchedulerPolicy::TaskPerFft));
     let ((retry_out, retry_stats), retry_s) = wall(|| {
         run_retry(&problem, Some(TaskCrashes::new(SEED, 1.0, 2)), &rc)
             .expect("retry budget must absorb the injected crashes")
@@ -86,9 +85,9 @@ fn main() {
 
     // --- Mechanism 2: band-batch checkpoint/rollback (original engine).
     // Every batch's collective times out once or twice mid-flight.
-    let cfg = FftxConfig::small(2, 2, Mode::Original);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let problem = Problem::new(cfg);
-    let (orig_baseline, orig_clean_s) = wall(|| run_original(&problem));
+    let (orig_baseline, orig_clean_s) = wall(|| run_policy(&problem, SchedulerPolicy::Serial));
     let ((rb_out, rb_stats), rb_s) = wall(|| {
         run_rollback(&problem, Some(BatchAborts::new(SEED, 1.0, 2)), &rc)
             .expect("rollback budget must absorb the injected aborts")
@@ -111,10 +110,10 @@ fn main() {
     // --- Mechanism 3: rank eviction + layout re-planning. 7 ranks as 7×1
     // over 6 bands; rank 3 dies at the batch-2 boundary, the 6 survivors
     // re-plan to 3×2 and finish.
-    let mut cfg = FftxConfig::small(7, 1, Mode::Original);
+    let mut cfg = FftxConfig::small(7, 1, SchedulerPolicy::Serial);
     cfg.nbnd = 6;
     let problem = Problem::new(cfg);
-    let (ev_baseline, ev_clean_s) = wall(|| run_original(&problem));
+    let (ev_baseline, ev_clean_s) = wall(|| run_policy(&problem, SchedulerPolicy::Serial));
     let ((ev_out, ev_stats), ev_s) = wall(|| {
         run_eviction(&problem, RankDeath::at(3, 2), &rc)
             .expect("survivors must finish the run")
@@ -137,7 +136,7 @@ fn main() {
 
     // --- Modeled overhead at paper scale: the KNL cost model prices the
     // recovery layer's traffic against the fault-free 8×8 runtime.
-    let paper_cfg = FftxConfig::paper(8, Mode::Original);
+    let paper_cfg = FftxConfig::paper(8, SchedulerPolicy::Serial);
     let baseline_s = simulate_config(
         paper_cfg,
         &KnlConfig::paper(),
@@ -174,10 +173,10 @@ fn main() {
     csv.push_str(&format!(
         "paper_8x8,{baseline_s:.6},{ckpt_pct:.3},{replay_pct:.3},{evict_pct:.3}\n"
     ));
-    // BENCH_recovery_overhead.json — wall times vary run to run, so the
+    // BENCH_recovery.json — wall times vary run to run, so the
     // artifact is volatile; the gates sit only on deterministic values
     // (modeled overheads, recovery stats, bitwise identity).
-    let mut h = Harness::new_volatile("recovery_overhead");
+    let mut h = Harness::new_volatile("recovery");
     h.artifact("recovery.csv", &csv, CheckKind::Structure);
     println!();
 

@@ -20,12 +20,12 @@
 //!   control showing the spikes' gracefulness is scheduling, not slack.
 
 use fftx_bench::{CheckKind, GateOp, Harness, MetricValue};
-use fftx_core::{simulate_config_faulty, FftxConfig, Mode};
+use fftx_core::{simulate_config_faulty, FftxConfig, SchedulerPolicy};
 use fftx_knlsim::{CommModel, ContentionModel, FaultPlan, KnlConfig};
 
 const NR: usize = 8;
 
-fn runtime(mode: Mode, plan: &FaultPlan) -> f64 {
+fn runtime(mode: SchedulerPolicy, plan: &FaultPlan) -> f64 {
     let cfg = FftxConfig::paper(NR, mode);
     simulate_config_faulty(
         cfg,
@@ -50,8 +50,14 @@ fn main() {
             FaultPlan::spikes(16, 13, s)
         }
     };
-    let orig: Vec<f64> = severities.iter().map(|&s| runtime(Mode::Original, &plan_for(s))).collect();
-    let ompss: Vec<f64> = severities.iter().map(|&s| runtime(Mode::TaskPerFft, &plan_for(s))).collect();
+    let orig: Vec<f64> = severities
+        .iter()
+        .map(|&s| runtime(SchedulerPolicy::Serial, &plan_for(s)))
+        .collect();
+    let ompss: Vec<f64> = severities
+        .iter()
+        .map(|&s| runtime(SchedulerPolicy::TaskPerFft, &plan_for(s)))
+        .collect();
     let degr = |rt: &[f64], i: usize| rt[i] / rt[0] - 1.0;
 
     let mut csv = String::from(
@@ -85,11 +91,11 @@ fn main() {
     let factors = [1.0_f64, 1.25, 1.5, 2.0];
     let slow_orig: Vec<f64> = factors
         .iter()
-        .map(|&f| runtime(Mode::Original, &FaultPlan::slow_rank(0, f)))
+        .map(|&f| runtime(SchedulerPolicy::Serial, &FaultPlan::slow_rank(0, f)))
         .collect();
     let slow_ompss: Vec<f64> = factors
         .iter()
-        .map(|&f| runtime(Mode::TaskPerFft, &FaultPlan::slow_rank(0, f)))
+        .map(|&f| runtime(SchedulerPolicy::TaskPerFft, &FaultPlan::slow_rank(0, f)))
         .collect();
     csv.push_str("\nslow_factor,original_s,original_degradation_pct,ompss_s,ompss_degradation_pct\n");
     println!("\nchronic slow rank 0:");

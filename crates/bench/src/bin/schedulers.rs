@@ -29,8 +29,8 @@ fn stage_name(id: u32) -> String {
 
 fn main() {
     println!("=== Scheduler policies over the unified stage graph ===\n");
-    // BENCH_stages.json — this bin gates the stage-graph refactor.
-    let mut h = Harness::new("stages");
+    // BENCH_schedulers.json — this bin gates the stage-graph refactor.
+    let mut h = Harness::new("schedulers");
 
     // --- Real engine: bitwise equivalence + stage-span coverage. ---
     println!("--- real engine (2x2 small): bitwise cross-check ---");
@@ -38,7 +38,7 @@ fn main() {
     let mut bitwise_ok = true;
     let mut stage_cover_ok = true;
     for policy in SchedulerPolicy::ALL {
-        let cfg = FftxConfig::small(2, 2, policy.mode());
+        let cfg = FftxConfig::small(2, 2, policy);
         let problem = Arc::new(Problem::new(cfg));
         let out = run_policy(&problem, policy);
         let same = match &reference {
@@ -83,7 +83,7 @@ fn main() {
     let mut rows = String::from("config,policy,runtime_s,ideal_runtime_s,main_ipc\n");
     let mut runtime = std::collections::HashMap::new();
     for policy in SchedulerPolicy::ALL {
-        let run = run_modeled(FftxConfig::paper(8, policy.mode()));
+        let run = run_modeled(FftxConfig::paper(8, policy));
         println!(
             "  8 x 8  {:<8} runtime {:.4}s (ideal {:.4}s)  main IPC {:.3}",
             policy.name(),

@@ -5,12 +5,12 @@
 use fftx_bench::{
     render_comparison, sweep, sweep_csv, CheckKind, GateOp, Harness, PAPER_TABLE1,
 };
-use fftx_core::Mode;
+use fftx_core::SchedulerPolicy;
 use fftx_trace::render_efficiency_table;
 
 fn main() {
     println!("=== Table I: efficiency/scalability factors (original) ===\n");
-    let points = sweep(Mode::Original, &[1, 2, 4, 8, 16]);
+    let points = sweep(SchedulerPolicy::Serial, &[1, 2, 4, 8, 16]);
 
     let columns: Vec<(String, fftx_trace::EfficiencyFactors)> = points
         .iter()

@@ -6,13 +6,13 @@
 use fftx_bench::{
     render_comparison, sweep, sweep_csv, CheckKind, GateOp, Harness, PAPER_TABLE2,
 };
-use fftx_core::Mode;
+use fftx_core::SchedulerPolicy;
 use fftx_trace::render_efficiency_table;
 
 fn main() {
     println!("=== Table II: efficiency/scalability factors (OmpSs task-per-FFT) ===\n");
-    let points = sweep(Mode::TaskPerFft, &[1, 2, 4, 8, 16]);
-    let original = sweep(Mode::Original, &[1, 2, 4, 8, 16]);
+    let points = sweep(SchedulerPolicy::TaskPerFft, &[1, 2, 4, 8, 16]);
+    let original = sweep(SchedulerPolicy::Serial, &[1, 2, 4, 8, 16]);
 
     let columns: Vec<(String, fftx_trace::EfficiencyFactors)> = points
         .iter()

@@ -17,6 +17,7 @@ const EXPECTED: &[&str] = &[
     "ablation_ntg",
     "capacity",
     "decomp",
+    "failover",
     "fft",
     "fig2",
     "fig3",
@@ -25,11 +26,9 @@ const EXPECTED: &[&str] = &[
     "future_overlap",
     "integrity",
     "recovery",
-    "recovery_overhead",
-    "refactor",
     "resilience",
+    "schedulers",
     "serve",
-    "stages",
     "table1",
     "table2",
 ];

@@ -2,7 +2,7 @@
 //! the paper's reference numbers, and the standard sweep runner used by the
 //! figure/table binaries.
 
-use fftx_core::{run_modeled, FftxConfig, Mode, ModeledRun};
+use fftx_core::{run_modeled, FftxConfig, ModeledRun, SchedulerPolicy};
 use fftx_trace::{efficiency_factors, EfficiencyFactors};
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
@@ -108,7 +108,7 @@ pub struct SweepPoint {
 
 /// Runs the standard R×8 sweep of the paper for one mode on the calibrated
 /// KNL model. The first entry (smallest R) is the scalability reference.
-pub fn sweep(mode: Mode, nrs: &[usize]) -> Vec<SweepPoint> {
+pub fn sweep(mode: SchedulerPolicy, nrs: &[usize]) -> Vec<SweepPoint> {
     assert!(!nrs.is_empty());
     let mut reference = None;
     let mut out = Vec::with_capacity(nrs.len());

@@ -1,14 +1,18 @@
 //! Benchmark configuration: the knobs of the FFTXlib miniapp plus the
-//! execution mode (original static code vs the two task-based strategies).
+//! scheduler policy (original static code vs the task-based strategies).
 
 pub mod env;
 
-/// Execution strategy.
+/// How a configuration runs: the original static code or one of the OmpSs
+/// task strategies, each a scheduling of the one stage graph in
+/// [`crate::stages`]. This is the engine-selection axis that the
+/// `FFTX_SCHEDULER` knob and `fftx --mode` expose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+pub enum SchedulerPolicy {
     /// The original FFTXlib: static parallelisation over R×T MPI ranks with
-    /// T FFT task groups (Fig. 1 of the paper).
-    Original,
+    /// T FFT task groups (Fig. 1 of the paper), one batch of T bands per
+    /// iteration.
+    Serial,
     /// Optimisation strategy 1 (Fig. 4): every step of the FFT pipeline is
     /// a task with flow dependencies; R ranks × T worker threads, ntg = 1.
     TaskPerStep,
@@ -28,16 +32,56 @@ pub enum Mode {
     Hybrid,
 }
 
-impl Mode {
-    /// Short name used in reports.
+impl SchedulerPolicy {
+    /// Every policy.
+    pub const ALL: [SchedulerPolicy; 5] = [
+        SchedulerPolicy::Serial,
+        SchedulerPolicy::TaskPerStep,
+        SchedulerPolicy::TaskPerFft,
+        SchedulerPolicy::TaskAsync,
+        SchedulerPolicy::Hybrid,
+    ];
+
+    /// Knob spelling: the `FFTX_SCHEDULER` value selecting this policy,
+    /// also used in CSV columns and file names.
     pub fn name(self) -> &'static str {
         match self {
-            Mode::Original => "original",
-            Mode::TaskPerStep => "ompss-steps",
-            Mode::TaskPerFft => "ompss-ffts",
-            Mode::TaskAsync => "ompss-async",
-            Mode::Hybrid => "ompss-hybrid",
+            SchedulerPolicy::Serial => "serial",
+            SchedulerPolicy::TaskPerStep => "step",
+            SchedulerPolicy::TaskPerFft => "fft",
+            SchedulerPolicy::TaskAsync => "async",
+            SchedulerPolicy::Hybrid => "hybrid",
         }
+    }
+
+    /// The paper's spelling, used in reports and golden scenario keys.
+    pub fn label(self) -> &'static str {
+        match self {
+            SchedulerPolicy::Serial => "original",
+            SchedulerPolicy::TaskPerStep => "ompss-steps",
+            SchedulerPolicy::TaskPerFft => "ompss-ffts",
+            SchedulerPolicy::TaskAsync => "ompss-async",
+            SchedulerPolicy::Hybrid => "ompss-hybrid",
+        }
+    }
+
+    /// Parses an `FFTX_SCHEDULER` value (the CLI mode spellings are
+    /// accepted as aliases).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "serial" | "original" => Some(SchedulerPolicy::Serial),
+            "step" | "steps" => Some(SchedulerPolicy::TaskPerStep),
+            "fft" | "ffts" => Some(SchedulerPolicy::TaskPerFft),
+            "async" => Some(SchedulerPolicy::TaskAsync),
+            "hybrid" => Some(SchedulerPolicy::Hybrid),
+            _ => None,
+        }
+    }
+
+    /// The identity, kept only for the `wallbench` package, which builds
+    /// its configuration through it.
+    pub fn mode(self) -> Self {
+        self
     }
 }
 
@@ -148,8 +192,8 @@ pub struct FftxConfig {
     /// Second dimension T: FFT task groups (original) or worker threads per
     /// rank (task modes). Paper benchmark: 8.
     pub ntg: usize,
-    /// Execution strategy.
-    pub mode: Mode,
+    /// Scheduler policy: how the configuration runs.
+    pub mode: SchedulerPolicy,
     /// Scatter-exchange decomposition (slab or pencil).
     pub decomp: Decomposition,
     /// Seed for the synthetic bands and potential.
@@ -159,7 +203,7 @@ pub struct FftxConfig {
 impl FftxConfig {
     /// The paper's benchmark parameters (Figs. 2 and 6): cutoff 80 Ry,
     /// lattice parameter 20 bohr, 128 bands, 8 task groups.
-    pub fn paper(nr: usize, mode: Mode) -> Self {
+    pub fn paper(nr: usize, mode: SchedulerPolicy) -> Self {
         FftxConfig {
             ecutwfc: 80.0,
             alat: 20.0,
@@ -174,7 +218,7 @@ impl FftxConfig {
 
     /// A laptop-scale configuration for tests and the real execution engine
     /// (grid ~24^3, a handful of bands).
-    pub fn small(nr: usize, ntg: usize, mode: Mode) -> Self {
+    pub fn small(nr: usize, ntg: usize, mode: SchedulerPolicy) -> Self {
         FftxConfig {
             ecutwfc: 6.0,
             alat: 8.0,
@@ -197,8 +241,11 @@ impl FftxConfig {
     /// R for the task modes (threads replace the task groups).
     pub fn vmpi_ranks(&self) -> usize {
         match self.mode {
-            Mode::Original => self.nr * self.ntg,
-            Mode::TaskPerStep | Mode::TaskPerFft | Mode::TaskAsync | Mode::Hybrid => self.nr,
+            SchedulerPolicy::Serial => self.nr * self.ntg,
+            SchedulerPolicy::TaskPerStep
+            | SchedulerPolicy::TaskPerFft
+            | SchedulerPolicy::TaskAsync
+            | SchedulerPolicy::Hybrid => self.nr,
         }
     }
 
@@ -211,8 +258,11 @@ impl FftxConfig {
     /// the task modes (the paper's OmpSs runs use ntg = 1).
     pub fn layout_ntg(&self) -> usize {
         match self.mode {
-            Mode::Original => self.ntg,
-            Mode::TaskPerStep | Mode::TaskPerFft | Mode::TaskAsync | Mode::Hybrid => 1,
+            SchedulerPolicy::Serial => self.ntg,
+            SchedulerPolicy::TaskPerStep
+            | SchedulerPolicy::TaskPerFft
+            | SchedulerPolicy::TaskAsync
+            | SchedulerPolicy::Hybrid => 1,
         }
     }
 
@@ -251,7 +301,7 @@ mod tests {
 
     #[test]
     fn paper_preset_matches_benchmark() {
-        let c = FftxConfig::paper(8, Mode::Original);
+        let c = FftxConfig::paper(8, SchedulerPolicy::Serial);
         assert_eq!(c.ecutwfc, 80.0);
         assert_eq!(c.alat, 20.0);
         assert_eq!(c.nbnd, 128);
@@ -266,7 +316,7 @@ mod tests {
 
     #[test]
     fn task_modes_trade_ranks_for_threads() {
-        let c = FftxConfig::paper(8, Mode::TaskPerFft);
+        let c = FftxConfig::paper(8, SchedulerPolicy::TaskPerFft);
         assert_eq!(c.vmpi_ranks(), 8);
         assert_eq!(c.lanes(), 64);
         assert_eq!(c.layout_ntg(), 1);
@@ -276,21 +326,15 @@ mod tests {
 
     #[test]
     fn small_preset_is_valid_for_all_modes() {
-        for mode in [
-            Mode::Original,
-            Mode::TaskPerStep,
-            Mode::TaskPerFft,
-            Mode::TaskAsync,
-            Mode::Hybrid,
-        ] {
-            FftxConfig::small(2, 2, mode).validate();
+        for policy in SchedulerPolicy::ALL {
+            FftxConfig::small(2, 2, policy).validate();
         }
     }
 
     #[test]
     #[should_panic(expected = "divisible")]
     fn indivisible_bands_rejected() {
-        let mut c = FftxConfig::small(1, 3, Mode::Original);
+        let mut c = FftxConfig::small(1, 3, SchedulerPolicy::Serial);
         c.nbnd = 4;
         c.validate();
     }
@@ -312,7 +356,7 @@ mod tests {
 
     #[test]
     fn with_decomp_switches_only_the_decomposition() {
-        let base = FftxConfig::small(2, 2, Mode::Original);
+        let base = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         assert_eq!(base.decomp, Decomposition::Slab);
         let p = base.with_decomp(Decomposition::Pencil);
         assert_eq!(p.decomp, Decomposition::Pencil);
@@ -320,11 +364,22 @@ mod tests {
     }
 
     #[test]
-    fn mode_names() {
-        assert_eq!(Mode::Original.name(), "original");
-        assert_eq!(Mode::TaskPerStep.name(), "ompss-steps");
-        assert_eq!(Mode::TaskPerFft.name(), "ompss-ffts");
-        assert_eq!(Mode::TaskAsync.name(), "ompss-async");
-        assert_eq!(Mode::Hybrid.name(), "ompss-hybrid");
+    fn policy_names_and_labels() {
+        let names = SchedulerPolicy::ALL.map(SchedulerPolicy::name);
+        assert_eq!(names, ["serial", "step", "fft", "async", "hybrid"]);
+        let labels = SchedulerPolicy::ALL.map(SchedulerPolicy::label);
+        assert_eq!(
+            labels,
+            ["original", "ompss-steps", "ompss-ffts", "ompss-async", "ompss-hybrid"]
+        );
+        for p in SchedulerPolicy::ALL {
+            assert_eq!(SchedulerPolicy::parse(p.name()), Some(p));
+            assert_eq!(p.mode(), p);
+        }
+        assert_eq!(SchedulerPolicy::parse("original"), Some(SchedulerPolicy::Serial));
+        assert_eq!(SchedulerPolicy::parse("steps"), Some(SchedulerPolicy::TaskPerStep));
+        assert_eq!(SchedulerPolicy::parse("ffts"), Some(SchedulerPolicy::TaskPerFft));
+        assert_eq!(SchedulerPolicy::parse("ompss-async"), None);
+        assert_eq!(SchedulerPolicy::parse("nope"), None);
     }
 }

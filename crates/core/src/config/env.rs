@@ -5,15 +5,15 @@
 //! `FFTX_ARENA_POISON`, and the fleet-capacity set (`FFTX_FLEET_MIN` /
 //! `FFTX_FLEET_MAX`, `FFTX_SCALE_UP_AT` / `FFTX_SCALE_DOWN_AT`,
 //! `FFTX_STEAL`, `FFTX_PLAN_ITERS` / `FFTX_PLAN_SEED`) — is parsed here
-//! through one entry point with typed errors. The lower-level crates keep their historical lenient readers
-//! (`ChaosConfig::from_env`, `RecoveryConfig::from_env`,
-//! `SchedulerPolicy::from_env`, `plan::arena_poison`) because library code
-//! deep in a run has no good way to report a typo; the *binaries* call
-//! [`load`] up front and refuse to start on an invalid value instead of
+//! through one entry point with typed errors. The lower-level crates keep
+//! their historical lenient readers (`ChaosConfig::from_env`,
+//! `RecoveryConfig::from_env`, `plan::arena_poison`) because library code
+//! deep in a run has no good way to report a typo; `FFTX_SCHEDULER` has no
+//! such reader and is parsed only here. The *binaries* call [`load`] up
+//! front and refuse to start on an invalid value instead of
 //! silently falling back — the failure mode this module exists to kill.
 
-use crate::config::{valid_decomps, DecompChoice};
-use crate::stages::SchedulerPolicy;
+use crate::config::{valid_decomps, DecompChoice, SchedulerPolicy};
 use crate::verify::VerifyMode;
 use fftx_fault::{ChaosConfig, RecoveryConfig};
 use std::fmt;

@@ -5,12 +5,10 @@
 //! wavefunctions, in the variants the paper studies:
 //!
 //! * [`stages`] — the unified stage-graph execution core: the per-band
-//!   pipeline as a typed task graph, executed by pluggable scheduler
-//!   policies (serial, task-per-step, task-per-FFT, split-phase async, and
-//!   the hybrid overlap+desync policy of the paper's conclusion);
-//! * [`original`] / [`taskmodes`] — the historical entry points for the
-//!   static MPI code and the OmpSs strategies, now thin wrappers over
-//!   [`stages`];
+//!   pipeline as a typed task graph, executed by [`run_policy`] under one
+//!   of the [`SchedulerPolicy`] variants (the original static code,
+//!   task-per-step, task-per-FFT, split-phase async, and the hybrid
+//!   overlap+desync policy of the paper's conclusion);
 //! * [`modelplan`] — lowering of the same kernel onto the KNL discrete-event
 //!   simulator for the paper's node-scale experiments.
 //!
@@ -21,19 +19,16 @@
 
 pub mod config;
 pub mod modelplan;
-pub mod original;
 pub mod plan;
 pub mod problem;
 pub mod recorder;
 pub mod recovery;
 pub mod stages;
 pub mod steps;
-pub mod taskmodes;
 pub mod verify;
 
 pub use config::env::{load as load_env, valid_policies, EnvError, EnvKnobs, FleetKnobs};
-pub use config::{valid_decomps, DecompChoice, Decomposition, FftxConfig, Mode};
-pub use original::{run_original, RunOutput};
+pub use config::{valid_decomps, DecompChoice, Decomposition, FftxConfig, SchedulerPolicy};
 pub use plan::{BufferArena, ExecPlan, PencilTables};
 pub use recovery::{run_eviction, run_retry, run_rollback, RecoveryStats};
 pub use verify::{probe_fft_unit, run_verified, VerifyMode, VerifyStats, PARSEVAL_TOL};
@@ -47,7 +42,6 @@ pub use modelplan::{
     run_modeled_with, simulate_config, simulate_config_faulty, ModeledRun,
 };
 pub use stages::{
-    run_policy, run_policy_chaotic, ScatterComms, SchedulerPolicy, StageKind, StagePlan,
-    StageRunner, BAND_PIPELINE,
+    run_policy, run_policy_chaotic, RunOutput, ScatterComms, StageKind, StagePlan, StageRunner,
+    BAND_PIPELINE,
 };
-pub use taskmodes::{run, run_chaotic};

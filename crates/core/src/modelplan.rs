@@ -8,9 +8,9 @@
 //! not have: the mechanisms the paper measures — IPC collapse under
 //! contention and growing collective cost — live in `fftx-knlsim`'s models.
 
-use crate::config::{DecompChoice, Decomposition, FftxConfig, Mode};
-use crate::original::StepFlops;
+use crate::config::{DecompChoice, Decomposition, FftxConfig, SchedulerPolicy};
 use crate::problem::Problem;
+use crate::stages::StepFlops;
 use fftx_knlsim::{
     simulate, simulate_faulty, CommModel, ContentionModel, FaultPlan, KnlConfig, RankTasks,
     Segment, SimResult, TaskSpec,
@@ -32,11 +32,11 @@ const COL_KEY_BASE: u64 = 5_000;
 /// Builds the per-rank simulator programs for the problem's mode.
 pub fn build_programs(problem: &Problem) -> Vec<RankTasks> {
     match problem.config.mode {
-        Mode::Original => build_original(problem),
-        Mode::TaskPerFft => build_task_per_fft(problem),
-        Mode::TaskPerStep => build_task_per_step(problem),
-        Mode::TaskAsync => build_task_async(problem),
-        Mode::Hybrid => build_hybrid(problem),
+        SchedulerPolicy::Serial => build_original(problem),
+        SchedulerPolicy::TaskPerFft => build_task_per_fft(problem),
+        SchedulerPolicy::TaskPerStep => build_task_per_step(problem),
+        SchedulerPolicy::TaskAsync => build_task_async(problem),
+        SchedulerPolicy::Hybrid => build_hybrid(problem),
     }
 }
 
@@ -719,13 +719,13 @@ pub fn resolve_decomp(choice: DecompChoice, config: &FftxConfig) -> Decompositio
 mod tests {
     use super::*;
 
-    fn small(nr: usize, ntg: usize, mode: Mode) -> FftxConfig {
+    fn small(nr: usize, ntg: usize, mode: SchedulerPolicy) -> FftxConfig {
         FftxConfig::small(nr, ntg, mode)
     }
 
     #[test]
     fn program_shapes_per_mode() {
-        let p = Problem::new(small(2, 2, Mode::Original));
+        let p = Problem::new(small(2, 2, SchedulerPolicy::Serial));
         let progs = build_programs(&p);
         assert_eq!(progs.len(), 4);
         for pr in &progs {
@@ -735,7 +735,7 @@ mod tests {
             assert_eq!(pr.collective_count(), 4 * p.config.iterations());
         }
 
-        let p = Problem::new(small(2, 2, Mode::TaskPerFft));
+        let p = Problem::new(small(2, 2, SchedulerPolicy::TaskPerFft));
         let progs = build_programs(&p);
         assert_eq!(progs.len(), 2);
         for pr in &progs {
@@ -744,7 +744,7 @@ mod tests {
             assert_eq!(pr.collective_count(), 2 * p.config.nbnd);
         }
 
-        let p = Problem::new(small(2, 2, Mode::TaskPerStep));
+        let p = Problem::new(small(2, 2, SchedulerPolicy::TaskPerStep));
         let progs = build_programs(&p);
         for pr in &progs {
             assert_eq!(pr.tasks.len(), 9 * p.config.nbnd);
@@ -753,7 +753,7 @@ mod tests {
             assert_eq!(dep_count, 8 * p.config.nbnd);
         }
 
-        let p = Problem::new(small(2, 2, Mode::Hybrid));
+        let p = Problem::new(small(2, 2, SchedulerPolicy::Hybrid));
         let progs = build_programs(&p);
         assert_eq!(progs.len(), 2);
         for pr in &progs {
@@ -769,11 +769,11 @@ mod tests {
     fn work_is_mode_invariant_per_lane_total() {
         // All three modes perform the same FFT work in total (instructions
         // scalability ~ 1 across modes in the paper).
-        let o = Problem::new(small(2, 2, Mode::Original));
-        let f = Problem::new(small(2, 2, Mode::TaskPerFft));
-        let s = Problem::new(small(2, 2, Mode::TaskPerStep));
-        let a = Problem::new(small(2, 2, Mode::TaskAsync));
-        let h = Problem::new(small(2, 2, Mode::Hybrid));
+        let o = Problem::new(small(2, 2, SchedulerPolicy::Serial));
+        let f = Problem::new(small(2, 2, SchedulerPolicy::TaskPerFft));
+        let s = Problem::new(small(2, 2, SchedulerPolicy::TaskPerStep));
+        let a = Problem::new(small(2, 2, SchedulerPolicy::TaskAsync));
+        let h = Problem::new(small(2, 2, SchedulerPolicy::Hybrid));
         let fo = total_program_flops(&o);
         let ff = total_program_flops(&f);
         let fs = total_program_flops(&s);
@@ -793,11 +793,11 @@ mod tests {
     #[test]
     fn modeled_runs_complete_for_all_modes() {
         for mode in [
-            Mode::Original,
-            Mode::TaskPerFft,
-            Mode::TaskPerStep,
-            Mode::TaskAsync,
-            Mode::Hybrid,
+            SchedulerPolicy::Serial,
+            SchedulerPolicy::TaskPerFft,
+            SchedulerPolicy::TaskPerStep,
+            SchedulerPolicy::TaskAsync,
+            SchedulerPolicy::Hybrid,
         ] {
             let run = run_modeled(small(2, 2, mode));
             assert!(run.runtime > 0.0, "{mode:?}");
@@ -811,8 +811,10 @@ mod tests {
     fn pencil_lowering_doubles_the_scatter_collectives() {
         use crate::config::Decomposition;
         // 4×1: the scatter family is the full world, pencil grid 2×2.
-        let slab = Problem::new(small(4, 1, Mode::Original));
-        let pencil = Problem::new(small(4, 1, Mode::Original).with_decomp(Decomposition::Pencil));
+        let slab = Problem::new(small(4, 1, SchedulerPolicy::Serial));
+        let pencil = Problem::new(
+            small(4, 1, SchedulerPolicy::Serial).with_decomp(Decomposition::Pencil),
+        );
         for (ps, pp) in build_programs(&slab).iter().zip(build_programs(&pencil)) {
             // Per iteration: 2 pack stay, 2 scatter become 4 (row + col).
             assert_eq!(ps.collective_count(), 4 * slab.config.iterations());
@@ -821,8 +823,10 @@ mod tests {
         // Split-phase lowerings post/wait every exchange (no blocking
         // collectives under slab); the pencil adds one blocking column
         // collective per exchange, two exchanges per band.
-        let slab = Problem::new(small(4, 1, Mode::Hybrid));
-        let pencil = Problem::new(small(4, 1, Mode::Hybrid).with_decomp(Decomposition::Pencil));
+        let slab = Problem::new(small(4, 1, SchedulerPolicy::Hybrid));
+        let pencil = Problem::new(
+            small(4, 1, SchedulerPolicy::Hybrid).with_decomp(Decomposition::Pencil),
+        );
         for (ps, pp) in build_programs(&slab).iter().zip(build_programs(&pencil)) {
             assert_eq!(ps.collective_count(), 0);
             assert_eq!(pp.collective_count(), 2 * pencil.config.nbnd);
@@ -835,10 +839,10 @@ mod tests {
         let p = |mode| {
             Problem::new(small(4, 1, mode).with_decomp(Decomposition::Pencil))
         };
-        let ff = total_program_flops(&p(Mode::TaskPerFft));
-        let fs = total_program_flops(&p(Mode::TaskPerStep));
-        let fa = total_program_flops(&p(Mode::TaskAsync));
-        let fh = total_program_flops(&p(Mode::Hybrid));
+        let ff = total_program_flops(&p(SchedulerPolicy::TaskPerFft));
+        let fs = total_program_flops(&p(SchedulerPolicy::TaskPerStep));
+        let fa = total_program_flops(&p(SchedulerPolicy::TaskAsync));
+        let fh = total_program_flops(&p(SchedulerPolicy::Hybrid));
         assert!((fs / ff - 1.0).abs() < 1e-9, "steps {fs} vs fft {ff}");
         assert!((fh / fa - 1.0).abs() < 1e-9, "hybrid {fh} vs async {fa}");
     }
@@ -847,11 +851,11 @@ mod tests {
     fn pencil_modeled_runs_complete_for_all_modes() {
         use crate::config::Decomposition;
         for mode in [
-            Mode::Original,
-            Mode::TaskPerFft,
-            Mode::TaskPerStep,
-            Mode::TaskAsync,
-            Mode::Hybrid,
+            SchedulerPolicy::Serial,
+            SchedulerPolicy::TaskPerFft,
+            SchedulerPolicy::TaskPerStep,
+            SchedulerPolicy::TaskAsync,
+            SchedulerPolicy::Hybrid,
         ] {
             let run = run_modeled(small(4, 1, mode).with_decomp(Decomposition::Pencil));
             assert!(run.runtime > 0.0, "{mode:?}");
@@ -877,7 +881,7 @@ mod tests {
     #[test]
     fn resolve_decomp_passes_fixed_choices_through() {
         use crate::config::{DecompChoice, Decomposition};
-        let cfg = small(2, 2, Mode::Original);
+        let cfg = small(2, 2, SchedulerPolicy::Serial);
         assert_eq!(resolve_decomp(DecompChoice::Slab, &cfg), Decomposition::Slab);
         assert_eq!(resolve_decomp(DecompChoice::Pencil, &cfg), Decomposition::Pencil);
         // Auto on a tiny 2-rank family: slab (and it must agree with the
@@ -888,7 +892,7 @@ mod tests {
 
     #[test]
     fn uncontended_node_is_faster() {
-        let cfg = small(2, 2, Mode::Original);
+        let cfg = small(2, 2, SchedulerPolicy::Serial);
         let contended = run_modeled(cfg);
         let free = run_modeled_with(
             cfg,

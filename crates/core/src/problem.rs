@@ -119,12 +119,12 @@ impl Problem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Mode;
+    use crate::config::SchedulerPolicy;
     use fftx_pw::assemble_shares;
 
     #[test]
     fn problem_setup_is_deterministic() {
-        let c = FftxConfig::small(2, 2, Mode::Original);
+        let c = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         let p1 = Problem::new(c);
         let p2 = Problem::new(c);
         assert_eq!(p1.v, p2.v);
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn shares_reassemble_to_bands() {
-        let c = FftxConfig::small(2, 2, Mode::Original);
+        let c = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         let p = Problem::new(c);
         let all: Vec<Vec<Vec<Complex64>>> = (0..c.vmpi_ranks())
             .map(|r| p.initial_shares(r))
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn v_slabs_tile_the_grid() {
-        let c = FftxConfig::small(3, 1, Mode::Original);
+        let c = FftxConfig::small(3, 1, SchedulerPolicy::Serial);
         let p = Problem::new(c);
         let total: usize = (0..3).map(|g| p.v_slab(g).len()).sum();
         assert_eq!(total, p.grid().volume());
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn with_nbnd_matches_a_fresh_build() {
-        let c = FftxConfig::small(2, 2, Mode::Original);
+        let c = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         let base = Problem::new(c);
         let grown = base.with_nbnd(8);
         assert_eq!(grown.config.nbnd, 8);
@@ -178,13 +178,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "divisible")]
     fn with_nbnd_validates() {
-        let base = Problem::new(FftxConfig::small(1, 4, Mode::Original));
+        let base = Problem::new(FftxConfig::small(1, 4, SchedulerPolicy::Serial));
         let _ = base.with_nbnd(6);
     }
 
     #[test]
     fn with_grid_matches_new_on_the_derived_grid() {
-        let c = FftxConfig::small(2, 2, Mode::Original);
+        let c = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         let base = Problem::new(c);
         let explicit = Problem::with_grid(c, base.grid());
         assert_eq!(explicit.v, base.v);
@@ -196,7 +196,7 @@ mod tests {
     fn with_grid_accepts_a_prime_dimension() {
         // Grow z to a prime above the direct-size limit: the stick layout
         // and plans must still build, and the grid survives verbatim.
-        let c = FftxConfig::small(2, 2, Mode::Original);
+        let c = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         let base = Problem::new(c);
         let g = base.grid();
         let raw = FftGrid::raw(g.nr1, g.nr2, 41);
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn task_mode_layout_has_one_group_member() {
-        let c = FftxConfig::small(4, 2, Mode::TaskPerFft);
+        let c = FftxConfig::small(4, 2, SchedulerPolicy::TaskPerFft);
         let p = Problem::new(c);
         assert_eq!(p.layout.t, 1);
         assert_eq!(p.layout.r, 4);

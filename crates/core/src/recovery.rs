@@ -44,12 +44,11 @@
 //! The tests (and the `recovery` bench harness) pin this down against
 //! fault-free baselines.
 
-use crate::config::Mode;
-use crate::original::{finish_run, RunOutput};
+use crate::config::SchedulerPolicy;
 use crate::plan::BufferArena;
 use crate::problem::Problem;
 use crate::recorder::Recorder;
-use crate::stages::{ScatterComms, StagePlan};
+use crate::stages::{finish_run, RunOutput, ScatterComms, StagePlan};
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
 use fftx_fft::Complex64;
 use fftx_pw::{
@@ -113,7 +112,7 @@ pub fn run_retry(
 ) -> Result<(RunOutput, RecoveryStats), TaskError> {
     let cfg = problem.config;
     assert!(
-        matches!(cfg.mode, Mode::TaskPerFft),
+        matches!(cfg.mode, SchedulerPolicy::TaskPerFft),
         "run_retry: config mode must be TaskPerFft"
     );
     let policy = RetryPolicy {
@@ -243,8 +242,8 @@ pub fn run_rollback(
 ) -> Result<(RunOutput, RecoveryStats), VmpiError> {
     let cfg = problem.config;
     assert!(
-        matches!(cfg.mode, Mode::Original),
-        "run_rollback: config mode must be Original"
+        matches!(cfg.mode, SchedulerPolicy::Serial),
+        "run_rollback: config mode must be Serial"
     );
     let sink = TraceSink::new();
     let world = World::new(cfg.vmpi_ranks()).with_trace(sink.clone());
@@ -370,8 +369,8 @@ pub fn run_eviction(
 ) -> Result<(RunOutput, RecoveryStats), VmpiError> {
     let cfg = problem.config;
     assert!(
-        matches!(cfg.mode, Mode::Original),
-        "run_eviction: config mode must be Original"
+        matches!(cfg.mode, SchedulerPolicy::Serial),
+        "run_eviction: config mode must be Serial"
     );
     let l = &problem.layout;
     let p = cfg.vmpi_ranks();
@@ -669,21 +668,20 @@ fn deposit_redistributed(
 mod tests {
     use super::*;
     use crate::config::FftxConfig;
-    use crate::original::run_original;
-    use crate::taskmodes::run_task_per_fft;
+    use crate::stages::run_policy;
 
     fn eviction_config() -> FftxConfig {
         // 7 ranks as 7×1; after evicting one, 6 survivors re-plan to 3×2.
-        let mut c = FftxConfig::small(7, 1, Mode::Original);
+        let mut c = FftxConfig::small(7, 1, SchedulerPolicy::Serial);
         c.nbnd = 6;
         c
     }
 
     #[test]
     fn retried_tasks_produce_bitwise_identical_bands() {
-        let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
+        let cfg = FftxConfig::small(2, 2, SchedulerPolicy::TaskPerFft);
         let problem = Problem::new(cfg);
-        let baseline = run_task_per_fft(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::TaskPerFft);
         // Every task crashes at least once; budget (3) covers max 2 crashes.
         let crashes = TaskCrashes::new(11, 1.0, 2);
         let (out, stats) =
@@ -698,9 +696,9 @@ mod tests {
 
     #[test]
     fn clean_retry_run_is_free_of_retries() {
-        let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
+        let cfg = FftxConfig::small(2, 2, SchedulerPolicy::TaskPerFft);
         let problem = Problem::new(cfg);
-        let baseline = run_task_per_fft(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::TaskPerFft);
         let (out, stats) = run_retry(&problem, None, &RecoveryConfig::default()).expect("clean");
         assert_eq!(stats.task_retries, 0);
         assert_eq!(out.bands, baseline.bands);
@@ -708,9 +706,9 @@ mod tests {
 
     #[test]
     fn rolled_back_batches_produce_bitwise_identical_bands() {
-        let cfg = FftxConfig::small(2, 2, Mode::Original);
+        let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         let problem = Problem::new(cfg);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         // Every batch aborts 1-2 times; the rollback budget (4) covers it.
         let aborts = BatchAborts::new(5, 1.0, 2);
         let (out, stats) =
@@ -726,7 +724,7 @@ mod tests {
 
     #[test]
     fn exhausted_rollback_budget_escalates_to_typed_timeout() {
-        let cfg = FftxConfig::small(2, 2, Mode::Original);
+        let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         let problem = Problem::new(cfg);
         let aborts = BatchAborts::new(5, 1.0, 2);
         let no_budget = RecoveryConfig {
@@ -747,7 +745,7 @@ mod tests {
     #[test]
     fn eviction_replans_layout_and_keeps_bands_identical() {
         let problem = Problem::new(eviction_config());
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         // Cover an interior victim and the ring-wraparound buddy (victim
         // p-1 whose buddy is rank 0).
         for victim in [3, 6] {
@@ -773,7 +771,7 @@ mod tests {
         // Death at batch 0: the buddy has no checkpoints, every victim band
         // is recomputed deterministically.
         let problem = Problem::new(eviction_config());
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let (out, stats) = run_eviction(
             &problem,
             RankDeath::at(0, 0),

@@ -40,15 +40,14 @@
 //! (`taskrt`'s dependency-slot spawn API): the graph shape comes from
 //! [`BAND_PIPELINE`], the data placement from the policy.
 
-use crate::config::{Decomposition, Mode};
-use crate::original::{finish_run, RunOutput, StepFlops};
+use crate::config::{Decomposition, SchedulerPolicy};
 use crate::plan::{BufferArena, ExecPlan};
 use crate::problem::Problem;
 use crate::recorder::Recorder;
-use fftx_fft::{cft_1z, cft_2xy_sticks, Complex64, Direction};
-use fftx_pw::{apply_potential_slab, ProcessGrid, TaskGroupLayout};
+use fftx_fft::{cft_1z, cft_2xy_sticks, opcount, Complex64, Direction};
+use fftx_pw::{apply_potential_slab, assemble_shares, ProcessGrid, TaskGroupLayout};
 use fftx_taskrt::{Dep, Handle, Runtime, Shared, SlotArena, TaskGraph};
-use fftx_trace::{StateClass, TraceSink};
+use fftx_trace::{StateClass, Trace, TraceSink};
 use fftx_vmpi::{
     AlltoallRequest, ChaosConfig, Communicator, FaultReport, VmpiError, World,
 };
@@ -892,87 +891,58 @@ impl StageRunner<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Scheduler policies
+// Running a problem under a scheduler policy
 // ---------------------------------------------------------------------
 
-/// How the stage graph is scheduled — the engine-selection axis the
-/// `FFTX_SCHEDULER` environment knob exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// The original static loop: R×T MPI ranks, collective pack, one batch
-    /// of T bands per iteration.
-    Serial,
-    /// Strategy 1 (Fig. 4): one task per stage with flow dependencies.
-    TaskPerStep,
-    /// Strategy 2 (Fig. 5): one task per band.
-    TaskPerFft,
-    /// Strategy 1 with split-phase scatters (post/wait tasks).
-    TaskAsync,
-    /// The paper's future-work combination: three fused tasks per band
-    /// split at the nonblocking collectives — overlap *and* de-sync.
-    Hybrid,
+/// Result of a real execution.
+pub struct RunOutput {
+    /// Updated bands, reassembled into canonical order.
+    pub bands: Vec<Vec<Complex64>>,
+    /// The recorded trace (compute bursts, MPI calls, tasks, stage spans).
+    pub trace: Trace,
+    /// FFT-phase wall time: max over ranks of the barrier-to-barrier span.
+    pub fft_phase_s: f64,
 }
 
-impl SchedulerPolicy {
-    /// Every policy.
-    pub const ALL: [SchedulerPolicy; 5] = [
-        SchedulerPolicy::Serial,
-        SchedulerPolicy::TaskPerStep,
-        SchedulerPolicy::TaskPerFft,
-        SchedulerPolicy::TaskAsync,
-        SchedulerPolicy::Hybrid,
-    ];
+/// Per-iteration flop estimates used for trace counters.
+pub struct StepFlops {
+    /// PsiPrep (buffer clearing).
+    pub prep: f64,
+    /// Pack/unpack deposit copies.
+    pub pack: f64,
+    /// The z-FFT batch.
+    pub fft_z: f64,
+    /// Local copies around the scatter.
+    pub scatter_copy: f64,
+    /// The xy-FFT batch.
+    pub fft_xy: f64,
+    /// The VOFR point-wise multiply.
+    pub vofr: f64,
+}
 
-    /// The policy scheduling a configuration's [`Mode`].
-    pub fn for_mode(mode: Mode) -> Self {
-        match mode {
-            Mode::Original => SchedulerPolicy::Serial,
-            Mode::TaskPerStep => SchedulerPolicy::TaskPerStep,
-            Mode::TaskPerFft => SchedulerPolicy::TaskPerFft,
-            Mode::TaskAsync => SchedulerPolicy::TaskAsync,
-            Mode::Hybrid => SchedulerPolicy::Hybrid,
-        }
+impl StepFlops {
+    /// Estimates for the rank in task group `g`.
+    pub fn for_group(problem: &Problem, g: usize) -> Self {
+        Self::for_layout(&problem.layout, g)
     }
 
-    /// The [`Mode`] this policy executes.
-    pub fn mode(self) -> Mode {
-        match self {
-            SchedulerPolicy::Serial => Mode::Original,
-            SchedulerPolicy::TaskPerStep => Mode::TaskPerStep,
-            SchedulerPolicy::TaskPerFft => Mode::TaskPerFft,
-            SchedulerPolicy::TaskAsync => Mode::TaskAsync,
-            SchedulerPolicy::Hybrid => Mode::Hybrid,
+    /// Estimates for task group `g` of an explicit layout (the recovery
+    /// engine re-plans the layout mid-run, away from the problem's own).
+    pub fn for_layout(l: &TaskGroupLayout, g: usize) -> Self {
+        let grid = l.grid;
+        let nst = l.nst_group(g);
+        let npp = l.npp(g);
+        let plane = grid.nr1 * grid.nr2;
+        StepFlops {
+            // The prep phase clears/initialises both work buffers (the
+            // paper's conspicuous low-IPC "psi preparation" segment).
+            prep: opcount::copy_flops(nst * grid.nr3 + npp * plane),
+            pack: opcount::copy_flops(l.ngw_group(g)),
+            fft_z: opcount::fft_z_batch_flops(grid.nr3, nst),
+            scatter_copy: opcount::copy_flops(nst * grid.nr3 + npp * plane),
+            fft_xy: opcount::fft_xy_batch_flops(grid.nr1, grid.nr2, npp),
+            vofr: opcount::pointwise_mul_flops(npp * plane),
         }
-    }
-
-    /// Short name (the `FFTX_SCHEDULER` value selecting this policy).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerPolicy::Serial => "serial",
-            SchedulerPolicy::TaskPerStep => "step",
-            SchedulerPolicy::TaskPerFft => "fft",
-            SchedulerPolicy::TaskAsync => "async",
-            SchedulerPolicy::Hybrid => "hybrid",
-        }
-    }
-
-    /// Parses an `FFTX_SCHEDULER` value (the CLI mode spellings are
-    /// accepted as aliases).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "serial" | "original" => Some(SchedulerPolicy::Serial),
-            "step" | "steps" => Some(SchedulerPolicy::TaskPerStep),
-            "fft" | "ffts" => Some(SchedulerPolicy::TaskPerFft),
-            "async" => Some(SchedulerPolicy::TaskAsync),
-            "hybrid" => Some(SchedulerPolicy::Hybrid),
-            _ => None,
-        }
-    }
-
-    /// The policy selected by the `FFTX_SCHEDULER` environment variable,
-    /// if set to a valid value.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("FFTX_SCHEDULER").ok().and_then(|s| Self::parse(&s))
     }
 }
 
@@ -1001,8 +971,7 @@ pub fn run_policy_chaotic(
 ) -> (RunOutput, Option<FaultReport>) {
     let cfg = problem.config;
     assert_eq!(
-        cfg.mode,
-        policy.mode(),
+        cfg.mode, policy,
         "run_policy: config mode must match the scheduler policy"
     );
     let sink = TraceSink::new();
@@ -1018,8 +987,46 @@ pub fn run_policy_chaotic(
     (finish_run(problem, sink, results), report)
 }
 
+/// Reassembles bands from per-rank shares and closes the trace.
+pub(crate) fn finish_run(
+    problem: &Problem,
+    sink: TraceSink,
+    results: Vec<(Vec<Vec<Complex64>>, f64)>,
+) -> RunOutput {
+    let fft_phase_s = results
+        .iter()
+        .map(|(_, t)| *t)
+        .fold(0.0_f64, f64::max);
+    let nbnd = problem.config.nbnd;
+    let bands = (0..nbnd)
+        .map(|b| {
+            let shares: Vec<Vec<Complex64>> =
+                results.iter().map(|(s, _)| s[b].clone()).collect();
+            assemble_shares(&problem.layout.set, &problem.layout.dist, &shares)
+        })
+        .collect();
+    RunOutput {
+        bands,
+        trace: sink.finish(),
+        fft_phase_s,
+    }
+}
+
 /// Per-rank body of the serial policy: plan once, then an allocation-free
-/// steady-state loop of band batches through the arena.
+/// steady-state loop of band batches through the arena. Per outer
+/// iteration k (bands `kT .. (k+1)T`), every rank `g*T + i` runs:
+///
+/// ```text
+/// pack    : Alltoallv in the task group  (band shares -> band k*T+i on U_g)
+/// FFT z   : inverse 1-D FFTs over the group's sticks
+/// scatter : padded Alltoall in the strided family (sticks -> plane slab)
+/// FFT xy  : inverse 2-D FFTs over the owned planes
+/// VOFR    : psi(r) *= V(r)
+/// FFT xy  : forward
+/// scatter : Alltoall back (planes -> sticks)
+/// FFT z   : forward
+/// unpack  : Alltoallv back (band k*T+i -> band shares)
+/// ```
 fn rank_serial(problem: &Problem, comm: &Communicator) -> (Vec<Vec<Complex64>>, f64) {
     let cfg = problem.config;
     let l = &problem.layout;
@@ -1548,8 +1555,8 @@ mod tests {
 
     #[test]
     fn pipeline_nodes_match_the_engines_dependency_wiring() {
-        // The graph must encode the exact in/out/inout lists the engines
-        // used to hand-write (taskmodes.rs before the refactor).
+        // The graph must encode the exact in/out/inout lists the task
+        // engines hand-wired before the stage graph replaced them.
         let mut arena = SlotArena::new();
         let bs = BandSlots::mint(&mut arena);
         assert_eq!(arena.minted().len(), 5);
@@ -1575,14 +1582,11 @@ mod tests {
     }
 
     #[test]
-    fn policies_map_one_to_one_onto_modes() {
-        for p in SchedulerPolicy::ALL {
-            assert_eq!(SchedulerPolicy::for_mode(p.mode()), p);
-            assert_eq!(SchedulerPolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(SchedulerPolicy::parse("original"), Some(SchedulerPolicy::Serial));
-        assert_eq!(SchedulerPolicy::parse("ffts"), Some(SchedulerPolicy::TaskPerFft));
-        assert_eq!(SchedulerPolicy::parse("nope"), None);
+    #[should_panic(expected = "must match the scheduler policy")]
+    fn run_policy_rejects_a_policy_other_than_the_configs() {
+        use crate::config::FftxConfig;
+        let problem = Problem::new(FftxConfig::small(1, 1, SchedulerPolicy::Serial));
+        run_policy(&problem, SchedulerPolicy::TaskPerFft);
     }
 
     #[test]
@@ -1601,7 +1605,7 @@ mod tests {
         // (2,2) exercises the degenerate prime family (p2 = 1).
         for policy in SchedulerPolicy::ALL {
             for (nr, ntg) in [(4, 1), (6, 1), (2, 2)] {
-                let slab = FftxConfig::small(nr, ntg, policy.mode());
+                let slab = FftxConfig::small(nr, ntg, policy);
                 let pencil = slab.with_decomp(Decomposition::Pencil);
                 let a = run_policy(&Problem::new(slab), policy);
                 let b = run_policy(&Problem::new(pencil), policy);

@@ -61,13 +61,12 @@
 //! batch 0, computes nothing, and the survivors re-plan the layout. One
 //! eviction per run: a second flaky rank escalates as a typed error.
 
-use crate::config::Mode;
-use crate::original::{finish_run, RunOutput};
+use crate::config::SchedulerPolicy;
 use crate::plan::{BufferArena, ExecPlan};
 use crate::problem::Problem;
 use crate::recorder::Recorder;
 use crate::recovery::run_eviction;
-use crate::stages::{ScatterComms, StageKind, StagePlan, StageRunner};
+use crate::stages::{finish_run, RunOutput, ScatterComms, StageKind, StagePlan, StageRunner};
 use fftx_fault::{mix64, CorruptionConfig, RankDeath, RecoveryConfig, Strike, StuckLane};
 use fftx_fft::{c64, cached_plan, cft_1z, Complex64, Direction};
 use fftx_trace::TraceSink;
@@ -522,8 +521,8 @@ pub fn run_verified(
 ) -> Result<(RunOutput, VerifyStats), VmpiError> {
     let cfg = problem.config;
     assert!(
-        matches!(cfg.mode, Mode::Original),
-        "run_verified: config mode must be Original"
+        matches!(cfg.mode, SchedulerPolicy::Serial),
+        "run_verified: config mode must be Serial"
     );
     let p = cfg.vmpi_ranks();
     let mut stats = VerifyStats::default();
@@ -682,11 +681,11 @@ fn rank_verified(
 mod tests {
     use super::*;
     use crate::config::FftxConfig;
-    use crate::original::run_original;
+    use crate::stages::run_policy;
     use fftx_fault::BitFlip;
 
     fn problem(r: usize, t: usize) -> Arc<Problem> {
-        Problem::new(FftxConfig::small(r, t, Mode::Original))
+        Problem::new(FftxConfig::small(r, t, SchedulerPolicy::Serial))
     }
 
     #[test]
@@ -749,7 +748,7 @@ mod tests {
     #[test]
     fn clean_verified_run_detects_nothing_and_matches_baseline() {
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         for mode in VerifyMode::ALL {
             let (out, stats) =
                 run_verified(&problem, CorruptionConfig::off(), mode, &RecoveryConfig::default())
@@ -772,7 +771,7 @@ mod tests {
         // The silent-data-corruption baseline: with verification off, an
         // injected compute fault flows straight into the answer.
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let corruption = CorruptionConfig {
             bitflip: Some(BitFlip::new(9, 1.0, 2)),
             ..CorruptionConfig::off()
@@ -788,7 +787,7 @@ mod tests {
     #[test]
     fn cheap_mode_detects_rolls_back_and_restores_bitwise_identity() {
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let corruption = CorruptionConfig {
             bitflip: Some(BitFlip::new(9, 1.0, 2)),
             ..CorruptionConfig::off()
@@ -809,7 +808,7 @@ mod tests {
         // Parseval identity can see a strike there. Find a seed whose one
         // strike lands in such a column right after that leg.
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let (l, ranks) = (&problem.layout, problem.config.vmpi_ranks());
         let keys: Vec<u64> = (0..problem.config.iterations())
             .flat_map(|k| (0..4).map(move |leg| leg_key(k * l.t, leg)))
@@ -851,7 +850,7 @@ mod tests {
     #[test]
     fn full_mode_repairs_in_place_without_rollbacks() {
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let corruption = CorruptionConfig {
             bitflip: Some(BitFlip::new(9, 1.0, 2)),
             ..CorruptionConfig::off()
@@ -888,10 +887,10 @@ mod tests {
     fn sticky_rank_is_probed_and_evicted() {
         // 7 ranks as 7×1 (the eviction-compatible shape); find a seed whose
         // stuck-lane plan marks exactly one of them flaky.
-        let mut cfg = FftxConfig::small(7, 1, Mode::Original);
+        let mut cfg = FftxConfig::small(7, 1, SchedulerPolicy::Serial);
         cfg.nbnd = 6;
         let problem = Problem::new(cfg);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let (seed, victim) = (0u64..)
             .find_map(|s| {
                 let flaky: Vec<usize> = (0..7)

@@ -18,7 +18,7 @@
 //!
 //! The measured counts land in `results/alloc.csv`.
 
-use fftx_core::{BufferArena, Cell, FftGrid, FftxConfig, Mode, Problem, DUAL};
+use fftx_core::{BufferArena, Cell, FftGrid, FftxConfig, Problem, SchedulerPolicy, DUAL};
 use fftx_fft::{cft_1z, cft_2xy_sticks, Complex64, Direction};
 use fftx_pw::apply_potential_slab;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -204,10 +204,10 @@ const ITERS: u64 = 8;
 
 #[test]
 fn steady_state_engine_iteration_allocates_nothing() {
-    let small = Problem::new(FftxConfig::small(2, 2, Mode::Original));
+    let small = Problem::new(FftxConfig::small(2, 2, SchedulerPolicy::Serial));
     // The same cutoff-derived x/y sizes with z forced to 41 (prime, above
     // the direct-radix limit): every z-FFT runs Bluestein.
-    let cfg = FftxConfig::small(2, 2, Mode::Original);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let base = FftGrid::from_cutoff(&Cell::cubic(cfg.alat), DUAL * cfg.ecutwfc);
     let prime41 = Problem::with_grid(cfg, FftGrid::raw(base.nr1, base.nr2, 41));
 

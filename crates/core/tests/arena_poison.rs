@@ -10,7 +10,9 @@
 //! var must be set before the first arena touch, which a dedicated process
 //! guarantees.
 
-use fftx_core::{run_chaotic, run_eviction, run_rollback, FftxConfig, Mode, Problem};
+use fftx_core::{
+    run_eviction, run_policy_chaotic, run_rollback, FftxConfig, Problem, SchedulerPolicy,
+};
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig};
 use fftx_fft::Complex64;
 use fftx_vmpi::{ChaosConfig, StallConfig};
@@ -73,22 +75,22 @@ fn poisoned_padding_never_reaches_the_bands() {
     };
 
     let modes = [
-        Mode::Original,
-        Mode::TaskPerFft,
-        Mode::TaskPerStep,
-        Mode::TaskAsync,
+        SchedulerPolicy::Serial,
+        SchedulerPolicy::TaskPerFft,
+        SchedulerPolicy::TaskPerStep,
+        SchedulerPolicy::TaskAsync,
     ];
     // Clean runs: every mode on a square and a rectangular factorisation,
     // plus the pure-scatter extreme.
     for mode in modes {
         for (nr, ntg) in [(2, 2), (2, 3)] {
             let problem = Problem::new(FftxConfig::small(nr, ntg, mode));
-            let (run, _) = run_chaotic(&problem, None);
-            check(&format!("clean/{}/{}x{}", mode.name(), nr, ntg), &run.bands);
+            let (run, _) = run_policy_chaotic(&problem, mode, None);
+            check(&format!("clean/{}/{}x{}", mode.label(), nr, ntg), &run.bands);
         }
     }
-    let problem = Problem::new(FftxConfig::small(4, 1, Mode::Original));
-    let (run, _) = run_chaotic(&problem, None);
+    let problem = Problem::new(FftxConfig::small(4, 1, SchedulerPolicy::Serial));
+    let (run, _) = run_policy_chaotic(&problem, SchedulerPolicy::Serial, None);
     check("clean/original/4x1", &run.bands);
 
     // Chaos: retried/stalled transport must not resurrect padding reads.
@@ -96,14 +98,14 @@ fn poisoned_padding_never_reaches_the_bands() {
         let problem = Problem::new(FftxConfig::small(2, 2, mode));
         let chaos =
             ChaosConfig::aggressive(7).with_stall(StallConfig::rank(0, Duration::from_millis(1), 3));
-        let (run, report) = run_chaotic(&problem, Some(chaos));
+        let (run, report) = run_policy_chaotic(&problem, mode, Some(chaos));
         assert!(report.is_some(), "chaos must be active");
-        check(&format!("chaos/{}/seed7", mode.name()), &run.bands);
+        check(&format!("chaos/{}/seed7", mode.label()), &run.bands);
     }
 
     // Recovery: replays reuse the poisoned buffers; eviction re-fits the
     // arena to the re-planned geometry (a fresh poison fill).
-    let problem = Problem::new(FftxConfig::small(2, 2, Mode::Original));
+    let problem = Problem::new(FftxConfig::small(2, 2, SchedulerPolicy::Serial));
     let (run, _) = run_rollback(
         &problem,
         Some(BatchAborts::new(9, 1.0, 2)),
@@ -112,7 +114,7 @@ fn poisoned_padding_never_reaches_the_bands() {
     .expect("rollback budget absorbs the injected aborts");
     check("recovery/rollback/seed9", &run.bands);
 
-    let mut cfg = FftxConfig::small(7, 1, Mode::Original);
+    let mut cfg = FftxConfig::small(7, 1, SchedulerPolicy::Serial);
     cfg.nbnd = 6;
     let problem = Problem::new(cfg);
     let (run, stats) = run_eviction(&problem, RankDeath::at(3, 2), &RecoveryConfig::default())

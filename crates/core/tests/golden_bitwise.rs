@@ -14,8 +14,8 @@
 //! `FFTX_GOLDEN_BLESS=1 cargo test -p fftx-core --test golden_bitwise`
 
 use fftx_core::{
-    run_chaotic, run_eviction, run_rollback, Cell, Decomposition, FftGrid, FftxConfig, Mode,
-    Problem, DUAL,
+    run_eviction, run_policy_chaotic, run_rollback, Cell, Decomposition, FftGrid, FftxConfig,
+    Problem, SchedulerPolicy, DUAL,
 };
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig};
 use fftx_fft::Complex64;
@@ -56,7 +56,7 @@ fn chaos(seed: u64) -> ChaosConfig {
 
 fn eviction_config() -> FftxConfig {
     // 7 ranks as 7×1 over 6 bands; evicting one re-plans to 3×2.
-    let mut c = FftxConfig::small(7, 1, Mode::Original);
+    let mut c = FftxConfig::small(7, 1, SchedulerPolicy::Serial);
     c.nbnd = 6;
     c
 }
@@ -65,7 +65,7 @@ fn eviction_config() -> FftxConfig {
 /// over 6 bands; evicting one re-plans to 4×2 (a real 2×2 grid), so both
 /// phases of the eviction path run genuine two-step pencil exchanges.
 fn pencil_eviction_config(decomp: Decomposition) -> FftxConfig {
-    let mut c = FftxConfig::small(9, 1, Mode::Original);
+    let mut c = FftxConfig::small(9, 1, SchedulerPolicy::Serial);
     c.nbnd = 6;
     c.with_decomp(decomp)
 }
@@ -73,7 +73,12 @@ fn pencil_eviction_config(decomp: Decomposition) -> FftxConfig {
 /// A problem on a non-power-friendly grid: the z dimension is forced to 41
 /// (prime, above the direct-radix limit), so every z-FFT takes the
 /// Bluestein path while x/y keep the cutoff-derived sizes.
-fn prime41_problem(nr: usize, ntg: usize, mode: Mode, decomp: Decomposition) -> std::sync::Arc<Problem> {
+fn prime41_problem(
+    nr: usize,
+    ntg: usize,
+    mode: SchedulerPolicy,
+    decomp: Decomposition,
+) -> std::sync::Arc<Problem> {
     let cfg = FftxConfig::small(nr, ntg, mode).with_decomp(decomp);
     let cell = Cell::cubic(cfg.alat);
     let base = FftGrid::from_cutoff(&cell, DUAL * cfg.ecutwfc);
@@ -84,44 +89,44 @@ fn prime41_problem(nr: usize, ntg: usize, mode: Mode, decomp: Decomposition) -> 
 fn scenarios() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     let modes = [
-        Mode::Original,
-        Mode::TaskPerFft,
-        Mode::TaskPerStep,
-        Mode::TaskAsync,
-        Mode::Hybrid,
+        SchedulerPolicy::Serial,
+        SchedulerPolicy::TaskPerFft,
+        SchedulerPolicy::TaskPerStep,
+        SchedulerPolicy::TaskAsync,
+        SchedulerPolicy::Hybrid,
     ];
 
     // Clean runs across (R,T) factorisations.
     for mode in modes {
         for (nr, ntg) in [(2, 2), (3, 2), (2, 3)] {
             let problem = Problem::new(FftxConfig::small(nr, ntg, mode));
-            let (run, _) = run_chaotic(&problem, None);
+            let (run, _) = run_policy_chaotic(&problem, mode, None);
             out.push((
-                format!("clean/{}/{}x{}", mode.name(), nr, ntg),
+                format!("clean/{}/{}x{}", mode.label(), nr, ntg),
                 hash_bands(&run.bands),
             ));
         }
     }
     // The pure-scatter extreme (T = 1) for the original engine.
-    let problem = Problem::new(FftxConfig::small(4, 1, Mode::Original));
-    let (run, _) = run_chaotic(&problem, None);
+    let problem = Problem::new(FftxConfig::small(4, 1, SchedulerPolicy::Serial));
+    let (run, _) = run_policy_chaotic(&problem, SchedulerPolicy::Serial, None);
     out.push(("clean/original/4x1".into(), hash_bands(&run.bands)));
 
     // Chaotic runs: seeded transport faults must be invisible in the bits.
     for mode in modes {
         for seed in [7_u64, 20170814] {
             let problem = Problem::new(FftxConfig::small(2, 2, mode));
-            let (run, report) = run_chaotic(&problem, Some(chaos(seed)));
+            let (run, report) = run_policy_chaotic(&problem, mode, Some(chaos(seed)));
             assert!(report.is_some(), "chaos must be active");
             out.push((
-                format!("chaos/{}/seed{}", mode.name(), seed),
+                format!("chaos/{}/seed{}", mode.label(), seed),
                 hash_bands(&run.bands),
             ));
         }
     }
 
     // Recovery: a batch rollback (every batch aborts once or twice) ...
-    let problem = Problem::new(FftxConfig::small(2, 2, Mode::Original));
+    let problem = Problem::new(FftxConfig::small(2, 2, SchedulerPolicy::Serial));
     let (run, stats) = run_rollback(
         &problem,
         Some(BatchAborts::new(9, 1.0, 2)),
@@ -149,15 +154,15 @@ fn scenarios() -> Vec<(String, u64)> {
         for (nr, ntg) in [(4, 1), (6, 1)] {
             let slab_cfg = FftxConfig::small(nr, ntg, mode);
             let pencil_cfg = slab_cfg.with_decomp(Decomposition::Pencil);
-            let (slab, _) = run_chaotic(&Problem::new(slab_cfg), None);
-            let (pencil, _) = run_chaotic(&Problem::new(pencil_cfg), None);
+            let (slab, _) = run_policy_chaotic(&Problem::new(slab_cfg), mode, None);
+            let (pencil, _) = run_policy_chaotic(&Problem::new(pencil_cfg), mode, None);
             let (hs, hp) = (hash_bands(&slab.bands), hash_bands(&pencil.bands));
             assert_eq!(
                 hs, hp,
                 "pencil clean bits must match slab: {} {}x{}",
-                mode.name(), nr, ntg
+                mode.label(), nr, ntg
             );
-            out.push((format!("pencil/clean/{}/{}x{}", mode.name(), nr, ntg), hp));
+            out.push((format!("pencil/clean/{}/{}x{}", mode.label(), nr, ntg), hp));
         }
     }
 
@@ -166,18 +171,23 @@ fn scenarios() -> Vec<(String, u64)> {
     for mode in modes {
         let slab_cfg = FftxConfig::small(4, 1, mode);
         let pencil_cfg = slab_cfg.with_decomp(Decomposition::Pencil);
-        let (slab, _) = run_chaotic(&Problem::new(slab_cfg), Some(chaos(20170814)));
-        let (pencil, report) = run_chaotic(&Problem::new(pencil_cfg), Some(chaos(20170814)));
+        let (slab, _) = run_policy_chaotic(&Problem::new(slab_cfg), mode, Some(chaos(20170814)));
+        let (pencil, report) = run_policy_chaotic(
+            &Problem::new(pencil_cfg),
+            mode,
+            Some(chaos(20170814)),
+        );
         assert!(report.is_some(), "chaos must be active");
         let (hs, hp) = (hash_bands(&slab.bands), hash_bands(&pencil.bands));
-        assert_eq!(hs, hp, "pencil chaos bits must match slab: {}", mode.name());
-        out.push((format!("pencil/chaos/{}/seed20170814", mode.name()), hp));
+        assert_eq!(hs, hp, "pencil chaos bits must match slab: {}", mode.label());
+        out.push((format!("pencil/chaos/{}/seed20170814", mode.label()), hp));
     }
 
     // Pencil through batch rollback ...
-    let slab_p = Problem::new(FftxConfig::small(4, 1, Mode::Original));
-    let pencil_p =
-        Problem::new(FftxConfig::small(4, 1, Mode::Original).with_decomp(Decomposition::Pencil));
+    let slab_p = Problem::new(FftxConfig::small(4, 1, SchedulerPolicy::Serial));
+    let pencil_p = Problem::new(
+        FftxConfig::small(4, 1, SchedulerPolicy::Serial).with_decomp(Decomposition::Pencil),
+    );
     let aborts = || Some(BatchAborts::new(9, 1.0, 2));
     let (slab, _) = run_rollback(&slab_p, aborts(), &RecoveryConfig::default())
         .expect("rollback budget absorbs the injected aborts");
@@ -204,11 +214,19 @@ fn scenarios() -> Vec<(String, u64)> {
     // Non-power-friendly geometry: z = 41 (prime, Bluestein path) under
     // both decompositions, every mode.
     for mode in modes {
-        let (slab, _) = run_chaotic(&prime41_problem(4, 1, mode, Decomposition::Slab), None);
-        let (pencil, _) = run_chaotic(&prime41_problem(4, 1, mode, Decomposition::Pencil), None);
+        let (slab, _) = run_policy_chaotic(
+            &prime41_problem(4, 1, mode, Decomposition::Slab),
+            mode,
+            None,
+        );
+        let (pencil, _) = run_policy_chaotic(
+            &prime41_problem(4, 1, mode, Decomposition::Pencil),
+            mode,
+            None,
+        );
         let (hs, hp) = (hash_bands(&slab.bands), hash_bands(&pencil.bands));
-        assert_eq!(hs, hp, "prime-grid pencil bits must match slab: {}", mode.name());
-        out.push((format!("prime41/clean/{}/4x1", mode.name()), hp));
+        assert_eq!(hs, hp, "prime-grid pencil bits must match slab: {}", mode.label());
+        out.push((format!("prime41/clean/{}/4x1", mode.label()), hp));
     }
 
     out

@@ -5,7 +5,7 @@
 //! exporter and the POP metrics all become thin queries over one log
 //! without perturbing a single committed artifact.
 
-use fftx_core::{run_modeled, FftxConfig, Mode};
+use fftx_core::{run_modeled, FftxConfig, SchedulerPolicy};
 use fftx_trace::columnar::EventLog;
 use fftx_trace::{
     export_paraver, intra_factors, phase_profile, timeline_csv, IpcHistogram, StateClass, Trace,
@@ -22,7 +22,7 @@ fn round_trip(trace: &Trace) -> Trace {
 #[test]
 fn exporters_are_identical_through_the_columnar_path() {
     // The paper's 8×8 configuration, both code versions.
-    for mode in [Mode::Original, Mode::TaskPerFft] {
+    for mode in [SchedulerPolicy::Serial, SchedulerPolicy::TaskPerFft] {
         let run = run_modeled(FftxConfig::paper(8, mode));
         let direct = &run.trace;
         let via_log = round_trip(direct);
@@ -60,7 +60,7 @@ fn exporters_are_identical_through_the_columnar_path() {
 
 #[test]
 fn query_summary_matches_trace_totals() {
-    let run = run_modeled(FftxConfig::paper(8, Mode::TaskPerStep));
+    let run = run_modeled(FftxConfig::paper(8, SchedulerPolicy::TaskPerStep));
     let log = EventLog::from_trace(&run.trace);
     let decoded = EventLog::decode(&log.encode()).expect("decode");
     let summary = fftx_trace::query::summary_csv(&decoded).expect("summary");

@@ -11,9 +11,9 @@
 //! costs time, never answers.
 
 use fftx_core::{
-    run_chaotic, run_eviction, run_original, run_retry, run_rollback, FftxConfig, Mode, Problem,
+    run_eviction, run_policy, run_policy_chaotic, run_retry, run_rollback, FftxConfig, Problem,
+    SchedulerPolicy,
 };
-use fftx_core::taskmodes::run_task_per_fft;
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
 use fftx_vmpi::{ChaosConfig, FaultReport, StallConfig};
 use proptest::prelude::*;
@@ -30,10 +30,13 @@ fn chaos(seed: u64) -> ChaosConfig {
     ))
 }
 
-fn run_mode(mode: Mode, seed: Option<u64>) -> (Vec<Vec<fftx_fft::Complex64>>, Option<FaultReport>) {
+fn run_mode(
+    mode: SchedulerPolicy,
+    seed: Option<u64>,
+) -> (Vec<Vec<fftx_fft::Complex64>>, Option<FaultReport>) {
     let cfg = FftxConfig::small(2, 2, mode);
     let problem = Problem::new(cfg);
-    let (out, report) = run_chaotic(&problem, seed.map(chaos));
+    let (out, report) = run_policy_chaotic(&problem, mode, seed.map(chaos));
     (out.bands, report)
 }
 
@@ -42,7 +45,11 @@ proptest! {
 
     #[test]
     fn chaos_is_invisible_in_results_and_deterministic_by_seed(seed in 1u64..1_000_000) {
-        for mode in [Mode::Original, Mode::TaskPerFft, Mode::TaskPerStep] {
+        for mode in [
+            SchedulerPolicy::Serial,
+            SchedulerPolicy::TaskPerFft,
+            SchedulerPolicy::TaskPerStep,
+        ] {
             // The baseline run passes no explicit config; under the CI chaos
             // job (`FFTX_CHAOS_SEED` set) it is itself chaotic, which only
             // strengthens the invariance claim below.
@@ -70,9 +77,9 @@ proptest! {
     /// fault-free bands bit for bit.
     #[test]
     fn task_reexecution_recovers_bitwise_identical_bands(seed in 1u64..1_000_000) {
-        let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
+        let cfg = FftxConfig::small(2, 2, SchedulerPolicy::TaskPerFft);
         let problem = Problem::new(cfg);
-        let baseline = run_task_per_fft(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::TaskPerFft);
         let crashes = TaskCrashes::new(seed, 1.0, 2);
         let (out, stats) = run_retry(&problem, Some(crashes), &RecoveryConfig::default())
             .expect("retry budget must absorb at most 2 crashes per task");
@@ -88,9 +95,9 @@ proptest! {
     /// and reproduces the fault-free bands bit for bit.
     #[test]
     fn batch_rollback_recovers_bitwise_identical_bands(seed in 1u64..1_000_000) {
-        let cfg = FftxConfig::small(2, 2, Mode::Original);
+        let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
         let problem = Problem::new(cfg);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let aborts = BatchAborts::new(seed, 1.0, 2);
         let (out, stats) = run_rollback(&problem, Some(aborts), &RecoveryConfig::default())
             .expect("rollback budget must absorb at most 2 aborts per batch");
@@ -111,10 +118,10 @@ proptest! {
     ) {
         // 7 ranks as 7×1 over 6 bands; 6 survivors re-plan to 3×2, so the
         // death boundary must leave an even number of bands: batch 0, 2, 4.
-        let mut cfg = FftxConfig::small(7, 1, Mode::Original);
+        let mut cfg = FftxConfig::small(7, 1, SchedulerPolicy::Serial);
         cfg.nbnd = 6;
         let problem = Problem::new(cfg);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let death = RankDeath::at(victim, batch_idx * 2);
         let (out, stats) = run_eviction(&problem, death, &RecoveryConfig::default())
             .expect("survivors must finish the run");

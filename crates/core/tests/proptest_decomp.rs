@@ -8,8 +8,8 @@
 //! values in the same order, so any bit difference is a defect.
 
 use fftx_core::{
-    run_chaotic, run_eviction, run_original, Cell, Decomposition, FftGrid, FftxConfig, Mode,
-    Problem, DUAL,
+    run_eviction, run_policy, run_policy_chaotic, Cell, Decomposition, FftGrid, FftxConfig,
+    Problem, SchedulerPolicy, DUAL,
 };
 use fftx_fault::{RankDeath, RecoveryConfig};
 use fftx_vmpi::{ChaosConfig, StallConfig};
@@ -39,17 +39,25 @@ proptest! {
     ) {
         let (nr, ntg) = LAYOUTS[layout_idx];
         for mode in [
-            Mode::Original,
-            Mode::TaskPerFft,
-            Mode::TaskPerStep,
-            Mode::TaskAsync,
-            Mode::Hybrid,
+            SchedulerPolicy::Serial,
+            SchedulerPolicy::TaskPerFft,
+            SchedulerPolicy::TaskPerStep,
+            SchedulerPolicy::TaskAsync,
+            SchedulerPolicy::Hybrid,
         ] {
             let slab_cfg = FftxConfig::small(nr, ntg, mode);
             let pencil_cfg = slab_cfg.with_decomp(Decomposition::Pencil);
             for chaos_seed in [None, Some(seed)] {
-                let (s, _) = run_chaotic(&Problem::new(slab_cfg), chaos_seed.map(chaos));
-                let (p, _) = run_chaotic(&Problem::new(pencil_cfg), chaos_seed.map(chaos));
+                let (s, _) = run_policy_chaotic(
+                    &Problem::new(slab_cfg),
+                    mode,
+                    chaos_seed.map(chaos),
+                );
+                let (p, _) = run_policy_chaotic(
+                    &Problem::new(pencil_cfg),
+                    mode,
+                    chaos_seed.map(chaos),
+                );
                 prop_assert!(
                     s.bands == p.bands,
                     "{:?} {}x{} chaos={:?}: pencil diverged from slab",
@@ -69,9 +77,9 @@ proptest! {
     ) {
         // 9 ranks over 6 bands; 8 survivors re-plan to 4×2, so the death
         // boundary must leave an even number of bands: batch 0, 2, 4.
-        let mut cfg = FftxConfig::small(9, 1, Mode::Original);
+        let mut cfg = FftxConfig::small(9, 1, SchedulerPolicy::Serial);
         cfg.nbnd = 6;
-        let baseline = run_original(&Problem::new(cfg));
+        let baseline = run_policy(&Problem::new(cfg), SchedulerPolicy::Serial);
         let pencil = Problem::new(cfg.with_decomp(Decomposition::Pencil));
         let death = RankDeath::at(victim, batch_idx * 2);
         let (out, stats) = run_eviction(&pencil, death, &RecoveryConfig::default())
@@ -90,13 +98,21 @@ proptest! {
     #[test]
     fn prime_grid_pencil_matches_slab(seed in 1u64..1_000_000) {
         let build = |decomp| {
-            let cfg = FftxConfig::small(4, 1, Mode::Original).with_decomp(decomp);
+            let cfg = FftxConfig::small(4, 1, SchedulerPolicy::Serial).with_decomp(decomp);
             let cell = Cell::cubic(cfg.alat);
             let base = FftGrid::from_cutoff(&cell, DUAL * cfg.ecutwfc);
             Problem::with_grid(cfg, FftGrid::raw(base.nr1, base.nr2, 41))
         };
-        let (s, _) = run_chaotic(&build(Decomposition::Slab), Some(chaos(seed)));
-        let (p, _) = run_chaotic(&build(Decomposition::Pencil), Some(chaos(seed)));
+        let (s, _) = run_policy_chaotic(
+            &build(Decomposition::Slab),
+            SchedulerPolicy::Serial,
+            Some(chaos(seed)),
+        );
+        let (p, _) = run_policy_chaotic(
+            &build(Decomposition::Pencil),
+            SchedulerPolicy::Serial,
+            Some(chaos(seed)),
+        );
         prop_assert!(
             s.bands == p.bands,
             "prime grid: pencil diverged from slab under seed {seed}"

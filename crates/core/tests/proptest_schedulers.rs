@@ -22,15 +22,15 @@ fn chaos(seed: u64) -> ChaosConfig {
     ChaosConfig::aggressive(seed).with_stall(StallConfig::rank(0, Duration::from_millis(1), 3))
 }
 
-/// Runs one policy on `cfg` (re-tagged with the policy's mode) and returns
-/// its bands.
+/// Runs one policy on `cfg` (re-tagged with that policy) and returns its
+/// bands.
 fn bands_for(
     cfg: FftxConfig,
     policy: SchedulerPolicy,
     chaos_seed: Option<u64>,
 ) -> Vec<Vec<Complex64>> {
     let mut cfg = cfg;
-    cfg.mode = policy.mode();
+    cfg.mode = policy;
     let problem = Arc::new(Problem::new(cfg));
     run_policy_chaotic(&problem, policy, chaos_seed.map(chaos)).0.bands
 }
@@ -50,7 +50,7 @@ proptest! {
         let (nr, ntg) = [(2, 2), (3, 2), (2, 3), (2, 1)][layout_idx];
         // Two laptop-scale grids: the small-test cutoff and a denser one.
         let ecutwfc = [6.0, 9.0][grid_idx];
-        let mut cfg = FftxConfig::small(nr, ntg, SchedulerPolicy::Serial.mode());
+        let mut cfg = FftxConfig::small(nr, ntg, SchedulerPolicy::Serial);
         cfg.ecutwfc = ecutwfc;
         cfg.seed = seed;
         // chaos_seed == 0 doubles as "no chaos".

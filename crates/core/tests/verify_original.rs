@@ -2,15 +2,15 @@
 //! the distributed pipeline must reproduce the serial dense-grid reference
 //! for every R×T shape.
 
-use fftx_core::{original, FftxConfig, Mode, Problem};
+use fftx_core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
 use fftx_fft::max_dist;
 use fftx_pw::apply_vloc;
 use fftx_trace::CommOp;
 
 fn check_shape(nr: usize, ntg: usize) {
-    let cfg = FftxConfig::small(nr, ntg, Mode::Original);
+    let cfg = FftxConfig::small(nr, ntg, SchedulerPolicy::Serial);
     let problem = Problem::new(cfg);
-    let out = original::run_original(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
 
     let bands_in: Vec<Vec<_>> = (0..cfg.nbnd).map(|b| problem.band(b)).collect();
     let expect = apply_vloc(&problem.layout.set, &problem.grid(), &problem.v, &bands_in);
@@ -57,9 +57,9 @@ fn communicator_families_in_trace() {
     // 2 x 2: pack should run on 2 sub-communicators of 2 neighbouring
     // ranks, scatter on 2 sub-communicators of 2 strided ranks, exactly as
     // the paper's Fig. 3 communicator timeline shows.
-    let cfg = FftxConfig::small(2, 2, Mode::Original);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let problem = Problem::new(cfg);
-    let out = original::run_original(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
 
     let alltoallv: Vec<_> = out
         .trace
@@ -95,9 +95,9 @@ fn communicator_families_in_trace() {
 #[test]
 fn trace_has_all_phase_classes() {
     use fftx_trace::StateClass;
-    let cfg = FftxConfig::small(2, 2, Mode::Original);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let problem = Problem::new(cfg);
-    let out = original::run_original(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
     for class in [
         StateClass::PsiPrep,
         StateClass::Pack,
@@ -115,10 +115,10 @@ fn trace_has_all_phase_classes() {
 
 #[test]
 fn idempotent_across_runs() {
-    let cfg = FftxConfig::small(2, 2, Mode::Original);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let problem = Problem::new(cfg);
-    let a = original::run_original(&problem);
-    let b = original::run_original(&problem);
+    let a = run_policy(&problem, SchedulerPolicy::Serial);
+    let b = run_policy(&problem, SchedulerPolicy::Serial);
     for (x, y) in a.bands.iter().zip(&b.bands) {
         assert_eq!(x, y, "runs must be bit-identical");
     }

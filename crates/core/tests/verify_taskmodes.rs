@@ -3,14 +3,14 @@
 //! for several R × T shapes — scheduling may reorder execution, never
 //! change results.
 
-use fftx_core::{run, FftxConfig, Mode, Problem};
+use fftx_core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
 use fftx_fft::max_dist;
 use fftx_pw::apply_vloc;
 
-fn check(mode: Mode, nr: usize, ntg: usize) {
+fn check(mode: SchedulerPolicy, nr: usize, ntg: usize) {
     let cfg = FftxConfig::small(nr, ntg, mode);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, mode);
 
     let bands_in: Vec<Vec<_>> = (0..cfg.nbnd).map(|b| problem.band(b)).collect();
     let expect = apply_vloc(&problem.layout.set, &problem.grid(), &problem.v, &bands_in);
@@ -22,47 +22,47 @@ fn check(mode: Mode, nr: usize, ntg: usize) {
 
 #[test]
 fn task_per_fft_single_rank() {
-    check(Mode::TaskPerFft, 1, 4);
+    check(SchedulerPolicy::TaskPerFft, 1, 4);
 }
 
 #[test]
 fn task_per_fft_multi_rank() {
-    check(Mode::TaskPerFft, 4, 2);
+    check(SchedulerPolicy::TaskPerFft, 4, 2);
 }
 
 #[test]
 fn task_per_fft_many_workers() {
-    check(Mode::TaskPerFft, 2, 4);
+    check(SchedulerPolicy::TaskPerFft, 2, 4);
 }
 
 #[test]
 fn task_per_step_single_rank() {
-    check(Mode::TaskPerStep, 1, 4);
+    check(SchedulerPolicy::TaskPerStep, 1, 4);
 }
 
 #[test]
 fn task_per_step_multi_rank() {
-    check(Mode::TaskPerStep, 4, 2);
+    check(SchedulerPolicy::TaskPerStep, 4, 2);
 }
 
 #[test]
 fn task_per_step_many_workers() {
-    check(Mode::TaskPerStep, 2, 4);
+    check(SchedulerPolicy::TaskPerStep, 2, 4);
 }
 
 #[test]
 fn all_three_modes_agree_exactly() {
     // Same problem, three engines: results must agree to strict float
     // tolerance (identical arithmetic, different schedules).
-    let base = FftxConfig::small(2, 2, Mode::Original);
+    let base = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let p_orig = Problem::new(base);
-    let orig = run(&p_orig);
+    let orig = run_policy(&p_orig, SchedulerPolicy::Serial);
 
-    for mode in [Mode::TaskPerFft, Mode::TaskPerStep] {
+    for mode in [SchedulerPolicy::TaskPerFft, SchedulerPolicy::TaskPerStep] {
         let mut cfg = base;
         cfg.mode = mode;
         let p = Problem::new(cfg);
-        let out = run(&p);
+        let out = run_policy(&p, mode);
         for (b, (x, y)) in orig.bands.iter().zip(&out.bands).enumerate() {
             let err = max_dist(x, y);
             assert!(err < 1e-12, "{mode:?} band {b} differs from original: {err}");
@@ -76,9 +76,9 @@ fn concurrent_bands_in_flight() {
     // bands: some alltoall with tag b > 0 must start before the last one
     // with tag 0 ends. We can't observe tags directly, but the trace must
     // show compute bursts from different worker threads.
-    let cfg = FftxConfig::small(2, 3, Mode::TaskPerFft);
+    let cfg = FftxConfig::small(2, 3, SchedulerPolicy::TaskPerFft);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskPerFft);
     let threads: std::collections::BTreeSet<usize> = out
         .trace
         .compute
@@ -94,26 +94,26 @@ fn concurrent_bands_in_flight() {
 
 #[test]
 fn task_async_single_rank() {
-    check(Mode::TaskAsync, 1, 4);
+    check(SchedulerPolicy::TaskAsync, 1, 4);
 }
 
 #[test]
 fn task_async_multi_rank() {
-    check(Mode::TaskAsync, 4, 2);
+    check(SchedulerPolicy::TaskAsync, 4, 2);
 }
 
 #[test]
 fn task_async_many_workers() {
-    check(Mode::TaskAsync, 2, 4);
+    check(SchedulerPolicy::TaskAsync, 2, 4);
 }
 
 #[test]
 fn task_async_agrees_with_original() {
-    let base = FftxConfig::small(2, 2, Mode::Original);
-    let orig = run(&Problem::new(base));
+    let base = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
+    let orig = run_policy(&Problem::new(base), SchedulerPolicy::Serial);
     let mut cfg = base;
-    cfg.mode = Mode::TaskAsync;
-    let out = run(&Problem::new(cfg));
+    cfg.mode = SchedulerPolicy::TaskAsync;
+    let out = run_policy(&Problem::new(cfg), SchedulerPolicy::TaskAsync);
     for (b, (x, y)) in orig.bands.iter().zip(&out.bands).enumerate() {
         let err = max_dist(x, y);
         assert!(err < 1e-12, "async band {b} differs from original: {err}");
@@ -122,9 +122,9 @@ fn task_async_agrees_with_original() {
 
 #[test]
 fn task_async_splits_the_scatter_tasks() {
-    let cfg = FftxConfig::small(2, 2, Mode::TaskAsync);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::TaskAsync);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskAsync);
     for b in 0..cfg.nbnd {
         for step in ["scatter-fw-post", "scatter-fw-wait", "scatter-bw-post", "scatter-bw-wait"] {
             assert!(

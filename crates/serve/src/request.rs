@@ -2,7 +2,7 @@
 //! classes, the request record itself, and the typed rejection reasons the
 //! admission controller returns.
 
-use fftx_core::{Cell, Decomposition, FftGrid, FftxConfig, Mode, Problem, DUAL};
+use fftx_core::{Cell, Decomposition, FftGrid, FftxConfig, Problem, SchedulerPolicy, DUAL};
 use fftx_fft::Complex64;
 use std::sync::Arc;
 
@@ -100,7 +100,14 @@ impl GeometryClass {
     /// workload seed (the seed fixes the synthetic band/potential data, so
     /// a served batch and a direct engine run on the same configuration are
     /// bit-comparable).
-    pub fn config(self, nbnd: usize, nr: usize, ntg: usize, mode: Mode, seed: u64) -> FftxConfig {
+    pub fn config(
+        self,
+        nbnd: usize,
+        nr: usize,
+        ntg: usize,
+        mode: SchedulerPolicy,
+        seed: u64,
+    ) -> FftxConfig {
         FftxConfig {
             ecutwfc: self.ecutwfc(),
             alat: self.alat(),
@@ -266,7 +273,7 @@ mod tests {
     #[test]
     fn class_configs_validate() {
         for class in GeometryClass::ALL {
-            let c = class.config(4, 2, 2, Mode::Original, 1);
+            let c = class.config(4, 2, 2, SchedulerPolicy::Serial, 1);
             c.validate();
             assert_eq!(c.ecutwfc, class.ecutwfc());
             assert!(!class.name().is_empty());
@@ -281,7 +288,7 @@ mod tests {
 
     #[test]
     fn prime_class_forces_a_bluestein_dimension() {
-        let cfg = GeometryClass::Prime.config(4, 2, 2, Mode::Original, 1);
+        let cfg = GeometryClass::Prime.config(4, 2, 2, SchedulerPolicy::Serial, 1);
         let grid = GeometryClass::Prime
             .grid_override(&cfg)
             .expect("prime class overrides its grid");
@@ -289,18 +296,19 @@ mod tests {
         // No good FFT order equals a prime above the direct-size limit.
         assert_ne!(fftx_fft::good_fft_order(PRIME_NR3 - 1), PRIME_NR3);
         for class in [GeometryClass::Small, GeometryClass::Medium, GeometryClass::Large] {
-            assert!(class.grid_override(&class.config(4, 2, 2, Mode::Original, 1)).is_none());
+            let cfg = class.config(4, 2, 2, SchedulerPolicy::Serial, 1);
+            assert!(class.grid_override(&cfg).is_none());
         }
     }
 
     #[test]
     fn class_problem_builds_the_override_grid() {
-        let cfg = GeometryClass::Prime.config(4, 2, 2, Mode::Original, 1);
+        let cfg = GeometryClass::Prime.config(4, 2, 2, SchedulerPolicy::Serial, 1);
         let p = class_problem(GeometryClass::Prime, cfg);
         assert_eq!(p.grid().nr3, PRIME_NR3);
         let small = class_problem(
             GeometryClass::Small,
-            GeometryClass::Small.config(4, 2, 2, Mode::Original, 1),
+            GeometryClass::Small.config(4, 2, 2, SchedulerPolicy::Serial, 1),
         );
         assert_ne!(small.grid().nr3, PRIME_NR3);
     }

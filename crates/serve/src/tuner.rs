@@ -60,7 +60,7 @@ impl Placement {
     /// placement's decomposition.
     pub fn config(&self, class: GeometryClass, nbnd: usize, seed: u64) -> fftx_core::FftxConfig {
         class
-            .config(nbnd, self.nr, self.ntg, self.policy.mode(), seed)
+            .config(nbnd, self.nr, self.ntg, self.policy, seed)
             .with_decomp(self.decomp)
     }
 }

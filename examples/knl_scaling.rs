@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example knl_scaling`
 
-use fftxlib_repro::core::{run_modeled, FftxConfig, Mode};
+use fftxlib_repro::core::{run_modeled, FftxConfig, SchedulerPolicy};
 use fftxlib_repro::trace::StateClass;
 
 fn main() {
@@ -18,8 +18,8 @@ fn main() {
     );
 
     for nr in [1usize, 2, 4, 8, 16] {
-        let orig = run_modeled(FftxConfig::paper(nr, Mode::Original));
-        let ompss = run_modeled(FftxConfig::paper(nr, Mode::TaskPerFft));
+        let orig = run_modeled(FftxConfig::paper(nr, SchedulerPolicy::Serial));
+        let ompss = run_modeled(FftxConfig::paper(nr, SchedulerPolicy::TaskPerFft));
         println!(
             "{:<8} {:>6} {:>22.4} {:>22.4} {:>7.1}%",
             format!("{nr} x 8"),
@@ -31,8 +31,8 @@ fn main() {
     }
 
     println!("\nThe mechanism (8 x 8):");
-    let orig = run_modeled(FftxConfig::paper(8, Mode::Original));
-    let ompss = run_modeled(FftxConfig::paper(8, Mode::TaskPerFft));
+    let orig = run_modeled(FftxConfig::paper(8, SchedulerPolicy::Serial));
+    let ompss = run_modeled(FftxConfig::paper(8, SchedulerPolicy::TaskPerFft));
     println!(
         "  main-phase IPC: original {:.3}  ->  ompss {:.3}",
         orig.trace.mean_ipc(StateClass::FftXy),

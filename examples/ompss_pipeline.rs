@@ -6,21 +6,25 @@
 //!
 //! Run with: `cargo run --release --example ompss_pipeline`
 
-use fftxlib_repro::core::{run, FftxConfig, Mode, Problem};
+use fftxlib_repro::core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
 use fftxlib_repro::fft::max_dist;
 use fftxlib_repro::trace::{render_timeline, TimelineOptions};
 
 fn main() {
-    let base = FftxConfig::small(2, 3, Mode::Original);
+    let base = FftxConfig::small(2, 3, SchedulerPolicy::Serial);
     println!("Strategy comparison on a small real problem ({} ranks x {} threads/groups, {} bands)\n",
         base.nr, base.ntg, base.nbnd);
 
     let mut reference: Option<Vec<Vec<fftxlib_repro::fft::Complex64>>> = None;
-    for mode in [Mode::Original, Mode::TaskPerStep, Mode::TaskPerFft] {
+    for mode in [
+        SchedulerPolicy::Serial,
+        SchedulerPolicy::TaskPerStep,
+        SchedulerPolicy::TaskPerFft,
+    ] {
         let mut config = base;
         config.mode = mode;
         let problem = Problem::new(config);
-        let out = run(&problem);
+        let out = run_policy(&problem, mode);
 
         match &reference {
             None => reference = Some(out.bands.clone()),
@@ -44,13 +48,13 @@ fn main() {
             .collect();
         println!(
             "{:<12} wall {:.4}s, {:>3} task records, compute on worker threads {:?}",
-            mode.name(),
+            mode.label(),
             out.fft_phase_s,
             tasks,
             threads
         );
 
-        if mode == Mode::TaskPerStep {
+        if mode == SchedulerPolicy::TaskPerStep {
             // Show the step-task pipeline of rank 0: chains of
             // pack -> fftz -> scatter -> fftxy -> vofr -> ... per band,
             // with different bands overlapping.
@@ -76,9 +80,9 @@ fn main() {
 
     // Timeline of the task-per-fft run, lanes = (rank, worker).
     let mut config = base;
-    config.mode = Mode::TaskPerFft;
+    config.mode = SchedulerPolicy::TaskPerFft;
     let problem = Problem::new(config);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskPerFft);
     println!("Compute timeline of the task-per-FFT run (lanes are rank x worker):");
     print!(
         "{}",

@@ -4,14 +4,14 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use fftxlib_repro::core::{run, FftxConfig, Mode, Problem};
+use fftxlib_repro::core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
 use fftxlib_repro::fft::max_dist;
 use fftxlib_repro::pw::apply_vloc;
 
 fn main() {
     // A laptop-scale problem: cutoff 6 Ry in an 8 bohr cell -> ~24^3 grid,
     // 2 MPI ranks x 2 FFT task groups, 4 bands.
-    let config = FftxConfig::small(2, 2, Mode::Original);
+    let config = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let problem = Problem::new(config);
     let grid = problem.grid();
     println!("FFTXlib reproduction quickstart");
@@ -32,7 +32,7 @@ fn main() {
 
     // Run the distributed kernel (forward FFT -> V(r) -> backward FFT for
     // every band) on virtual MPI ranks.
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
     println!("FFT phase completed in {:.4}s (wall time, {} virtual ranks)", out.fft_phase_s, config.vmpi_ranks());
 
     // Verify against the serial reference.

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example task_groups`
 
-use fftxlib_repro::core::{run, Decomposition, FftxConfig, Mode, Problem};
+use fftxlib_repro::core::{run_policy, Decomposition, FftxConfig, Problem, SchedulerPolicy};
 use fftxlib_repro::trace::{communicator_summary, CommOp};
 
 fn main() {
@@ -24,12 +24,12 @@ fn main() {
             nbnd: 4,
             nr: total_ranks / ntg,
             ntg,
-            mode: Mode::Original,
+            mode: SchedulerPolicy::Serial,
             decomp: Decomposition::Slab,
             seed: 42,
         };
         let problem = Problem::new(config);
-        let out = run(&problem);
+        let out = run_policy(&problem, SchedulerPolicy::Serial);
 
         let pack: Vec<_> = out
             .trace
@@ -72,12 +72,12 @@ fn main() {
         nbnd: 4,
         nr: 2,
         ntg: 2,
-        mode: Mode::Original,
+        mode: SchedulerPolicy::Serial,
         decomp: Decomposition::Slab,
         seed: 42,
     };
     let problem = Problem::new(config);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
     println!("Communicator usage for 2 x 2 (cf. the paper's Fig. 3):");
     print!("{}", communicator_summary(&out.trace));
     println!("(each rank talks on one pack communicator and one scatter communicator)");

@@ -14,8 +14,8 @@
 //! (`serial|step|fft|async|hybrid`); an explicit `--mode` wins.
 
 use fftxlib_repro::core::{
-    load_env, resolve_decomp, run, run_modeled, valid_decomps, valid_policies, DecompChoice,
-    FftxConfig, Mode, Problem, SchedulerPolicy,
+    load_env, resolve_decomp, run_modeled, run_policy, valid_decomps, valid_policies,
+    DecompChoice, FftxConfig, Problem, SchedulerPolicy,
 };
 use fftxlib_repro::fft::max_dist;
 use fftxlib_repro::pw::apply_vloc;
@@ -71,10 +71,7 @@ fn parse_args() -> Result<Args, String> {
     // FFTX_SCHEDULER picks the default policy; an explicit --mode wins.
     // The typed loader rejects malformed knobs instead of ignoring them.
     let knobs = load_env().map_err(|e| e.to_string())?;
-    let mut mode = knobs
-        .scheduler
-        .map(SchedulerPolicy::mode)
-        .unwrap_or(Mode::Original);
+    let mut mode = knobs.scheduler.unwrap_or(SchedulerPolicy::Serial);
     // FFTX_DECOMP picks the default decomposition; an explicit --decomp wins.
     let mut decomp = knobs.decomp.unwrap_or(DecompChoice::Slab);
     let mut engine = Engine::Real;
@@ -100,11 +97,9 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--mode" => {
                 let m = val("--mode")?;
-                mode = SchedulerPolicy::parse(&m)
-                    .map(SchedulerPolicy::mode)
-                    .ok_or_else(|| {
-                        format!("unknown mode '{m}' (valid policies: {})", valid_policies())
-                    })?;
+                mode = SchedulerPolicy::parse(&m).ok_or_else(|| {
+                    format!("unknown mode '{m}' (valid policies: {})", valid_policies())
+                })?;
             }
             "--decomp" => {
                 let d = val("--decomp")?;
@@ -161,7 +156,7 @@ fn print_header(config: &FftxConfig, problem: &Problem, engine: Engine) {
     let grid = problem.grid();
     println!("fftx — FFTXlib reproduction miniapp");
     println!("  engine : {}", if engine == Engine::Real { "real (virtual MPI + actual FFTs)" } else { "modeled KNL node (68 cores @ 1.4 GHz)" });
-    println!("  mode   : {}", config.mode.name());
+    println!("  mode   : {}", config.mode.label());
     println!("  decomp : {}", config.decomp.name());
     println!("  cell   : cubic, alat {} bohr; ecutwfc {} Ry", config.alat, config.ecutwfc);
     println!("  grid   : {} x {} x {} ({} points)", grid.nr1, grid.nr2, grid.nr3, grid.volume());
@@ -275,7 +270,7 @@ fn main() -> ExitCode {
 
     match args.engine {
         Engine::Real => {
-            let out = run(&problem);
+            let out = run_policy(&problem, args.config.mode);
             println!("\nFFT phase wall time: {:.4} s", out.fft_phase_s);
             if args.verify {
                 let bands: Vec<Vec<_>> =

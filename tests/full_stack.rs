@@ -2,7 +2,7 @@
 //! distributed executions against the serial reference, trace recording,
 //! and the analysis pipeline (POP metrics, timelines, histograms).
 
-use fftxlib_repro::core::{run, FftxConfig, Mode, Problem};
+use fftxlib_repro::core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
 use fftxlib_repro::fft::max_dist;
 use fftxlib_repro::pw::apply_vloc;
 use fftxlib_repro::trace::{
@@ -16,10 +16,14 @@ fn reference(problem: &Problem) -> Vec<Vec<fftxlib_repro::fft::Complex64>> {
 
 #[test]
 fn all_modes_match_reference_through_public_api() {
-    for mode in [Mode::Original, Mode::TaskPerStep, Mode::TaskPerFft] {
+    for mode in [
+        SchedulerPolicy::Serial,
+        SchedulerPolicy::TaskPerStep,
+        SchedulerPolicy::TaskPerFft,
+    ] {
         let cfg = FftxConfig::small(2, 2, mode);
         let problem = Problem::new(cfg);
-        let out = run(&problem);
+        let out = run_policy(&problem, mode);
         let expect = reference(&problem);
         for (b, (got, want)) in out.bands.iter().zip(&expect).enumerate() {
             assert!(
@@ -33,9 +37,9 @@ fn all_modes_match_reference_through_public_api() {
 
 #[test]
 fn trace_feeds_the_analysis_pipeline() {
-    let cfg = FftxConfig::small(2, 2, Mode::Original);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
 
     // POP metrics compute without NaNs and within sane ranges.
     let f = intra_factors(&out.trace, None, None);
@@ -63,9 +67,9 @@ fn trace_feeds_the_analysis_pipeline() {
 
 #[test]
 fn task_mode_records_task_lifecycles() {
-    let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::TaskPerFft);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskPerFft);
     assert_eq!(out.trace.tasks.len(), cfg.nbnd * cfg.nr);
     for t in &out.trace.tasks {
         assert!(t.label.starts_with("fft-band-"));
@@ -75,9 +79,9 @@ fn task_mode_records_task_lifecycles() {
 
 #[test]
 fn step_mode_chains_are_ordered_per_band() {
-    let cfg = FftxConfig::small(1, 2, Mode::TaskPerStep);
+    let cfg = FftxConfig::small(1, 2, SchedulerPolicy::TaskPerStep);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskPerStep);
     // For each band, the 9 step tasks must execute in pipeline order.
     let order = [
         "pack", "fftz-inv", "scatter-fw", "fftxy-inv", "vofr", "fftxy-fw", "scatter-bw",
@@ -105,7 +109,7 @@ fn step_mode_chains_are_ordered_per_band() {
 
 #[test]
 fn different_seeds_give_different_problems_same_layout() {
-    let mut a = FftxConfig::small(2, 1, Mode::Original);
+    let mut a = FftxConfig::small(2, 1, SchedulerPolicy::Serial);
     let mut b = a;
     a.seed = 1;
     b.seed = 2;
@@ -121,9 +125,9 @@ fn different_seeds_give_different_problems_same_layout() {
 fn energy_is_bounded_by_potential_extrema() {
     // ||A psi|| <= max|V| * ||psi|| for the real-space-diagonal operator
     // restricted to the sphere (projection only removes energy).
-    let cfg = FftxConfig::small(2, 2, Mode::Original);
+    let cfg = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
     let vmax = problem.v.iter().cloned().fold(0.0_f64, f64::max);
     for b in 0..cfg.nbnd {
         let before = fftxlib_repro::pw::band_norm2(&problem.band(b)).sqrt();

@@ -2,17 +2,23 @@
 //! scale: determinism, conservation, ideal-network ordering, and the
 //! consistency of the three mode lowerings.
 
-use fftxlib_repro::core::{build_programs, run_modeled, run_modeled_with, FftxConfig, Mode, Problem};
+use fftxlib_repro::core::{
+    build_programs, run_modeled, run_modeled_with, FftxConfig, Problem, SchedulerPolicy,
+};
 use fftxlib_repro::knlsim::{CommModel, ContentionModel, KnlConfig};
 use fftxlib_repro::trace::{efficiency_factors, CommOp};
 
-fn small(mode: Mode) -> FftxConfig {
+fn small(mode: SchedulerPolicy) -> FftxConfig {
     FftxConfig::small(2, 2, mode)
 }
 
 #[test]
 fn modeled_runs_are_deterministic() {
-    for mode in [Mode::Original, Mode::TaskPerFft, Mode::TaskPerStep] {
+    for mode in [
+        SchedulerPolicy::Serial,
+        SchedulerPolicy::TaskPerFft,
+        SchedulerPolicy::TaskPerStep,
+    ] {
         let a = run_modeled(small(mode));
         let b = run_modeled(small(mode));
         assert_eq!(a.runtime, b.runtime, "{mode:?}");
@@ -26,7 +32,11 @@ fn modeled_runs_are_deterministic() {
 
 #[test]
 fn ideal_network_never_slower() {
-    for mode in [Mode::Original, Mode::TaskPerFft, Mode::TaskPerStep] {
+    for mode in [
+        SchedulerPolicy::Serial,
+        SchedulerPolicy::TaskPerFft,
+        SchedulerPolicy::TaskPerStep,
+    ] {
         let run = run_modeled(small(mode));
         assert!(
             run.ideal_runtime <= run.runtime * (1.0 + 1e-12),
@@ -39,7 +49,11 @@ fn ideal_network_never_slower() {
 
 #[test]
 fn every_collective_in_the_plan_executes() {
-    for mode in [Mode::Original, Mode::TaskPerFft, Mode::TaskPerStep] {
+    for mode in [
+        SchedulerPolicy::Serial,
+        SchedulerPolicy::TaskPerFft,
+        SchedulerPolicy::TaskPerStep,
+    ] {
         let cfg = small(mode);
         let problem = Problem::new(cfg);
         let programs = build_programs(&problem);
@@ -55,7 +69,7 @@ fn every_collective_in_the_plan_executes() {
 
 #[test]
 fn original_plan_uses_both_comm_families() {
-    let run = run_modeled(small(Mode::Original));
+    let run = run_modeled(small(SchedulerPolicy::Serial));
     let has_pack = run.trace.comm.iter().any(|r| r.op == CommOp::Alltoallv);
     let has_scatter = run.trace.comm.iter().any(|r| r.op == CommOp::Alltoall);
     assert!(has_pack && has_scatter);
@@ -63,7 +77,7 @@ fn original_plan_uses_both_comm_families() {
 
 #[test]
 fn task_plans_use_band_tags() {
-    let cfg = small(Mode::TaskPerFft);
+    let cfg = small(SchedulerPolicy::TaskPerFft);
     let problem = Problem::new(cfg);
     let programs = build_programs(&problem);
     // Every band appears as a task with its own priority.
@@ -77,7 +91,7 @@ fn task_plans_use_band_tags() {
 fn uncontended_node_is_a_lower_bound() {
     let knl = KnlConfig::paper();
     let comm = CommModel::paper();
-    let cfg = small(Mode::Original);
+    let cfg = small(SchedulerPolicy::Serial);
     let contended = run_modeled_with(cfg, &knl, &ContentionModel::paper(), &comm);
     let free = run_modeled_with(cfg, &knl, &ContentionModel::uncontended(), &comm);
     assert!(free.runtime <= contended.runtime * (1.0 + 1e-12));
@@ -85,7 +99,7 @@ fn uncontended_node_is_a_lower_bound() {
 
 #[test]
 fn efficiency_factors_of_modeled_runs_are_sane() {
-    let a = run_modeled(small(Mode::Original));
+    let a = run_modeled(small(SchedulerPolicy::Serial));
     let f = efficiency_factors(&a.trace, &a.trace, Some(a.runtime), Some(a.ideal_runtime));
     // Self-comparison: scalabilities are exactly 1.
     assert!((f.scal.computation - 1.0).abs() < 1e-12);
@@ -100,9 +114,9 @@ fn efficiency_factors_of_modeled_runs_are_sane() {
 fn more_lanes_do_not_increase_total_flops() {
     // Work conservation across configurations: total planned flops is the
     // same no matter how many ranks split it.
-    let mut c2 = FftxConfig::small(2, 2, Mode::Original);
+    let mut c2 = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
     c2.nbnd = 4;
-    let mut c4 = FftxConfig::small(4, 1, Mode::Original);
+    let mut c4 = FftxConfig::small(4, 1, SchedulerPolicy::Serial);
     c4.nbnd = 4;
     let f2 = {
         let p = Problem::new(c2);
