@@ -128,8 +128,8 @@ fn main() {
         for nbnd in [4usize, 8] {
             let mut t = Tuner::new(TunerConfig::default());
             let auto = t.decide(class, nbnd);
-            let slab = t.decide_decomp(class, nbnd, Decomposition::Slab).service_s;
-            let pencil = t.decide_decomp(class, nbnd, Decomposition::Pencil).service_s;
+            let slab = t.decide_in(class, nbnd, None, Some(Decomposition::Slab)).service_s;
+            let pencil = t.decide_in(class, nbnd, None, Some(Decomposition::Pencil)).service_s;
             let best_fixed = slab.min(pencil);
             worst_ratio = worst_ratio.max(auto.service_s / best_fixed);
             println!(

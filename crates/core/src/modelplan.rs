@@ -7,10 +7,17 @@
 //! node-scale experiments (Figs. 2/3/6/7, Tables I/II) on hardware we do
 //! not have: the mechanisms the paper measures — IPC collapse under
 //! contention and growing collective cost — live in `fftx-knlsim`'s models.
+//!
+//! The lowering reads the task-cut table of [`crate::stages`], the same
+//! table the real engine lowers: each phase of a band becomes its
+//! segments, each task of a cut one [`TaskSpec`] chained to the band's
+//! previous task. The serial policy's static program strings the same
+//! phase segments together per band, with the collective pack/unpack of
+//! its task groups.
 
 use crate::config::{DecompChoice, Decomposition, FftxConfig, SchedulerPolicy};
 use crate::problem::Problem;
-use crate::stages::StepFlops;
+use crate::stages::{band_cut, band_tasks, scatter_tags, CutTask, Phase, StageKind, StepFlops};
 use fftx_knlsim::{
     simulate, simulate_faulty, CommModel, ContentionModel, FaultPlan, KnlConfig, RankTasks,
     Segment, SimResult, TaskSpec,
@@ -29,15 +36,29 @@ const WORLD_KEY: u64 = 3_000;
 const ROW_KEY_BASE: u64 = 4_000;
 const COL_KEY_BASE: u64 = 5_000;
 
-/// Builds the per-rank simulator programs for the problem's mode.
+/// Builds the per-rank simulator programs for the problem's mode: the
+/// policy's task cut, lowered phase by phase.
 pub fn build_programs(problem: &Problem) -> Vec<RankTasks> {
-    match problem.config.mode {
-        SchedulerPolicy::Serial => build_original(problem),
-        SchedulerPolicy::TaskPerFft => build_task_per_fft(problem),
-        SchedulerPolicy::TaskPerStep => build_task_per_step(problem),
-        SchedulerPolicy::TaskAsync => build_task_async(problem),
-        SchedulerPolicy::Hybrid => build_hybrid(problem),
-    }
+    let cfg = problem.config;
+    let l = &problem.layout;
+    let cut = band_cut(cfg.mode);
+    let serial = cfg.mode == SchedulerPolicy::Serial;
+    (0..cfg.vmpi_ranks())
+        .map(|w| {
+            let rank = RankLowering::new(problem, w, serial);
+            if serial {
+                // Rank g*T+i handles band k*T+i of iteration k: its
+                // compute carries that band's systematic work factor, so
+                // band-to-band variation shows up as intra-group imbalance
+                // the collectives must absorb — exactly the static code's
+                // handicap the paper identifies.
+                let bands = (0..cfg.iterations()).map(|k| k * l.t + l.member_of(w));
+                rank.static_program(cut, bands)
+            } else {
+                rank.task_program(cut, cfg.nbnd, cfg.ntg)
+            }
+        })
+        .collect()
 }
 
 /// Noise key of step `ordinal` of band `b`: ties the systematic per-band
@@ -90,70 +111,66 @@ impl ScatterShape {
         }
     }
 
-    /// The blocking lowering of one exchange.
-    fn blocking(&self, tag: u64, band: usize, restage_ord: u64) -> Vec<Segment> {
-        let collective = |key, size, t| Segment::Collective {
-            op: CommOp::Alltoall,
-            comm_key: key,
-            size,
-            bytes: self.bytes,
-            tag: t,
-        };
-        match self.pencil() {
-            None => vec![collective(self.slab_key, self.size, tag)],
-            Some((pg, row, col)) => vec![
-                collective(row, pg.p2, tag),
-                Segment::compute_keyed(
-                    StateClass::Other,
-                    self.restage_flops(),
-                    nkey(band, restage_ord),
-                ),
-                collective(col, pg.p1, tag),
-            ],
+    /// The communicator (key, size) an exchange starts on: the full
+    /// family under slab, the member's row under pencil (phase 1 — the
+    /// only phase a split post can overlap).
+    fn phase1(&self) -> (u64, usize) {
+        self.pencil()
+            .map_or((self.slab_key, self.size), |(pg, row, _)| (row, pg.p2))
+    }
+
+    /// Appends what follows phase 1 of an exchange under pencil: the
+    /// restage copy and the blocking column alltoall.
+    fn pencil_tail(&self, tag: u64, band: usize, restage_ord: u64, out: &mut Vec<Segment>) {
+        if let Some((pg, _, col)) = self.pencil() {
+            out.push(Segment::compute_keyed(
+                StateClass::Other,
+                self.restage_flops(),
+                nkey(band, restage_ord),
+            ));
+            out.push(Segment::Collective {
+                op: CommOp::Alltoall,
+                comm_key: col,
+                size: pg.p1,
+                bytes: self.bytes,
+                tag,
+            });
         }
     }
 
-    /// Split-phase post: the slab posts on the full family, the pencil on
-    /// its row communicator (phase 1 — the only phase that can overlap).
+    /// Appends the blocking lowering of one exchange.
+    fn blocking(&self, tag: u64, band: usize, restage_ord: u64, out: &mut Vec<Segment>) {
+        let (comm_key, size) = self.phase1();
+        out.push(Segment::Collective {
+            op: CommOp::Alltoall,
+            comm_key,
+            size,
+            bytes: self.bytes,
+            tag,
+        });
+        self.pencil_tail(tag, band, restage_ord, out);
+    }
+
+    /// Split-phase post of phase 1.
     fn post(&self, tag: u64) -> Segment {
-        let (key, size) = match self.pencil() {
-            None => (self.slab_key, self.size),
-            Some((pg, row, _)) => (row, pg.p2),
-        };
+        let (comm_key, size) = self.phase1();
         Segment::CollectivePost {
             op: CommOp::Alltoall,
-            comm_key: key,
+            comm_key,
             size,
             bytes: self.bytes,
             tag,
         }
     }
 
-    /// Split-phase wait: completes the posted exchange and, under pencil,
-    /// restages and runs the blocking column phase — exactly the real
-    /// engine's `scatter_*_wait` shape.
-    fn wait(&self, tag: u64, band: usize, restage_ord: u64) -> Vec<Segment> {
-        match self.pencil() {
-            None => vec![Segment::CollectiveWait {
-                comm_key: self.slab_key,
-                tag,
-            }],
-            Some((pg, row, col)) => vec![
-                Segment::CollectiveWait { comm_key: row, tag },
-                Segment::compute_keyed(
-                    StateClass::Other,
-                    self.restage_flops(),
-                    nkey(band, restage_ord),
-                ),
-                Segment::Collective {
-                    op: CommOp::Alltoall,
-                    comm_key: col,
-                    size: pg.p1,
-                    bytes: self.bytes,
-                    tag,
-                },
-            ],
-        }
+    /// Appends a split-phase wait: completes the posted phase 1, then the
+    /// pencil tail — exactly the real engine's `scatter_*_wait` shape.
+    fn wait(&self, tag: u64, band: usize, restage_ord: u64, out: &mut Vec<Segment>) {
+        out.push(Segment::CollectiveWait {
+            comm_key: self.phase1().0,
+            tag,
+        });
+        self.pencil_tail(tag, band, restage_ord, out);
     }
 }
 
@@ -163,99 +180,154 @@ impl ScatterShape {
 const RESTAGE_FWD: u64 = 19;
 const RESTAGE_BWD: u64 = 20;
 
-/// The transform core as segments (z FFT → scatter → xy FFT → VOFR → back),
-/// shared by the fused lowerings. `sc` describes the scatter family and its
-/// decomposition; `tag` disambiguates concurrent bands; `band` keys the
-/// systematic work variation.
-fn core_segments(flops: &StepFlops, sc: ScatterShape, tag: u64, band: usize) -> Vec<Segment> {
-    let mut segments = vec![
-        Segment::compute_keyed(StateClass::FftZ, flops.fft_z, nkey(band, 10)),
-        Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 2.0, nkey(band, 11)),
-    ];
-    segments.extend(sc.blocking(tag, band, RESTAGE_FWD));
-    segments.extend([
-        Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 2.0, nkey(band, 12)),
-        Segment::compute_keyed(StateClass::FftXy, flops.fft_xy, nkey(band, 13)),
-        Segment::compute_keyed(StateClass::Vofr, flops.vofr, nkey(band, 14)),
-        Segment::compute_keyed(StateClass::FftXy, flops.fft_xy, nkey(band, 15)),
-        Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 2.0, nkey(band, 16)),
-    ]);
-    segments.extend(sc.blocking(tag, band, RESTAGE_BWD));
-    segments.extend([
-        Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 2.0, nkey(band, 17)),
-        Segment::compute_keyed(StateClass::FftZ, flops.fft_z, nkey(band, 18)),
-    ]);
-    segments
+/// One rank's lowering: its flop estimates, its scatter family and, under
+/// the serial policy, its task group's pack exchange.
+struct RankLowering {
+    flops: StepFlops,
+    sc: ScatterShape,
+    /// The serial policy's collective pack/unpack, an Alltoallv over the
+    /// rank's task group: (comm key, group size T, bytes). Task layouts
+    /// deposit their own share instead.
+    pack: Option<(u64, usize, usize)>,
 }
 
-fn build_original(problem: &Problem) -> Vec<RankTasks> {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    let (r, t) = (l.r, l.t);
-    (0..r * t)
-        .map(|w| {
-            let g = l.task_group_of(w);
-            let i = l.member_of(w);
-            let flops = StepFlops::for_group(problem, g);
-            let pack = |tag: u64| Segment::Collective {
-                op: CommOp::Alltoallv,
-                comm_key: PACK_KEY_BASE + g as u64,
-                size: t,
-                bytes: l.pack_bytes(w),
-                tag,
-            };
-            let mut segments = Vec::new();
-            for k in 0..cfg.iterations() {
-                // Rank g*T+i handles band k*T+i of this iteration: its
-                // compute carries that band's systematic work factor, so
-                // band-to-band variation shows up as intra-group imbalance
-                // the collectives must absorb — exactly the static code's
-                // handicap the paper identifies.
-                let band = k * t + i;
-                segments.push(Segment::compute_keyed(
-                    StateClass::PsiPrep,
-                    flops.prep,
-                    nkey(band, 0),
-                ));
-                segments.push(Segment::compute_keyed(
-                    StateClass::Pack,
-                    flops.pack / 2.0,
-                    nkey(band, 1),
-                ));
-                segments.push(pack(0));
-                segments.push(Segment::compute_keyed(
-                    StateClass::Pack,
-                    flops.pack / 2.0,
-                    nkey(band, 2),
-                ));
-                segments.extend(core_segments(
-                    &flops,
-                    ScatterShape {
-                        decomp: cfg.decomp,
-                        slab_key: SCATTER_KEY_BASE + i as u64,
-                        family: i as u64,
-                        member: g,
-                        size: r,
-                        bytes: l.scatter_bytes(),
-                    },
-                    0,
-                    band,
-                ));
-                segments.push(Segment::compute_keyed(
-                    StateClass::Unpack,
-                    flops.pack / 2.0,
-                    nkey(band, 3),
-                ));
-                segments.push(pack(1));
-                segments.push(Segment::compute_keyed(
-                    StateClass::Unpack,
-                    flops.pack / 2.0,
-                    nkey(band, 4),
-                ));
+impl RankLowering {
+    fn new(problem: &Problem, w: usize, serial: bool) -> Self {
+        let l = &problem.layout;
+        let g = l.task_group_of(w);
+        let i = l.member_of(w);
+        RankLowering {
+            flops: StepFlops::for_group(problem, g),
+            sc: ScatterShape {
+                decomp: problem.config.decomp,
+                slab_key: if serial {
+                    SCATTER_KEY_BASE + i as u64
+                } else {
+                    WORLD_KEY
+                },
+                family: i as u64,
+                member: g,
+                size: l.r,
+                bytes: l.scatter_bytes(),
+            },
+            pack: serial.then(|| (PACK_KEY_BASE + g as u64, l.t, l.pack_bytes(w))),
+        }
+    }
+
+    /// The serial policy's program: one worker running the cut of each of
+    /// `bands` in turn, every scatter on tag 0.
+    fn static_program(&self, cut: &[CutTask], bands: impl Iterator<Item = usize>) -> RankTasks {
+        let mut segments = Vec::new();
+        for band in bands {
+            segments.push(self.prep(band));
+            for &(_, phases) in cut {
+                for &phase in phases {
+                    self.phase(phase, band, [0, 0], &mut segments);
+                }
             }
-            RankTasks::static_program(segments)
-        })
-        .collect()
+        }
+        RankTasks::static_program(segments)
+    }
+
+    /// A task policy's program: every band's tasks of the cut, chained in
+    /// order, on `workers` lanes.
+    fn task_program(&self, cut: &'static [CutTask], nbnd: usize, workers: usize) -> RankTasks {
+        let mut tasks: Vec<TaskSpec> = Vec::with_capacity(nbnd * cut.len());
+        for b in 0..nbnd {
+            let base = tasks.len();
+            let tags = scatter_tags(cut.len(), b).map(u64::from);
+            for (n, (label, priority, phases)) in band_tasks(cut, b, nbnd).enumerate() {
+                let mut segments = Vec::new();
+                if n == 0 {
+                    segments.push(Segment::compute(
+                        StateClass::Runtime,
+                        runtime_overhead(&self.flops),
+                    ));
+                    segments.push(self.prep(b));
+                }
+                for &phase in phases {
+                    self.phase(phase, b, tags, &mut segments);
+                }
+                let mut task = TaskSpec::new(label, priority, segments);
+                if n > 0 {
+                    task = task.with_deps(vec![base + n - 1]);
+                }
+                tasks.push(task);
+            }
+        }
+        RankTasks { tasks, workers }
+    }
+
+    /// The band's buffer preparation (the paper's "psi preparation").
+    fn prep(&self, band: usize) -> Segment {
+        Segment::compute_keyed(StateClass::PsiPrep, self.flops.prep, nkey(band, 0))
+    }
+
+    /// Appends the segments of one phase of `band`, whose forward and
+    /// backward scatters carry `tags`. Every stage's compute keeps its
+    /// noise ordinal across the lowerings, so flop totals and the
+    /// systematic work variation stay policy-invariant.
+    fn phase(&self, phase: Phase, band: usize, [fwd, bwd]: [u64; 2], out: &mut Vec<Segment>) {
+        let f = &self.flops;
+        let keyed =
+            |class, flops, ordinal| Segment::compute_keyed(class, flops, nkey(band, ordinal));
+        // Per scatter: its tag, the noise ordinals of the staging copies
+        // before and after the exchange, and the pencil restage ordinal.
+        let scatter = |kind| match kind {
+            StageKind::ScatterFwd => (fwd, 11, 12, RESTAGE_FWD),
+            StageKind::ScatterBwd => (bwd, 16, 17, RESTAGE_BWD),
+            other => unreachable!("{other:?} is not a scatter"),
+        };
+        match phase {
+            Phase::Run(kind @ (StageKind::Pack | StageKind::Unpack)) => {
+                let (ordinal, tag) = match kind {
+                    StageKind::Pack => (1, 0),
+                    _ => (3, 1),
+                };
+                match self.pack {
+                    None => out.push(keyed(kind.class(), f.pack, ordinal)),
+                    Some((comm_key, size, bytes)) => out.extend([
+                        keyed(kind.class(), f.pack / 2.0, ordinal),
+                        Segment::Collective {
+                            op: CommOp::Alltoallv,
+                            comm_key,
+                            size,
+                            bytes,
+                            tag,
+                        },
+                        keyed(kind.class(), f.pack / 2.0, ordinal + 1),
+                    ]),
+                }
+            }
+            Phase::Run(kind @ (StageKind::ScatterFwd | StageKind::ScatterBwd)) => {
+                let (tag, before, after, restage) = scatter(kind);
+                out.push(keyed(StateClass::Other, f.scatter_copy / 2.0, before));
+                self.sc.blocking(tag, band, restage, out);
+                out.push(keyed(StateClass::Other, f.scatter_copy / 2.0, after));
+            }
+            Phase::Run(kind) => {
+                let (flops, ordinal) = match kind {
+                    StageKind::FftZInv => (f.fft_z, 10),
+                    StageKind::FftXyInv => (f.fft_xy, 13),
+                    StageKind::Vofr => (f.vofr, 14),
+                    StageKind::FftXyFwd => (f.fft_xy, 15),
+                    StageKind::FftZFwd => (f.fft_z, 18),
+                    other => unreachable!("{other:?} is not a band stage"),
+                };
+                out.push(keyed(kind.class(), flops, ordinal));
+            }
+            Phase::Post(kind) => {
+                let (tag, before, _, _) = scatter(kind);
+                out.push(keyed(StateClass::Other, f.scatter_copy / 4.0, before));
+                out.push(self.sc.post(tag));
+            }
+            Phase::Wait(kind) => {
+                let (tag, _, after, restage) = scatter(kind);
+                self.sc.wait(tag, band, restage, out);
+                out.push(keyed(StateClass::Other, f.scatter_copy / 4.0, after));
+            }
+        }
+    }
 }
 
 /// Task-runtime overhead per task: dependency bookkeeping, scheduling, and
@@ -263,329 +335,6 @@ fn build_original(problem: &Problem) -> Vec<RankTasks> {
 /// column sits below the original's.
 fn runtime_overhead(flops: &StepFlops) -> f64 {
     0.01 * (2.0 * flops.fft_xy + 2.0 * flops.fft_z + flops.vofr)
-}
-
-fn band_task(problem: &Problem, g: usize, b: usize, flops: &StepFlops) -> TaskSpec {
-    let l = &problem.layout;
-    let mut segments = vec![
-        Segment::compute(StateClass::Runtime, runtime_overhead(flops)),
-        Segment::compute_keyed(StateClass::PsiPrep, flops.prep, nkey(b, 0)),
-        Segment::compute_keyed(StateClass::Pack, flops.pack, nkey(b, 1)),
-    ];
-    segments.extend(core_segments(
-        flops,
-        ScatterShape {
-            decomp: problem.config.decomp,
-            slab_key: WORLD_KEY,
-            family: 0,
-            member: g,
-            size: l.r,
-            bytes: l.scatter_bytes(),
-        },
-        b as u64,
-        b,
-    ));
-    segments.push(Segment::compute_keyed(StateClass::Unpack, flops.pack, nkey(b, 3)));
-    TaskSpec::new(format!("fft-band-{b}"), b as u64, segments)
-}
-
-fn build_task_per_fft(problem: &Problem) -> Vec<RankTasks> {
-    let cfg = problem.config;
-    (0..cfg.nr)
-        .map(|g| {
-            let flops = StepFlops::for_group(problem, g);
-            let tasks = (0..cfg.nbnd).map(|b| band_task(problem, g, b, &flops)).collect();
-            RankTasks {
-                tasks,
-                workers: cfg.ntg,
-            }
-        })
-        .collect()
-}
-
-fn build_task_per_step(problem: &Problem) -> Vec<RankTasks> {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    (0..cfg.nr)
-        .map(|g| {
-            let flops = StepFlops::for_group(problem, g);
-            let mut tasks: Vec<TaskSpec> = Vec::with_capacity(cfg.nbnd * 9);
-            let sc = ScatterShape {
-                decomp: cfg.decomp,
-                slab_key: WORLD_KEY,
-                family: 0,
-                member: g,
-                size: l.r,
-                bytes: l.scatter_bytes(),
-            };
-            for b in 0..cfg.nbnd {
-                let prio = b as u64;
-                let base = tasks.len();
-                let scatter_fw = {
-                    let mut s = vec![Segment::compute_keyed(
-                        StateClass::Other,
-                        flops.scatter_copy / 2.0,
-                        nkey(b, 11),
-                    )];
-                    s.extend(sc.blocking(2 * b as u64, b, RESTAGE_FWD));
-                    s.push(Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 2.0, nkey(b, 12)));
-                    s
-                };
-                let scatter_bw = {
-                    let mut s = vec![Segment::compute_keyed(
-                        StateClass::Other,
-                        flops.scatter_copy / 2.0,
-                        nkey(b, 16),
-                    )];
-                    s.extend(sc.blocking(2 * b as u64 + 1, b, RESTAGE_BWD));
-                    s.push(Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 2.0, nkey(b, 17)));
-                    s
-                };
-                // The chain mirrors Fig. 4: one task per step, flow deps.
-                let chain: Vec<(String, Vec<Segment>)> = vec![
-                    (
-                        format!("pack[{b}]"),
-                        vec![
-                            Segment::compute(StateClass::Runtime, runtime_overhead(&flops)),
-                            Segment::compute_keyed(StateClass::PsiPrep, flops.prep, nkey(b, 0)),
-                            Segment::compute_keyed(StateClass::Pack, flops.pack, nkey(b, 1)),
-                        ],
-                    ),
-                    (
-                        format!("fftz-inv[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::FftZ, flops.fft_z, nkey(b, 10))],
-                    ),
-                    (format!("scatter-fw[{b}]"), scatter_fw),
-                    (
-                        format!("fftxy-inv[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::FftXy, flops.fft_xy, nkey(b, 13))],
-                    ),
-                    (
-                        format!("vofr[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::Vofr, flops.vofr, nkey(b, 14))],
-                    ),
-                    (
-                        format!("fftxy-fw[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::FftXy, flops.fft_xy, nkey(b, 15))],
-                    ),
-                    (format!("scatter-bw[{b}]"), scatter_bw),
-                    (
-                        format!("fftz-fw[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::FftZ, flops.fft_z, nkey(b, 18))],
-                    ),
-                    (
-                        format!("unpack[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::Unpack, flops.pack, nkey(b, 3))],
-                    ),
-                ];
-                for (n, (label, segments)) in chain.into_iter().enumerate() {
-                    let mut task = TaskSpec::new(label, prio, segments);
-                    if n > 0 {
-                        task = task.with_deps(vec![base + n - 1]);
-                    }
-                    tasks.push(task);
-                }
-            }
-            RankTasks {
-                tasks,
-                workers: cfg.ntg,
-            }
-        })
-        .collect()
-}
-
-fn build_task_async(problem: &Problem) -> Vec<RankTasks> {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    (0..cfg.nr)
-        .map(|g| {
-            let flops = StepFlops::for_group(problem, g);
-            let mut tasks: Vec<TaskSpec> = Vec::with_capacity(cfg.nbnd * 11);
-            let sc = ScatterShape {
-                decomp: cfg.decomp,
-                slab_key: WORLD_KEY,
-                family: 0,
-                member: g,
-                size: l.r,
-                bytes: l.scatter_bytes(),
-            };
-            for b in 0..cfg.nbnd {
-                let prio = b as u64;
-                let base = tasks.len();
-                let wait_fw = {
-                    let mut s = sc.wait(2 * b as u64, b, RESTAGE_FWD);
-                    s.push(Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 4.0, nkey(b, 12)));
-                    s
-                };
-                let wait_bw = {
-                    let mut s = sc.wait(2 * b as u64 + 1, b, RESTAGE_BWD);
-                    s.push(Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 4.0, nkey(b, 17)));
-                    s
-                };
-                // Strategy 1's chain with the scatters split into a post
-                // task (never blocks) and a wait task (blocks only for the
-                // unoverlapped remainder) — the paper's future work.
-                let chain: Vec<(String, Vec<Segment>)> = vec![
-                    (
-                        format!("pack[{b}]"),
-                        vec![
-                            Segment::compute(StateClass::Runtime, runtime_overhead(&flops)),
-                            Segment::compute_keyed(StateClass::PsiPrep, flops.prep, nkey(b, 0)),
-                            Segment::compute_keyed(StateClass::Pack, flops.pack, nkey(b, 1)),
-                        ],
-                    ),
-                    (
-                        format!("fftz-inv[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::FftZ, flops.fft_z, nkey(b, 10))],
-                    ),
-                    (
-                        format!("scatter-fw-post[{b}]"),
-                        vec![
-                            Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 4.0, nkey(b, 11)),
-                            sc.post(2 * b as u64),
-                        ],
-                    ),
-                    (format!("scatter-fw-wait[{b}]"), wait_fw),
-                    (
-                        format!("fftxy-inv[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::FftXy, flops.fft_xy, nkey(b, 13))],
-                    ),
-                    (
-                        format!("vofr[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::Vofr, flops.vofr, nkey(b, 14))],
-                    ),
-                    (
-                        format!("fftxy-fw[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::FftXy, flops.fft_xy, nkey(b, 15))],
-                    ),
-                    (
-                        format!("scatter-bw-post[{b}]"),
-                        vec![
-                            Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 4.0, nkey(b, 16)),
-                            sc.post(2 * b as u64 + 1),
-                        ],
-                    ),
-                    (format!("scatter-bw-wait[{b}]"), wait_bw),
-                    (
-                        format!("fftz-fw[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::FftZ, flops.fft_z, nkey(b, 18))],
-                    ),
-                    (
-                        format!("unpack[{b}]"),
-                        vec![Segment::compute_keyed(StateClass::Unpack, flops.pack, nkey(b, 3))],
-                    ),
-                ];
-                for (n, (label, segments)) in chain.into_iter().enumerate() {
-                    // Wait tasks defer behind every band's compute
-                    // (priority b + nbnd): the transfer progresses on its
-                    // own, so workers should prefer useful work.
-                    let p = if segments
-                        .iter()
-                        .any(|s| matches!(s, Segment::CollectiveWait { .. }))
-                    {
-                        prio + cfg.nbnd as u64
-                    } else {
-                        prio
-                    };
-                    let mut task = TaskSpec::new(label, p, segments);
-                    if n > 0 {
-                        task = task.with_deps(vec![base + n - 1]);
-                    }
-                    tasks.push(task);
-                }
-            }
-            RankTasks {
-                tasks,
-                workers: cfg.ntg,
-            }
-        })
-        .collect()
-}
-
-fn build_hybrid(problem: &Problem) -> Vec<RankTasks> {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    (0..cfg.nr)
-        .map(|g| {
-            let flops = StepFlops::for_group(problem, g);
-            let mut tasks: Vec<TaskSpec> = Vec::with_capacity(cfg.nbnd * 3);
-            let sc = ScatterShape {
-                decomp: cfg.decomp,
-                slab_key: WORLD_KEY,
-                family: 0,
-                member: g,
-                size: l.r,
-                bytes: l.scatter_bytes(),
-            };
-            for b in 0..cfg.nbnd {
-                let prio = b as u64;
-                let base = tasks.len();
-                // The band's nine stages fused into a chain of three tasks
-                // cut at the nonblocking collectives — per-band coarse
-                // tasks (strategy 2's de-sync) with both transfers posted
-                // split-phase (strategy 1's overlap). Segment work and
-                // noise keys match the other task lowerings exactly, so
-                // flop totals stay mode-invariant.
-                let mid = {
-                    let mut s = sc.wait(2 * b as u64, b, RESTAGE_FWD);
-                    s.extend([
-                        Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 4.0, nkey(b, 12)),
-                        Segment::compute_keyed(StateClass::FftXy, flops.fft_xy, nkey(b, 13)),
-                        Segment::compute_keyed(StateClass::Vofr, flops.vofr, nkey(b, 14)),
-                        Segment::compute_keyed(StateClass::FftXy, flops.fft_xy, nkey(b, 15)),
-                        Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 4.0, nkey(b, 16)),
-                        sc.post(2 * b as u64 + 1),
-                    ]);
-                    s
-                };
-                let tail = {
-                    let mut s = sc.wait(2 * b as u64 + 1, b, RESTAGE_BWD);
-                    s.extend([
-                        Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 4.0, nkey(b, 17)),
-                        Segment::compute_keyed(StateClass::FftZ, flops.fft_z, nkey(b, 18)),
-                        Segment::compute_keyed(StateClass::Unpack, flops.pack, nkey(b, 3)),
-                    ]);
-                    s
-                };
-                let chain: Vec<(String, Vec<Segment>)> = vec![
-                    (
-                        format!("hyb-head[{b}]"),
-                        vec![
-                            Segment::compute(StateClass::Runtime, runtime_overhead(&flops)),
-                            Segment::compute_keyed(StateClass::PsiPrep, flops.prep, nkey(b, 0)),
-                            Segment::compute_keyed(StateClass::Pack, flops.pack, nkey(b, 1)),
-                            Segment::compute_keyed(StateClass::FftZ, flops.fft_z, nkey(b, 10)),
-                            Segment::compute_keyed(StateClass::Other, flops.scatter_copy / 4.0, nkey(b, 11)),
-                            sc.post(2 * b as u64),
-                        ],
-                    ),
-                    (format!("hyb-mid[{b}]"), mid),
-                    (format!("hyb-tail[{b}]"), tail),
-                ];
-                for (n, (label, segments)) in chain.into_iter().enumerate() {
-                    // Waiting tasks defer behind every band's head
-                    // (priority b + nbnd), like the async lowering.
-                    let p = if segments
-                        .iter()
-                        .any(|s| matches!(s, Segment::CollectiveWait { .. }))
-                    {
-                        prio + cfg.nbnd as u64
-                    } else {
-                        prio
-                    };
-                    let mut task = TaskSpec::new(label, p, segments);
-                    if n > 0 {
-                        task = task.with_deps(vec![base + n - 1]);
-                    }
-                    tasks.push(task);
-                }
-            }
-            RankTasks {
-                tasks,
-                workers: cfg.ntg,
-            }
-        })
-        .collect()
 }
 
 /// A modeled execution: runtime, trace, and the ideal-network replay.

@@ -2,10 +2,8 @@
 //!
 //! Every engine in this crate runs the same per-band pipeline — pack,
 //! z-FFT, forward scatter, xy-FFTs around VOFR, backward scatter, z-FFT,
-//! unpack. Historically each engine (`original`, the two OmpSs strategies,
-//! the split-phase variant) hand-wired that pipeline a second, third and
-//! fourth time; this module replaces them with **one typed stage graph**
-//! executed by interchangeable **scheduler policies**:
+//! unpack — as **one typed stage graph** executed by interchangeable
+//! **scheduler policies**:
 //!
 //! * [`StageKind`] / [`StageNode`] / [`BAND_PIPELINE`] — the declarative
 //!   graph: each stage declares which logical [`Slot`]s it reads and
@@ -16,29 +14,27 @@
 //!   per-stage trace spans ([`crate::recorder::Recorder::stage`]) once for
 //!   all policies. Recovery replays ([`StageRunner::band_batch`],
 //!   [`StageRunner::band_fused`]) and fault injection hook here too.
-//! * [`SchedulerPolicy`] — how the graph is scheduled:
-//!   [`SchedulerPolicy::Serial`] (the original static loop),
-//!   [`SchedulerPolicy::TaskPerStep`] (strategy 1: one task per stage,
-//!   flow dependencies), [`SchedulerPolicy::TaskPerFft`] (strategy 2: the
-//!   whole band is one task), [`SchedulerPolicy::TaskAsync`] (split-phase
-//!   scatters), and the paper's future-work [`SchedulerPolicy::Hybrid`].
+//! * The **task-cut table** — how each [`SchedulerPolicy`] cuts one band
+//!   into tasks: the band's tasks in chain order, each a list of phases
+//!   (a whole stage, or one half of a split scatter).
+//!   [`SchedulerPolicy::TaskPerStep`] (strategy 1) makes one task per
+//!   stage, [`SchedulerPolicy::TaskPerFft`] (strategy 2) one task per
+//!   band, [`SchedulerPolicy::TaskAsync`] splits strategy 1's scatters
+//!   into post and wait tasks, and the paper's future-work
+//!   [`SchedulerPolicy::Hybrid`] fuses the band into three tasks cut at
+//!   the split scatters — head (pack + z-FFT + post), mid (wait +
+//!   xy-FFTs/VOFR + post), tail (wait + z-FFT + unpack) — so the transfers
+//!   overlap other bands' compute *and* the coarse tasks de-synchronise
+//!   the compute phases across ranks. [`SchedulerPolicy::Serial`] (the
+//!   original static loop) runs the band as one step.
 //!
-//! **The hybrid policy** (Section VI of the paper) combines both
-//! strategies: each band becomes a *chain of three* fused tasks — head
-//! (pack + z-FFT + scatter post), mid (scatter wait + xy-FFTs + VOFR +
-//! return post) and tail (wait + z-FFT + unpack) — whose boundaries are
-//! exactly the nonblocking collectives. Communication overlaps other
-//! bands' compute (strategy 1's win) *and* the coarse per-band tasks
-//! de-synchronise the compute phases across ranks (strategy 2's win).
-//! Deadlock freedom follows the split-phase argument of the async mode:
-//! posts live at the *end* of never-blocking tasks at band priority, so
-//! every rank drains all posts of a band before any worker can idle in the
-//! matching wait (waits carry deferred priority `b + nbnd`).
-//!
-//! Task policies build a [`fftx_taskrt::TaskGraph`] whose dependencies are
-//! declared over pure slots minted by [`fftx_taskrt::SlotArena`]
-//! (`taskrt`'s dependency-slot spawn API): the graph shape comes from
-//! [`BAND_PIPELINE`], the data placement from the policy.
+//! Both lowerings read that table. [`run_policy`] turns each task into a
+//! [`fftx_taskrt::TaskGraph`] node whose dependencies — pure slots minted
+//! by [`fftx_taskrt::SlotArena`] — are the union of its phases' slot
+//! accesses; [`crate::modelplan`] turns each phase into its KNL-model
+//! segments. A task that holds a wait defers to priority `b + nbnd` and
+//! posts never block, so every rank drains all posts of a band before any
+//! worker can idle in the matching wait: the schedule cannot deadlock.
 
 use crate::config::{Decomposition, SchedulerPolicy};
 use crate::plan::{BufferArena, ExecPlan};
@@ -51,6 +47,7 @@ use fftx_trace::{StateClass, Trace, TraceSink};
 use fftx_vmpi::{
     AlltoallRequest, ChaosConfig, Communicator, FaultReport, VmpiError, World,
 };
+use std::fmt;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -166,10 +163,10 @@ pub struct StageNode {
     pub writes: &'static [Slot],
 }
 
-/// The per-band pipeline as task-graph nodes. `Prep` is absent: task
-/// policies give every band fresh zeroed buffers (prep is what a fresh
-/// allocation already did), while the serial policy runs it explicitly
-/// against its reused arena.
+/// The per-band pipeline as task-graph nodes. `Prep` is absent: a
+/// multi-task cut gives every band fresh zeroed buffers (prep is what a
+/// fresh allocation already did), while the serial policy and a one-task
+/// cut run it explicitly against a reused arena.
 pub const BAND_PIPELINE: [StageNode; 9] = [
     StageNode {
         kind: StageKind::Pack,
@@ -272,6 +269,204 @@ impl StageNode {
         }
         deps
     }
+}
+
+// ---------------------------------------------------------------------
+// The task-cut table: how each policy cuts one band into tasks
+// ---------------------------------------------------------------------
+
+/// One phase of a band's pipeline as a task runs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// A [`BAND_PIPELINE`] stage, run whole (a scatter blocks).
+    Run(StageKind),
+    /// The post half of a split scatter: stage the send and post it.
+    Post(StageKind),
+    /// The wait half of a split scatter: complete it and unstage.
+    Wait(StageKind),
+}
+
+impl Phase {
+    /// The slots the phase reads and writes. A whole stage declares them
+    /// in [`BAND_PIPELINE`]; a post reads the scatter's source buffer and
+    /// fills its request; a wait completes the request into the scatter's
+    /// destination.
+    fn access(self) -> (&'static [Slot], &'static [Slot]) {
+        use Slot::{Planes, ReqBwd, ReqFwd, Zbuf};
+        match self {
+            Phase::Run(kind) => {
+                let node = BAND_PIPELINE
+                    .iter()
+                    .find(|n| n.kind == kind)
+                    .unwrap_or_else(|| unreachable!("{kind:?} is not a band stage"));
+                (node.reads, node.writes)
+            }
+            Phase::Post(StageKind::ScatterFwd) => (&[Zbuf], &[ReqFwd]),
+            Phase::Wait(StageKind::ScatterFwd) => (&[ReqFwd, Planes], &[ReqFwd, Planes]),
+            Phase::Post(StageKind::ScatterBwd) => (&[Planes], &[ReqBwd]),
+            Phase::Wait(StageKind::ScatterBwd) => (&[ReqBwd, Zbuf], &[ReqBwd, Zbuf]),
+            other => unreachable!("{other:?} is not a split scatter"),
+        }
+    }
+}
+
+impl fmt::Display for Phase {
+    /// The label stem of a one-phase task: `fftz-inv`, `scatter-fw-post`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Phase::Run(k) => f.write_str(k.name()),
+            Phase::Post(k) => write!(f, "{}-post", k.name()),
+            Phase::Wait(k) => write!(f, "{}-wait", k.name()),
+        }
+    }
+}
+
+/// One task of a cut: its label stem and the phases it runs, in order.
+/// A one-phase task of a multi-task cut is named after its phase instead.
+pub(crate) type CutTask = (&'static str, &'static [Phase]);
+
+/// How `policy` cuts one band into tasks, in chain order. This table is
+/// the one place that says how a policy schedules the pipeline: the real
+/// engine ([`run_policy`]) and the KNL model
+/// ([`crate::modelplan::build_programs`]) both lower it. The serial
+/// policy runs the whole band as one step, like task-per-FFT.
+pub(crate) fn band_cut(policy: SchedulerPolicy) -> &'static [CutTask] {
+    use Phase::{Post, Run, Wait};
+    use StageKind::{
+        FftXyFwd, FftXyInv, FftZFwd, FftZInv, Pack, ScatterBwd, ScatterFwd, Unpack, Vofr,
+    };
+    const BAND: &[CutTask] = &[(
+        "fft-band",
+        &[
+            Run(Pack),
+            Run(FftZInv),
+            Run(ScatterFwd),
+            Run(FftXyInv),
+            Run(Vofr),
+            Run(FftXyFwd),
+            Run(ScatterBwd),
+            Run(FftZFwd),
+            Run(Unpack),
+        ],
+    )];
+    // Strategy 1 (Fig. 4): one task per stage, flow dependencies.
+    const STEPS: &[CutTask] = &[
+        ("", &[Run(Pack)]),
+        ("", &[Run(FftZInv)]),
+        ("", &[Run(ScatterFwd)]),
+        ("", &[Run(FftXyInv)]),
+        ("", &[Run(Vofr)]),
+        ("", &[Run(FftXyFwd)]),
+        ("", &[Run(ScatterBwd)]),
+        ("", &[Run(FftZFwd)]),
+        ("", &[Run(Unpack)]),
+    ];
+    // Strategy 1 with each scatter split into a post task (never blocks)
+    // and a wait task (blocks only for the unoverlapped remainder).
+    const ASYNC: &[CutTask] = &[
+        ("", &[Run(Pack)]),
+        ("", &[Run(FftZInv)]),
+        ("", &[Post(ScatterFwd)]),
+        ("", &[Wait(ScatterFwd)]),
+        ("", &[Run(FftXyInv)]),
+        ("", &[Run(Vofr)]),
+        ("", &[Run(FftXyFwd)]),
+        ("", &[Post(ScatterBwd)]),
+        ("", &[Wait(ScatterBwd)]),
+        ("", &[Run(FftZFwd)]),
+        ("", &[Run(Unpack)]),
+    ];
+    // The band fused into three tasks cut exactly at the split scatters.
+    const HYBRID: &[CutTask] = &[
+        ("hyb-head", &[Run(Pack), Run(FftZInv), Post(ScatterFwd)]),
+        (
+            "hyb-mid",
+            &[
+                Wait(ScatterFwd),
+                Run(FftXyInv),
+                Run(Vofr),
+                Run(FftXyFwd),
+                Post(ScatterBwd),
+            ],
+        ),
+        ("hyb-tail", &[Wait(ScatterBwd), Run(FftZFwd), Run(Unpack)]),
+    ];
+    match policy {
+        SchedulerPolicy::Serial | SchedulerPolicy::TaskPerFft => BAND,
+        SchedulerPolicy::TaskPerStep => STEPS,
+        SchedulerPolicy::TaskAsync => ASYNC,
+        SchedulerPolicy::Hybrid => HYBRID,
+    }
+}
+
+/// Band `b`'s tasks under `cut`, in chain order: each task's label,
+/// priority and phases. The one task of a one-task cut is the band itself
+/// (`fft-band-b`); a one-phase task is named after its phase
+/// (`scatter-fw-post[b]`), a fused one after its stem (`hyb-mid[b]`). A
+/// task that holds a wait defers to priority `b + nbnd`: the transfer
+/// progresses on its own, so workers prefer every band's compute and
+/// posts meanwhile.
+pub(crate) fn band_tasks(
+    cut: &'static [CutTask],
+    b: usize,
+    nbnd: usize,
+) -> impl Iterator<Item = (String, u64, &'static [Phase])> {
+    cut.iter().map(move |&(stem, phases)| {
+        let label = match phases {
+            _ if cut.len() == 1 => format!("{stem}-{b}"),
+            [phase] => format!("{phase}[{b}]"),
+            _ => format!("{stem}[{b}]"),
+        };
+        let waits = phases.iter().any(|p| matches!(p, Phase::Wait(_)));
+        (label, (if waits { b + nbnd } else { b }) as u64, phases)
+    })
+}
+
+/// The tags of band `b`'s forward and backward scatters under a cut of
+/// `ntasks` tasks: one task runs both scatters in turn, so both use `b`;
+/// split tasks can hold both in flight, so they use `2b` and `2b + 1`.
+/// (The serial policy's band batches use tag 0.)
+pub(crate) fn scatter_tags(ntasks: usize, b: usize) -> [u32; 2] {
+    if ntasks == 1 {
+        [b as u32; 2]
+    } else {
+        [(2 * b) as u32, (2 * b + 1) as u32]
+    }
+}
+
+/// The dependency list of task `n` of `cut` over one band's slots: the
+/// union of its phases' slot accesses in first-touch order — `in` when the
+/// task reads the value it finds, `out` when it only overwrites it,
+/// `inout` when both. A one-task cut computes in the worker's arena, so of
+/// its slots only the share, the band's input and output, is a dependency.
+fn task_deps(cut: &[CutTask], n: usize, slots: &BandSlots) -> Vec<Dep> {
+    // (slot, read before written, written)
+    let mut seen: Vec<(Slot, bool, bool)> = Vec::with_capacity(5);
+    for phase in cut[n].1 {
+        let (reads, writes) = phase.access();
+        for &s in reads {
+            if !seen.iter().any(|e| e.0 == s) {
+                seen.push((s, true, false));
+            }
+        }
+        for &s in writes {
+            match seen.iter_mut().find(|e| e.0 == s) {
+                Some(e) => e.2 = true,
+                None => seen.push((s, false, true)),
+            }
+        }
+    }
+    seen.into_iter()
+        .filter(|e| cut.len() > 1 || e.0 == Slot::Share)
+        .map(|(s, read, written)| {
+            let h = slots.handle(s);
+            match (read, written) {
+                (true, true) => h.dep_inout(),
+                (true, false) => h.dep_in(),
+                _ => h.dep_out(),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -620,7 +815,7 @@ impl StageRunner<'_> {
         recv: &mut Vec<Complex64>,
         mid: &mut Vec<Complex64>,
     ) -> Result<(), VmpiError> {
-        req.wait_into(recv);
+        req.try_wait_into(recv)?;
         if let Some(p) = &sc.pencil {
             self.rec
                 .compute(StateClass::Other, self.flops.scatter_copy / 2.0, || {
@@ -1055,6 +1250,7 @@ fn rank_serial(problem: &Problem, comm: &Communicator) -> (Vec<Vec<Complex64>>, 
 }
 
 /// Context cloned into every task of one rank.
+#[derive(Clone)]
 struct RankEnv {
     problem: Arc<Problem>,
     comm: Communicator,
@@ -1074,20 +1270,8 @@ impl RankEnv {
     }
 }
 
-impl Clone for RankEnv {
-    fn clone(&self) -> Self {
-        RankEnv {
-            problem: Arc::clone(&self.problem),
-            comm: self.comm.clone(),
-            sc: Arc::clone(&self.sc),
-            sp: Arc::clone(&self.sp),
-            arenas: Arc::clone(&self.arenas),
-        }
-    }
-}
-
-/// Per-rank body of every task policy: build the band task graph per the
-/// policy, submit it, drain it.
+/// Per-rank body of every task policy: build the band task graph from the
+/// policy's task cut, submit it, drain it.
 fn rank_tasks(
     problem: &Arc<Problem>,
     comm: &Communicator,
@@ -1119,20 +1303,11 @@ fn rank_tasks(
 
     comm.barrier();
     let t_start = comm.now();
+    let cut = band_cut(policy);
     let mut slots = SlotArena::new();
     let mut graph = TaskGraph::new();
     for (b, share) in shares.iter().enumerate() {
-        match policy {
-            SchedulerPolicy::TaskPerFft => push_band_fused(&mut graph, &mut slots, &env, b, share),
-            SchedulerPolicy::TaskPerStep => {
-                push_band_steps(&mut graph, &mut slots, &env, b, share, false)
-            }
-            SchedulerPolicy::TaskAsync => {
-                push_band_steps(&mut graph, &mut slots, &env, b, share, true)
-            }
-            SchedulerPolicy::Hybrid => push_band_hybrid(&mut graph, &mut slots, &env, b, share),
-            SchedulerPolicy::Serial => unreachable!("serial policy has no task graph"),
-        }
+        push_band(&mut graph, &mut slots, &env, cut, b, share);
     }
     rt.spawn_graph(graph);
     rt.taskwait();
@@ -1147,394 +1322,147 @@ fn rank_tasks(
     (shares, t_end - t_start)
 }
 
-/// Strategy 2: the whole band pipeline is one independent task — the
-/// graph collapses to a single node whose only external dependency is the
-/// band share (every other slot is task-private).
-fn push_band_fused(
+/// The buffers one band's tasks hand each other in a multi-task cut:
+/// fresh zeroed z-stick and plane buffers (the fresh allocation is the
+/// `Prep` stage) and the two in-flight scatter requests.
+struct BandBufs {
+    band: usize,
+    tags: [u32; 2],
+    zbuf: Shared<Vec<Complex64>>,
+    planes: Shared<Vec<Complex64>>,
+    req_fwd: Shared<Option<AlltoallRequest<Complex64>>>,
+    req_bwd: Shared<Option<AlltoallRequest<Complex64>>>,
+}
+
+impl BandBufs {
+    /// Runs one phase of the band against these buffers, the band's
+    /// `share` and the running worker's arena `a` (scratch and staging).
+    fn run(
+        &self,
+        runner: &StageRunner<'_>,
+        sc: &ScatterComms,
+        share: &Shared<Vec<Complex64>>,
+        phase: Phase,
+        a: &mut BufferArena,
+    ) -> Result<(), VmpiError> {
+        let (b, [fwd, bwd]) = (self.band, self.tags);
+        match phase {
+            Phase::Run(StageKind::Pack) => {
+                runner.pack_local(b, &share.read(), &mut self.zbuf.write())
+            }
+            Phase::Run(kind @ (StageKind::FftZInv | StageKind::FftZFwd)) => {
+                runner.fft_z(kind, b, &mut self.zbuf.write(), &mut a.scratch)
+            }
+            Phase::Run(StageKind::ScatterFwd) => runner.scatter_fwd(
+                b,
+                sc,
+                fwd,
+                &self.zbuf.read(),
+                &mut self.planes.write(),
+                &mut a.scatter_send,
+                &mut a.scatter_recv,
+                &mut a.pencil_mid,
+            )?,
+            Phase::Run(kind @ (StageKind::FftXyInv | StageKind::FftXyFwd)) => runner.fft_xy(
+                kind,
+                b,
+                &mut self.planes.write(),
+                &mut a.scratch,
+                &mut a.col,
+            ),
+            Phase::Run(StageKind::Vofr) => runner.vofr(b, &mut self.planes.write()),
+            Phase::Run(StageKind::ScatterBwd) => runner.scatter_bwd(
+                b,
+                sc,
+                bwd,
+                &self.planes.read(),
+                &mut self.zbuf.write(),
+                &mut a.scatter_send,
+                &mut a.scatter_recv,
+                &mut a.pencil_mid,
+            )?,
+            Phase::Run(StageKind::Unpack) => {
+                runner.unpack_local(b, &self.zbuf.read(), &mut share.write())
+            }
+            Phase::Post(StageKind::ScatterFwd) => {
+                let req =
+                    runner.scatter_fwd_post(b, sc, fwd, &self.zbuf.read(), &mut a.scatter_send);
+                *self.req_fwd.write() = Some(req);
+            }
+            Phase::Wait(StageKind::ScatterFwd) => {
+                let req = self.req_fwd.write().take().expect("posted request");
+                runner.scatter_fwd_wait(
+                    b,
+                    sc,
+                    fwd,
+                    req,
+                    &mut self.planes.write(),
+                    &mut a.scatter_recv,
+                    &mut a.pencil_mid,
+                )?
+            }
+            Phase::Post(StageKind::ScatterBwd) => {
+                let req =
+                    runner.scatter_bwd_post(b, sc, bwd, &self.planes.read(), &mut a.scatter_send);
+                *self.req_bwd.write() = Some(req);
+            }
+            Phase::Wait(StageKind::ScatterBwd) => {
+                let req = self.req_bwd.write().take().expect("posted request");
+                runner.scatter_bwd_wait(
+                    b,
+                    sc,
+                    bwd,
+                    req,
+                    &mut self.zbuf.write(),
+                    &mut a.scatter_recv,
+                    &mut a.pencil_mid,
+                )?
+            }
+            other => unreachable!("{other:?} is not a band phase"),
+        }
+        Ok(())
+    }
+}
+
+/// Pushes band `b`'s tasks under `cut` (see [`band_cut`]). A one-task cut
+/// runs [`StageRunner::band_fused`] in the worker's arena, which prep
+/// re-zeroes; a multi-task cut hands fresh per-band buffers from task to
+/// task.
+fn push_band(
     graph: &mut TaskGraph,
     slots: &mut SlotArena,
     env: &RankEnv,
+    cut: &'static [CutTask],
     b: usize,
     share: &Shared<Vec<Complex64>>,
 ) {
     let bs = BandSlots::mint(slots);
-    let env = env.clone();
-    let share = share.clone();
-    graph.node(
-        format!("fft-band-{b}"),
-        Some(b as u64),
-        vec![bs.handle(Slot::Share).dep_inout()],
-        move || {
+    let bufs = (cut.len() > 1).then(|| {
+        let zeros = |len| Shared::new(vec![Complex64::ZERO; len]);
+        Arc::new(BandBufs {
+            band: b,
+            tags: scatter_tags(cut.len(), b),
+            zbuf: zeros(env.sp.plan.zbuf_len()),
+            planes: zeros(env.sp.plan.planes_len()),
+            req_fwd: Shared::new(None),
+            req_bwd: Shared::new(None),
+        })
+    });
+    let nbnd = env.problem.config.nbnd;
+    for (n, (label, priority, phases)) in band_tasks(cut, b, nbnd).enumerate() {
+        let (env, share, bufs) = (env.clone(), share.clone(), bufs.clone());
+        graph.node(label, Some(priority), task_deps(cut, n, &bs), move || {
             let rec = env.recorder();
             let runner = env.sp.runner(&env.problem.v, &rec);
             let mut guard = env.arena().write();
-            runner
-                .band_fused(b, &env.sc, &share, &mut guard)
-                .unwrap_or_else(|e| panic!("{e}"));
-        },
-    );
-}
-
-/// Strategies 1 (blocking scatters) and async (`split` — scatters become
-/// post/wait node pairs): one node per [`BAND_PIPELINE`] stage, with the
-/// dependency lists derived from the declared slot accesses. Fresh zeroed
-/// per-band buffers carry the data between stages (and already cover the
-/// `Prep` stage).
-fn push_band_steps(
-    graph: &mut TaskGraph,
-    slots: &mut SlotArena,
-    env: &RankEnv,
-    b: usize,
-    share: &Shared<Vec<Complex64>>,
-    split: bool,
-) {
-    type Req = Shared<Option<AlltoallRequest<Complex64>>>;
-    let cfg = env.problem.config;
-    let bs = BandSlots::mint(slots);
-    let prio = Some(b as u64);
-    let deferred = Some((b + cfg.nbnd) as u64);
-    let zbuf: Shared<Vec<Complex64>> =
-        Shared::new(vec![Complex64::ZERO; env.sp.plan.zbuf_len()]);
-    let planes: Shared<Vec<Complex64>> =
-        Shared::new(vec![Complex64::ZERO; env.sp.plan.planes_len()]);
-    let req_fwd: Req = Shared::new(None);
-    let req_bwd: Req = Shared::new(None);
-
-    for node in &BAND_PIPELINE {
-        let kind = node.kind;
-        let label = format!("{}[{b}]", kind.name());
-        match kind {
-            StageKind::Pack => {
-                let (env, share, zbuf) = (env.clone(), share.clone(), zbuf.clone());
-                graph.node(label, prio, node.deps(&bs), move || {
-                    let rec = env.recorder();
-                    let runner = env.sp.runner(&env.problem.v, &rec);
-                    runner.pack_local(b, &share.read(), &mut zbuf.write());
-                });
-            }
-            StageKind::FftZInv | StageKind::FftZFwd => {
-                let (env, zbuf) = (env.clone(), zbuf.clone());
-                graph.node(label, prio, node.deps(&bs), move || {
-                    let rec = env.recorder();
-                    let runner = env.sp.runner(&env.problem.v, &rec);
-                    let mut guard = env.arena().write();
-                    runner.fft_z(kind, b, &mut zbuf.write(), &mut guard.scratch);
-                });
-            }
-            StageKind::ScatterFwd if split => {
-                // post: in(zbuf) out(req) — never blocks.
-                {
-                let (env, zbuf, rq) = (env.clone(), zbuf.clone(), req_fwd.clone());
-                graph.node(
-                    format!("{}-post[{b}]", kind.name()),
-                    prio,
-                    vec![bs.handle(Slot::Zbuf).dep_in(), bs.handle(Slot::ReqFwd).dep_out()],
-                    move || {
-                        let rec = env.recorder();
-                        let runner = env.sp.runner(&env.problem.v, &rec);
-                        let mut guard = env.arena().write();
-                        *rq.write() = Some(runner.scatter_fwd_post(
-                            b,
-                            &env.sc,
-                            (2 * b) as u32,
-                            &zbuf.read(),
-                            &mut guard.scatter_send,
-                        ));
-                    },
-                );
-                }
-                // wait: inout(req) inout(planes) — deferred priority lets
-                // workers run other bands' compute while the transfer is
-                // in flight; posts are plain compute tasks and always
-                // preferred, so this can never deadlock.
-                let (env, planes, rq) = (env.clone(), planes.clone(), req_fwd.clone());
-                graph.node(
-                    format!("{}-wait[{b}]", kind.name()),
-                    deferred,
-                    vec![
-                        bs.handle(Slot::ReqFwd).dep_inout(),
-                        bs.handle(Slot::Planes).dep_inout(),
-                    ],
-                    move || {
-                        let rec = env.recorder();
-                        let runner = env.sp.runner(&env.problem.v, &rec);
-                        let mut guard = env.arena().write();
-                        let a = &mut *guard;
-                        let req = rq.write().take().expect("posted request");
-                        runner
-                            .scatter_fwd_wait(
-                                b,
-                                &env.sc,
-                                (2 * b) as u32,
-                                req,
-                                &mut planes.write(),
-                                &mut a.scatter_recv,
-                                &mut a.pencil_mid,
-                            )
-                            .unwrap_or_else(|e| panic!("{e}"));
-                    },
-                );
-            }
-            StageKind::ScatterFwd => {
-                let (env, zbuf, planes) = (env.clone(), zbuf.clone(), planes.clone());
-                graph.node(label, prio, node.deps(&bs), move || {
-                    let rec = env.recorder();
-                    let runner = env.sp.runner(&env.problem.v, &rec);
-                    let mut guard = env.arena().write();
-                    let a = &mut *guard;
-                    runner
-                        .scatter_fwd(
-                            b,
-                            &env.sc,
-                            (2 * b) as u32,
-                            &zbuf.read(),
-                            &mut planes.write(),
-                            &mut a.scatter_send,
-                            &mut a.scatter_recv,
-                            &mut a.pencil_mid,
-                        )
-                        .unwrap_or_else(|e| panic!("{e}"));
-                });
-            }
-            StageKind::FftXyInv | StageKind::FftXyFwd => {
-                let (env, planes) = (env.clone(), planes.clone());
-                graph.node(label, prio, node.deps(&bs), move || {
-                    let rec = env.recorder();
-                    let runner = env.sp.runner(&env.problem.v, &rec);
-                    let mut guard = env.arena().write();
-                    let a = &mut *guard;
-                    runner.fft_xy(kind, b, &mut planes.write(), &mut a.scratch, &mut a.col);
-                });
-            }
-            StageKind::Vofr => {
-                let (env, planes) = (env.clone(), planes.clone());
-                graph.node(label, prio, node.deps(&bs), move || {
-                    let rec = env.recorder();
-                    let runner = env.sp.runner(&env.problem.v, &rec);
-                    runner.vofr(b, &mut planes.write());
-                });
-            }
-            StageKind::ScatterBwd if split => {
-                {
-                let (env, planes, rq) = (env.clone(), planes.clone(), req_bwd.clone());
-                graph.node(
-                    format!("{}-post[{b}]", kind.name()),
-                    prio,
-                    vec![bs.handle(Slot::Planes).dep_in(), bs.handle(Slot::ReqBwd).dep_out()],
-                    move || {
-                        let rec = env.recorder();
-                        let runner = env.sp.runner(&env.problem.v, &rec);
-                        let mut guard = env.arena().write();
-                        *rq.write() = Some(runner.scatter_bwd_post(
-                            b,
-                            &env.sc,
-                            (2 * b + 1) as u32,
-                            &planes.read(),
-                            &mut guard.scatter_send,
-                        ));
-                    },
-                );
-                }
-                let (env, zbuf, rq) = (env.clone(), zbuf.clone(), req_bwd.clone());
-                graph.node(
-                    format!("{}-wait[{b}]", kind.name()),
-                    deferred,
-                    vec![
-                        bs.handle(Slot::ReqBwd).dep_inout(),
-                        bs.handle(Slot::Zbuf).dep_inout(),
-                    ],
-                    move || {
-                        let rec = env.recorder();
-                        let runner = env.sp.runner(&env.problem.v, &rec);
-                        let mut guard = env.arena().write();
-                        let a = &mut *guard;
-                        let req = rq.write().take().expect("posted request");
-                        runner
-                            .scatter_bwd_wait(
-                                b,
-                                &env.sc,
-                                (2 * b + 1) as u32,
-                                req,
-                                &mut zbuf.write(),
-                                &mut a.scatter_recv,
-                                &mut a.pencil_mid,
-                            )
-                            .unwrap_or_else(|e| panic!("{e}"));
-                    },
-                );
-            }
-            StageKind::ScatterBwd => {
-                let (env, zbuf, planes) = (env.clone(), zbuf.clone(), planes.clone());
-                graph.node(label, prio, node.deps(&bs), move || {
-                    let rec = env.recorder();
-                    let runner = env.sp.runner(&env.problem.v, &rec);
-                    let mut guard = env.arena().write();
-                    let a = &mut *guard;
-                    runner
-                        .scatter_bwd(
-                            b,
-                            &env.sc,
-                            (2 * b + 1) as u32,
-                            &planes.read(),
-                            &mut zbuf.write(),
-                            &mut a.scatter_send,
-                            &mut a.scatter_recv,
-                            &mut a.pencil_mid,
-                        )
-                        .unwrap_or_else(|e| panic!("{e}"));
-                });
-            }
-            StageKind::Unpack => {
-                let (env, share, zbuf) = (env.clone(), share.clone(), zbuf.clone());
-                graph.node(label, prio, node.deps(&bs), move || {
-                    let rec = env.recorder();
-                    let runner = env.sp.runner(&env.problem.v, &rec);
-                    runner.unpack_local(b, &zbuf.read(), &mut share.write());
-                });
-            }
-            StageKind::Prep => unreachable!("Prep is not a BAND_PIPELINE node"),
-        }
-    }
-}
-
-/// The hybrid policy: the band's nine stages fused into a chain of three
-/// tasks cut exactly at the nonblocking collectives.
-///
-/// * **head** `in(share) out(zbuf) out(req_fwd)`, priority `b`:
-///   pack + inverse z-FFT + forward-scatter *post* — never blocks;
-/// * **mid** `inout(req_fwd) inout(planes) out(req_bwd)`, priority
-///   `b + nbnd`: forward wait + xy-FFTs/VOFR + backward-scatter *post*;
-/// * **tail** `inout(req_bwd) inout(zbuf) out(share)`, priority
-///   `b + nbnd`: backward wait + forward z-FFT + unpack.
-///
-/// Three coarse tasks per band de-synchronise compute across ranks like
-/// task-per-FFT, while the split-phase cuts overlap both transfers with
-/// other bands' work like task-per-step/async.
-fn push_band_hybrid(
-    graph: &mut TaskGraph,
-    slots: &mut SlotArena,
-    env: &RankEnv,
-    b: usize,
-    share: &Shared<Vec<Complex64>>,
-) {
-    type Req = Shared<Option<AlltoallRequest<Complex64>>>;
-    let cfg = env.problem.config;
-    let bs = BandSlots::mint(slots);
-    let deferred = Some((b + cfg.nbnd) as u64);
-    let zbuf: Shared<Vec<Complex64>> =
-        Shared::new(vec![Complex64::ZERO; env.sp.plan.zbuf_len()]);
-    let planes: Shared<Vec<Complex64>> =
-        Shared::new(vec![Complex64::ZERO; env.sp.plan.planes_len()]);
-    let req_fwd: Req = Shared::new(None);
-    let req_bwd: Req = Shared::new(None);
-
-    // head: pack + z-FFT + forward post.
-    {
-        let (env, share, zbuf, rq) = (env.clone(), share.clone(), zbuf.clone(), req_fwd.clone());
-        graph.node(
-            format!("hyb-head[{b}]"),
-            Some(b as u64),
-            vec![
-                bs.handle(Slot::Share).dep_in(),
-                bs.handle(Slot::Zbuf).dep_out(),
-                bs.handle(Slot::ReqFwd).dep_out(),
-            ],
-            move || {
-                let rec = env.recorder();
-                let runner = env.sp.runner(&env.problem.v, &rec);
-                let mut zb = zbuf.write();
-                runner.pack_local(b, &share.read(), &mut zb);
-                let mut guard = env.arena().write();
-                let a = &mut *guard;
-                runner.fft_z(StageKind::FftZInv, b, &mut zb, &mut a.scratch);
-                *rq.write() = Some(runner.scatter_fwd_post(
-                    b,
-                    &env.sc,
-                    (2 * b) as u32,
-                    &zb,
-                    &mut a.scatter_send,
-                ));
-            },
-        );
-    }
-
-    // mid: forward wait + xy-FFTs/VOFR + backward post.
-    {
-        let (env, planes) = (env.clone(), planes.clone());
-        let (rqf, rqb) = (req_fwd.clone(), req_bwd.clone());
-        graph.node(
-            format!("hyb-mid[{b}]"),
-            deferred,
-            vec![
-                bs.handle(Slot::ReqFwd).dep_inout(),
-                bs.handle(Slot::Planes).dep_inout(),
-                bs.handle(Slot::ReqBwd).dep_out(),
-            ],
-            move || {
-                let rec = env.recorder();
-                let runner = env.sp.runner(&env.problem.v, &rec);
-                let mut pl = planes.write();
-                let mut guard = env.arena().write();
-                let a = &mut *guard;
-                let req = rqf.write().take().expect("posted request");
-                runner
-                    .scatter_fwd_wait(
-                        b,
-                        &env.sc,
-                        (2 * b) as u32,
-                        req,
-                        &mut pl,
-                        &mut a.scatter_recv,
-                        &mut a.pencil_mid,
-                    )
-                    .unwrap_or_else(|e| panic!("{e}"));
-                runner.fft_xy(StageKind::FftXyInv, b, &mut pl, &mut a.scratch, &mut a.col);
-                runner.vofr(b, &mut pl);
-                runner.fft_xy(StageKind::FftXyFwd, b, &mut pl, &mut a.scratch, &mut a.col);
-                *rqb.write() = Some(runner.scatter_bwd_post(
-                    b,
-                    &env.sc,
-                    (2 * b + 1) as u32,
-                    &pl,
-                    &mut a.scatter_send,
-                ));
-            },
-        );
-    }
-
-    // tail: backward wait + z-FFT + unpack.
-    {
-        let (env, share, zbuf, rq) = (env.clone(), share.clone(), zbuf.clone(), req_bwd.clone());
-        graph.node(
-            format!("hyb-tail[{b}]"),
-            deferred,
-            vec![
-                bs.handle(Slot::ReqBwd).dep_inout(),
-                bs.handle(Slot::Zbuf).dep_inout(),
-                bs.handle(Slot::Share).dep_out(),
-            ],
-            move || {
-                let rec = env.recorder();
-                let runner = env.sp.runner(&env.problem.v, &rec);
-                let mut zb = zbuf.write();
-                let mut guard = env.arena().write();
-                let a = &mut *guard;
-                let req = rq.write().take().expect("posted request");
-                runner
-                    .scatter_bwd_wait(
-                        b,
-                        &env.sc,
-                        (2 * b + 1) as u32,
-                        req,
-                        &mut zb,
-                        &mut a.scatter_recv,
-                        &mut a.pencil_mid,
-                    )
-                    .unwrap_or_else(|e| panic!("{e}"));
-                runner.fft_z(StageKind::FftZFwd, b, &mut zb, &mut a.scratch);
-                runner.unpack_local(b, &zb, &mut share.write());
-            },
-        );
+            let done = match &bufs {
+                None => runner.band_fused(b, &env.sc, &share, &mut guard),
+                Some(bufs) => phases
+                    .iter()
+                    .try_for_each(|&p| bufs.run(&runner, &env.sc, &share, p, &mut guard)),
+            };
+            done.unwrap_or_else(|e| panic!("{e}"));
+        });
     }
 }
 
@@ -1579,6 +1507,102 @@ mod tests {
         assert_eq!(z[0].access, Access::InOut);
         let un = by_kind(StageKind::Unpack).deps(&bs);
         assert_eq!((un[1].handle, un[1].access), (bs.handle(Slot::Share), Access::Out));
+
+        // Every task of one band under each task policy: label, priority
+        // and dependency list, as the engines hand-wired them (band 1 of
+        // 4, so a deferred wait sits at priority 1 + 4).
+        use Access::{In, InOut, Out};
+        use Slot::{Planes, ReqBwd, ReqFwd, Share, Zbuf};
+        type Wiring = &'static [(&'static str, u64, &'static [(Slot, Access)])];
+        const STEPS: Wiring = &[
+            ("pack[1]", 1, &[(Share, In), (Zbuf, Out)]),
+            ("fftz-inv[1]", 1, &[(Zbuf, InOut)]),
+            ("scatter-fw[1]", 1, &[(Zbuf, In), (Planes, InOut)]),
+            ("fftxy-inv[1]", 1, &[(Planes, InOut)]),
+            ("vofr[1]", 1, &[(Planes, InOut)]),
+            ("fftxy-fw[1]", 1, &[(Planes, InOut)]),
+            ("scatter-bw[1]", 1, &[(Planes, In), (Zbuf, InOut)]),
+            ("fftz-fw[1]", 1, &[(Zbuf, InOut)]),
+            ("unpack[1]", 1, &[(Zbuf, In), (Share, Out)]),
+        ];
+        const ASYNC: Wiring = &[
+            ("pack[1]", 1, &[(Share, In), (Zbuf, Out)]),
+            ("fftz-inv[1]", 1, &[(Zbuf, InOut)]),
+            ("scatter-fw-post[1]", 1, &[(Zbuf, In), (ReqFwd, Out)]),
+            ("scatter-fw-wait[1]", 5, &[(ReqFwd, InOut), (Planes, InOut)]),
+            ("fftxy-inv[1]", 1, &[(Planes, InOut)]),
+            ("vofr[1]", 1, &[(Planes, InOut)]),
+            ("fftxy-fw[1]", 1, &[(Planes, InOut)]),
+            ("scatter-bw-post[1]", 1, &[(Planes, In), (ReqBwd, Out)]),
+            ("scatter-bw-wait[1]", 5, &[(ReqBwd, InOut), (Zbuf, InOut)]),
+            ("fftz-fw[1]", 1, &[(Zbuf, InOut)]),
+            ("unpack[1]", 1, &[(Zbuf, In), (Share, Out)]),
+        ];
+        const HYBRID: Wiring = &[
+            ("hyb-head[1]", 1, &[(Share, In), (Zbuf, Out), (ReqFwd, Out)]),
+            (
+                "hyb-mid[1]",
+                5,
+                &[(ReqFwd, InOut), (Planes, InOut), (ReqBwd, Out)],
+            ),
+            (
+                "hyb-tail[1]",
+                5,
+                &[(ReqBwd, InOut), (Zbuf, InOut), (Share, Out)],
+            ),
+        ];
+        const FFT: Wiring = &[("fft-band-1", 1, &[(Share, InOut)])];
+        for (policy, wiring) in [
+            (SchedulerPolicy::TaskPerStep, STEPS),
+            (SchedulerPolicy::TaskAsync, ASYNC),
+            (SchedulerPolicy::Hybrid, HYBRID),
+            (SchedulerPolicy::TaskPerFft, FFT),
+        ] {
+            let cut = band_cut(policy);
+            let tasks: Vec<_> = band_tasks(cut, 1, 4).collect();
+            assert_eq!(tasks.len(), wiring.len(), "{policy:?}");
+            for (n, ((label, priority, _), want)) in tasks.into_iter().zip(wiring).enumerate() {
+                let deps: Vec<_> = task_deps(cut, n, &bs)
+                    .iter()
+                    .map(|d| (d.handle, d.access))
+                    .collect();
+                let want_deps: Vec<_> = want.2.iter().map(|&(s, a)| (bs.handle(s), a)).collect();
+                assert_eq!((label.as_str(), priority), (want.0, want.1), "{policy:?}");
+                assert_eq!(deps, want_deps, "{policy:?} {label}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_scatter_wait_returns_transport_errors() {
+        // Every chunk corrupted in flight: the wait half must hand the
+        // checksum failure back as a value, not panic inside the runner.
+        use crate::config::FftxConfig;
+        use fftx_fault::PayloadCorrupt;
+        let problem = Problem::new(FftxConfig::small(2, 1, SchedulerPolicy::TaskAsync));
+        let chaos = ChaosConfig {
+            seed: 7,
+            ..ChaosConfig::default()
+        }
+        .with_corruption(PayloadCorrupt::new(7, 1.0));
+        let world = World::new(2)
+            .with_timeout(std::time::Duration::from_secs(10))
+            .with_chaos(chaos);
+        let results = world.run(|comm| {
+            let w = comm.rank();
+            let sc = ScatterComms::new(comm.clone(), Decomposition::Slab);
+            let rec = Recorder::new(None, comm.clock(), w);
+            let sp = StagePlan::for_problem(&problem, w);
+            let runner = sp.runner(&problem.v, &rec);
+            let zbuf = vec![Complex64::ZERO; sp.plan.zbuf_len()];
+            let mut planes = vec![Complex64::ZERO; sp.plan.planes_len()];
+            let (mut send, mut recv, mut mid) = (Vec::new(), Vec::new(), Vec::new());
+            let req = runner.scatter_fwd_post(0, &sc, 0, &zbuf, &mut send);
+            runner.scatter_fwd_wait(0, &sc, 0, req, &mut planes, &mut recv, &mut mid)
+        });
+        for r in results {
+            assert!(matches!(r, Err(VmpiError::Integrity { .. })), "got {r:?}");
+        }
     }
 
     #[test]

@@ -170,7 +170,10 @@ fn model_programs_match_golden_hashes() {
     let entries = scenarios();
     if std::env::var_os("FFTX_GOLDEN_BLESS").is_some() {
         std::fs::write(GOLDEN_PATH, render(&entries)).expect("write golden file");
-        eprintln!("blessed {} configurations into {GOLDEN_PATH}", entries.len());
+        eprintln!(
+            "blessed {} configurations into {GOLDEN_PATH}",
+            entries.len()
+        );
         return;
     }
     let golden = std::fs::read_to_string(GOLDEN_PATH)

@@ -1,7 +1,7 @@
 //! Serial dense 3-D FFT (QE's `cfft3d`), used as the single-rank reference
 //! the distributed pipeline is verified against.
 
-use crate::batch::{cft_1z, cft_2xy, transform};
+use crate::batch::{cft_2xy, transform};
 use crate::complex::Complex64;
 use crate::dft::Direction;
 use crate::fft1d::Fft;
@@ -80,19 +80,6 @@ impl Fft3 {
     /// Inverse (G→r) transform, unnormalised.
     pub fn inverse(&self, data: &mut [Complex64]) {
         self.process(data, Direction::Inverse);
-    }
-
-    /// Batched 1-D transforms along z for `nsl` contiguous sticks; see
-    /// [`crate::batch::cft_1z`].
-    pub fn z_sticks(
-        &self,
-        data: &mut [Complex64],
-        nsl: usize,
-        ldz: usize,
-        dir: Direction,
-        scratch: &mut Vec<Complex64>,
-    ) {
-        cft_1z(&self.plan_z, data, nsl, ldz, dir, scratch);
     }
 }
 

@@ -36,6 +36,14 @@ pub enum PlacementMode {
 }
 
 impl PlacementMode {
+    /// The pinned policy of a static mode; `None` under auto.
+    pub(crate) fn fixed(self) -> Option<SchedulerPolicy> {
+        match self {
+            PlacementMode::Auto => None,
+            PlacementMode::Static(p) => Some(p),
+        }
+    }
+
     /// Display name: `auto` or the policy name.
     pub fn name(self) -> String {
         match self {
@@ -237,14 +245,8 @@ impl Server {
     }
 
     fn decide(&mut self, class: GeometryClass, nbnd: usize) -> Placement {
-        match (self.cfg.mode, self.cfg.decomp.fixed()) {
-            (PlacementMode::Auto, None) => self.tuner.decide(class, nbnd).placement,
-            (PlacementMode::Auto, Some(d)) => self.tuner.decide_decomp(class, nbnd, d).placement,
-            (PlacementMode::Static(p), None) => self.tuner.decide_policy(class, nbnd, p).placement,
-            (PlacementMode::Static(p), Some(d)) => {
-                self.tuner.decide_fixed(class, nbnd, p, d).placement
-            }
-        }
+        let (policy, decomp) = (self.cfg.mode.fixed(), self.cfg.decomp.fixed());
+        self.tuner.decide_in(class, nbnd, policy, decomp).placement
     }
 
     /// Rough completion estimate of one request were it admitted now:

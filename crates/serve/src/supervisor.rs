@@ -56,7 +56,7 @@ use crate::fleet::ring::{load_bound, HashRing, RingConfig};
 use crate::health::{Breaker, HealthConfig};
 use crate::journal::{idempotency_key, Conservation, Journal, Record};
 use crate::request::{band_hash, GeometryClass, RejectReason, Request};
-use crate::server::{PlacementMode, ServeConfig};
+use crate::server::ServeConfig;
 use crate::tuner::{Placement, Tuner};
 use fftx_core::{Decomposition, SchedulerPolicy};
 use fftx_fault::{mix64, NodeDeath, Partition, SlowNode};
@@ -477,14 +477,8 @@ impl Fleet {
     }
 
     fn decide(&mut self, class: GeometryClass, nbnd: usize) -> Placement {
-        match (self.cfg.serve.mode, self.cfg.serve.decomp.fixed()) {
-            (PlacementMode::Auto, None) => self.tuner.decide(class, nbnd).placement,
-            (PlacementMode::Auto, Some(d)) => self.tuner.decide_decomp(class, nbnd, d).placement,
-            (PlacementMode::Static(p), None) => self.tuner.decide_policy(class, nbnd, p).placement,
-            (PlacementMode::Static(p), Some(d)) => {
-                self.tuner.decide_fixed(class, nbnd, p, d).placement
-            }
-        }
+        let (policy, decomp) = (self.cfg.serve.mode.fixed(), self.cfg.serve.decomp.fixed());
+        self.tuner.decide_in(class, nbnd, policy, decomp).placement
     }
 
     /// Rough completion estimate of one request were it admitted now: the
@@ -1446,6 +1440,7 @@ pub fn resume_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::PlacementMode;
     use crate::traffic::{generate, LoadProfile, TrafficConfig};
 
     fn trace(seed: u64, rate_hz: f64) -> Vec<Request> {

@@ -287,65 +287,35 @@ impl Tuner {
         scored
     }
 
-    /// Decides the placement for `(class, nbnd)` restricted to one
-    /// policy's candidate rows (both decompositions) — the static-policy
-    /// baseline path. Each (policy, decomposition) row is screened
-    /// independently, so every decomposition always gets DES-priced
-    /// representation.
-    pub fn decide_policy(
+    /// Decides the placement for `(class, nbnd)` over every (policy,
+    /// decomposition) candidate row, policy major, that matches `policy`
+    /// and `decomp` where those are pinned — the static baselines the
+    /// auto path is gated against. Each row is screened on its own, so
+    /// every decomposition always gets DES-priced representation.
+    pub fn decide_in(
         &mut self,
         class: GeometryClass,
         nbnd: usize,
-        policy: SchedulerPolicy,
+        policy: Option<SchedulerPolicy>,
+        decomp: Option<Decomposition>,
     ) -> Decision {
         let mut scored = Vec::new();
-        for decomp in Decomposition::ALL {
-            scored.extend(self.score_row(class, nbnd, candidates_for(policy, decomp)));
+        for p in SchedulerPolicy::ALL {
+            for d in Decomposition::ALL {
+                if policy.is_none_or(|x| x == p) && decomp.is_none_or(|x| x == d) {
+                    scored.extend(self.score_row(class, nbnd, candidates_for(p, d)));
+                }
+            }
         }
-        Self::pick(scored)
-    }
-
-    /// Decides the placement for `(class, nbnd)` restricted to one
-    /// decomposition across every policy row — the fixed-decomposition
-    /// baseline the `decomp` bench gates the auto path against.
-    pub fn decide_decomp(
-        &mut self,
-        class: GeometryClass,
-        nbnd: usize,
-        decomp: Decomposition,
-    ) -> Decision {
-        let mut scored = Vec::new();
-        for policy in SchedulerPolicy::ALL {
-            scored.extend(self.score_row(class, nbnd, candidates_for(policy, decomp)));
-        }
-        Self::pick(scored)
-    }
-
-    /// Decides the placement for `(class, nbnd)` restricted to a single
-    /// (policy, decomposition) candidate row — the fully pinned baseline
-    /// (`--mode` and `--decomp` both fixed on the serving CLI).
-    pub fn decide_fixed(
-        &mut self,
-        class: GeometryClass,
-        nbnd: usize,
-        policy: SchedulerPolicy,
-        decomp: Decomposition,
-    ) -> Decision {
-        let scored = self.score_row(class, nbnd, candidates_for(policy, decomp));
         Self::pick(scored)
     }
 
     /// Decides the placement for `(class, nbnd)` over the full candidate
-    /// space (every policy × decomposition row) — the auto path. By
-    /// construction its scored set is a superset of every static
-    /// baseline's (fixed policy or fixed decomposition), so the decision's
-    /// modeled service time is never worse than any of theirs.
+    /// space — the auto path. By construction its scored set is a
+    /// superset of every restricted decision's ([`Tuner::decide_in`]), so
+    /// its modeled service time is never worse than any fixed baseline's.
     pub fn decide(&mut self, class: GeometryClass, nbnd: usize) -> Decision {
-        let mut scored = Vec::new();
-        for policy in SchedulerPolicy::ALL {
-            scored.extend(self.decide_policy(class, nbnd, policy).scored);
-        }
-        Self::pick(scored)
+        self.decide_in(class, nbnd, None, None)
     }
 
     fn pick(scored: Vec<CandidateScore>) -> Decision {
@@ -499,7 +469,7 @@ mod tests {
         let mut t = Tuner::new(TunerConfig::default());
         let auto = t.decide(GeometryClass::Small, 8);
         for policy in SchedulerPolicy::ALL {
-            let fixed = t.decide_policy(GeometryClass::Small, 8, policy);
+            let fixed = t.decide_in(GeometryClass::Small, 8, Some(policy), None);
             assert!(
                 auto.service_s <= fixed.service_s + 1e-15,
                 "auto {} vs {} {}",

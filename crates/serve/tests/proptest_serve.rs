@@ -105,7 +105,7 @@ proptest! {
             let mut t = Tuner::new(TunerConfig::default());
             let auto = t.decide(class, nbnd).service_s;
             for d in Decomposition::ALL {
-                let fixed = t.decide_decomp(class, nbnd, d).service_s;
+                let fixed = t.decide_in(class, nbnd, None, Some(d)).service_s;
                 prop_assert!(
                     auto <= fixed + 1e-12,
                     "{} nbnd {}: auto {} worse than fixed {} ({})",

@@ -720,27 +720,6 @@ enum CellValue<'a> {
     Str(&'a str),
 }
 
-/// The one write interface every telemetry producer records through: the
-/// execution recorder, the stage-graph driver, the serving supervisor's
-/// journal metrics and the recovery/integrity counters all target this
-/// trait, so there is exactly one storage layer behind them.
-pub trait Sink {
-    /// Records a compute burst.
-    fn compute(&self, r: ComputeRecord);
-    /// Records a communication operation.
-    fn comm(&self, r: CommRecord);
-    /// Records a task lifecycle event.
-    fn task(&self, r: TaskRecord);
-    /// Records a stage-graph node span.
-    fn stage(&self, r: StageRecord);
-    /// Adds `n` to counter `key`.
-    fn counter(&self, key: &str, n: u64);
-    /// Records a gauge observation.
-    fn gauge(&self, series: &str, t: f64, value: u64);
-    /// Records a state transition of integer lane `lane`.
-    fn state(&self, t: f64, lane: u32, state: &str);
-}
-
 // ----------------------------------------------------------------------
 // Varint / zigzag / column codecs.
 // ----------------------------------------------------------------------

@@ -7,11 +7,11 @@
 //! * [`event`] — record types: compute bursts with instruction/cycle
 //!   counters, MPI calls with communicator/byte info, task lifecycles;
 //! * [`columnar`] — the single columnar [`EventLog`] store behind every
-//!   producer (one [`Sink`] trait, self-describing binary encoding);
+//!   producer (self-describing binary encoding);
 //! * [`query`] — offline aggregation over the log (rollups, group-bys,
 //!   quantiles, rate windows, diff-vs-baseline);
-//! * [`trace`] — the trace container and the thread-safe [`TraceSink`]
-//!   every execution engine records into;
+//! * [`trace`] — the trace container and the thread-safe [`TraceSink`],
+//!   the one collector every producer records through;
 //! * [`pop`] — the multiplicative efficiency model of Tables I and II;
 //! * [`timeline`] — ASCII/CSV timelines (Fig. 3, Fig. 7 left);
 //! * [`histogram`] — IPC × duration histograms (Fig. 7 right);
@@ -38,7 +38,7 @@ pub mod table;
 pub mod timeline;
 pub mod trace;
 
-pub use columnar::{EventLog, Sink};
+pub use columnar::EventLog;
 pub use error::TraceError;
 pub use lane_ctx::{current_thread, set_current_thread};
 pub use event::{CommOp, CommRecord, ComputeRecord, Lane, StateClass, TaskRecord};

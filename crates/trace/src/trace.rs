@@ -6,9 +6,9 @@
 //! [`TraceSink::snapshot`] time, so execution records, serving counters,
 //! gauges and state transitions all share a single storage layer.
 
-use crate::columnar::{EventLog, Sink};
+use crate::columnar::EventLog;
 use crate::event::{CommRecord, ComputeRecord, Lane, StateClass, TaskRecord};
-use crate::metrics::{CounterSet, DepthSeries, StateTimeline};
+use crate::metrics::{CounterSet, StateTimeline};
 use crate::stage::StageRecord;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -284,41 +284,12 @@ impl TraceSink {
         t
     }
 
-    /// Clones the underlying columnar log (for binary export and offline
-    /// queries).
-    pub fn snapshot_log(&self) -> EventLog {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Consumes the sink and hands out the columnar log itself.
-    pub fn finish_log(self) -> EventLog {
-        match Arc::try_unwrap(self.inner) {
-            Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
-            Err(arc) => arc
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
-        }
-    }
-
     /// Materializes the counter view (sorted labels).
     pub fn counters(&self) -> CounterSet {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .counters()
-            .unwrap_or_default()
-    }
-
-    /// Materializes one gauge series.
-    pub fn gauge_series(&self, series: &str) -> DepthSeries {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .gauge(series)
             .unwrap_or_default()
     }
 
@@ -329,36 +300,6 @@ impl TraceSink {
             .unwrap_or_else(PoisonError::into_inner)
             .state_timeline()
             .unwrap_or_default()
-    }
-}
-
-impl Sink for TraceSink {
-    fn compute(&self, r: ComputeRecord) {
-        TraceSink::compute(self, r);
-    }
-
-    fn comm(&self, r: CommRecord) {
-        TraceSink::comm(self, r);
-    }
-
-    fn task(&self, r: TaskRecord) {
-        TraceSink::task(self, r);
-    }
-
-    fn stage(&self, r: StageRecord) {
-        TraceSink::stage(self, r);
-    }
-
-    fn counter(&self, key: &str, n: u64) {
-        TraceSink::counter(self, key, n);
-    }
-
-    fn gauge(&self, series: &str, t: f64, value: u64) {
-        TraceSink::gauge(self, series, t, value);
-    }
-
-    fn state(&self, t: f64, lane: u32, state: &str) {
-        TraceSink::state(self, t, lane, state);
     }
 }
 

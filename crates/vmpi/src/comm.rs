@@ -1361,10 +1361,4 @@ impl<T: Clone + Send + Checksum + 'static> AlltoallRequest<T> {
         *recv = self.try_wait()?;
         Ok(())
     }
-
-    /// [`AlltoallRequest::wait`] into a caller-owned buffer (previous
-    /// contents replaced), panicking on transport errors.
-    pub fn wait_into(self, recv: &mut Vec<T>) {
-        self.try_wait_into(recv).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
