@@ -327,6 +327,9 @@ impl MixedRadixPlan {
                 4 => {
                     butterfly4(gather, dir.sign(), &mut dst[k..], m);
                 }
+                7 => {
+                    butterfly7(gather, roots, &mut dst[k..], m);
+                }
                 _ => {
                     // Generic O(r^2) DFT across the gathered points.
                     for q in 0..r {
@@ -374,6 +377,24 @@ fn butterfly4<L: Lane>(v: &[L], sign: f64, out: &mut [L], m: usize) {
     out[m] = t1.add(t3);
     out[2 * m] = t0.sub(t2);
     out[3 * m] = t1.sub(t3);
+}
+
+/// Radix-7 butterfly writing outputs at `out[0]`, `out[m]`, …, `out[6m]`:
+/// the generic loop at a fixed radix, in the same op order.
+#[inline]
+fn butterfly7<L: Lane>(v: &[L], roots: &[Complex64], out: &mut [L], m: usize) {
+    for q in 0..7 {
+        let mut acc = L::ZERO;
+        let mut t = 0;
+        for &g in &v[..7] {
+            acc = acc.add(g.mul(roots[t]));
+            t += q;
+            if t >= 7 {
+                t -= 7;
+            }
+        }
+        out[q * m] = acc;
+    }
 }
 
 #[cfg(test)]
