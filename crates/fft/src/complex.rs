@@ -280,11 +280,23 @@ impl fftx_vmpi::Checksum for Complex64 {
 }
 
 /// Maximum absolute component-wise deviation between two complex slices.
+///
+/// A pair whose distance is NaN counts as `f64::INFINITY`: `f64::max`
+/// drops NaN, so a NaN output would otherwise read as 0 and pass every
+/// `< tol` check. The result is never NaN, so folding it once more with
+/// `f64::max` keeps the infinity.
 pub fn max_dist(a: &[Complex64], b: &[Complex64]) -> f64 {
     assert_eq!(a.len(), b.len(), "max_dist: length mismatch");
     a.iter()
         .zip(b)
-        .map(|(x, y)| x.dist(*y))
+        .map(|(x, y)| {
+            let d = x.dist(*y);
+            if d.is_nan() {
+                f64::INFINITY
+            } else {
+                d
+            }
+        })
         .fold(0.0_f64, f64::max)
 }
 
@@ -377,6 +389,11 @@ mod tests {
         let a = [c64(0.0, 0.0), c64(1.0, 0.0)];
         let b = [c64(0.0, 0.1), c64(1.0, 0.0)];
         assert!((max_dist(&a, &b) - 0.1).abs() < EPS);
+        // NaN anywhere is an infinite deviation, never a zero one.
+        let nan = c64(f64::NAN, 0.0);
+        assert_eq!(max_dist(&[nan, nan], &b), f64::INFINITY);
+        assert_eq!(max_dist(&a, &[c64(0.0, 0.1), nan]), f64::INFINITY);
+        assert_eq!(max_dist(&[nan], &[nan]), f64::INFINITY);
     }
 
     #[test]
