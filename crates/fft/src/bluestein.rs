@@ -55,18 +55,6 @@ impl BluesteinPlan {
         }
     }
 
-    /// Transform length.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false; kept for API symmetry with the other plans.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Executes the transform in place. `scratch` grows to `2 * m` plus the
     /// inner plan's largest radix (at most 4): the zero-padded convolution
     /// buffer, then the inner FFT's own scratch. Passing the same buffer

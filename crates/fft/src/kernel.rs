@@ -2,10 +2,13 @@
 //!
 //! The plan is a recursive decimation-in-time decomposition following the
 //! radix schedule from [`crate::planner::radix_schedule`]: radix-4 stages
-//! first (fused pairs of 2s), then 2/3 and generic odd radices. Twiddle
-//! factors are precomputed per recursion level for both directions, so one
-//! plan serves forward and inverse transforms — exactly how the FFTXlib
-//! reuses one `fft_scalar` plan for `fwfft`/`invfft`.
+//! first (fused pairs of 2s), then 2 and the odd primes. Radices 2, 3, 4
+//! and 7 run closed-form butterflies, like FFTW's small-N codelets; the
+//! other direct primes (5, and 11 to 37) run a generic O(r²) loop over the
+//! plan's roots. Twiddle factors are precomputed per recursion level for
+//! both directions, so one plan serves forward and inverse transforms —
+//! exactly how the FFTXlib reuses one `fft_scalar` plan for
+//! `fwfft`/`invfft`.
 //!
 //! The recursion and its butterflies are generic over a [`Lane`] element:
 //! one transform's point (`Complex64`) or the same point of four independent
@@ -136,8 +139,9 @@ struct Stage {
     tw_fwd: Vec<Complex64>,
     /// Inverse twiddles (conjugates of `tw_fwd`).
     tw_inv: Vec<Complex64>,
-    /// Radix-point DFT roots `w(radix, t)` for the generic butterfly,
-    /// forward direction; empty for specialised radices 2/3/4.
+    /// Radix-point DFT roots `w(radix, t)` for the generic O(r²) loop,
+    /// forward direction. Built only for the radices that loop serves (5,
+    /// and 11 to 37); empty for the closed-form radices 2, 3, 4 and 7.
     roots_fwd: Vec<Complex64>,
     /// Inverse roots.
     roots_inv: Vec<Complex64>,
@@ -205,18 +209,6 @@ impl MixedRadixPlan {
             stages,
             max_radix,
         }
-    }
-
-    /// Transform length.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for the degenerate length-0 plan.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Largest radix of the schedule: the length of the butterfly gather

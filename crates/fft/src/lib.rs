@@ -1,11 +1,12 @@
 //! # fftx-fft
 //!
 //! From-scratch FFT engine for the FFTXlib-on-KNL reproduction: complex
-//! arithmetic, a mixed-radix Cooley–Tukey kernel with specialised 2/3/4
-//! butterflies, Bluestein for arbitrary lengths, the batched strided entry
-//! points FFTXlib's `fft_scalar` module exposes (`cft_1z`, `cft_2xy`), a
-//! dense 3-D reference transform, and an operation-count model feeding the
-//! KNL simulator.
+//! arithmetic, a mixed-radix Cooley–Tukey kernel with closed-form 2/3/4/7
+//! butterflies and a generic O(r²) loop for the other primes up to 37,
+//! Bluestein for arbitrary lengths, the batched strided entry points
+//! FFTXlib's `fft_scalar` module exposes (`cft_1z`, `cft_2xy`), a dense
+//! 3-D reference transform, and the paper's operation-count model feeding
+//! the KNL simulator. [`Fft`] is the one public plan type.
 //!
 //! Conventions (matching Quantum ESPRESSO):
 //! * `Direction::Forward` = negative exponent = r-space → G-space, and the
@@ -17,13 +18,13 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod bluestein;
+pub(crate) mod bluestein;
 pub mod cache;
 pub mod complex;
 pub mod dft;
 pub mod fft1d;
 pub mod fft3d;
-pub mod kernel;
+pub(crate) mod kernel;
 pub mod opcount;
 pub mod planner;
 

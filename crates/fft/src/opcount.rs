@@ -1,9 +1,16 @@
-//! Floating-point operation counts for the transforms in this crate.
+//! The paper's FFT cost model: floating-point operation counts for the
+//! transforms in this crate, priced level by level over the radix schedule.
 //!
 //! The KNL simulator converts these counts into instruction streams; they
 //! only need to be *consistent* across sizes (relative weights of the Z-FFT,
-//! XY-FFT and point-wise phases), not cycle-exact. Counts are derived from
-//! the actual work the mixed-radix engine performs.
+//! XY-FFT and point-wise phases), not cycle-exact. They are a model, not a
+//! tally of the engine's work: every level is charged `r - 1` twiddle
+//! multiplies per combine, leaf levels included (which multiply by none),
+//! and radix 7 is charged the generic loop's `8·r²` flops although it runs
+//! a closed-form butterfly of 96. The values stay fixed because every
+//! modeled artifact is derived from them. `wallbench`'s `fft.*_gflops`
+//! divide these counts by host wall time, so they read as model-equivalent
+//! GFLOP/s, not as the flops the host retired.
 
 use crate::planner::{is_direct_size, radix_schedule};
 
@@ -14,7 +21,8 @@ fn butterfly_flops(r: usize) -> f64 {
         2 => 4.0,                  // 2 complex adds
         3 => 6.0 * 2.0 + 2.0 * 2.0, // optimised 3-point kernel
         4 => 8.0 * 2.0,            // 8 complex adds
-        // Generic O(r^2) kernel: r^2 complex multiply-adds.
+        // Generic O(r^2) kernel: r^2 complex multiply-adds. Radix 7 keeps
+        // this price under its closed form (see the module doc).
         r => (r * r) as f64 * 8.0,
     }
 }

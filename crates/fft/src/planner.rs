@@ -5,8 +5,10 @@
 //! rule is implemented here so grids derived from a kinetic-energy cutoff end
 //! up with the exact dimensions the original FFTXlib would pick.
 
-/// Largest prime the mixed-radix engine handles directly with a generic
-/// O(r^2) butterfly. Sizes containing a larger prime fall back to Bluestein.
+/// Largest prime the mixed-radix engine handles directly. Radices 2, 3, 4
+/// and 7 have closed-form butterflies; 5 and the primes 11 to this one run
+/// the generic O(r^2) loop. Sizes containing a larger prime fall back to
+/// Bluestein.
 pub const MAX_DIRECT_PRIME: usize = 37;
 
 /// Returns the prime factorisation of `n` (ascending, with multiplicity).
@@ -37,9 +39,9 @@ pub fn factorize(n: usize) -> Vec<usize> {
     out
 }
 
-/// The radix schedule used by the mixed-radix engine: factors of `n` ordered
-/// so specialised butterflies (4, then 2/3/5/7) run on the largest strides.
-/// Pairs of 2s are fused into radix-4 stages.
+/// The radix schedule used by the mixed-radix engine, outermost level
+/// first: one radix-4 stage per fused pair of 2s, then a lone 2, then the
+/// odd primes ascending.
 pub fn radix_schedule(n: usize) -> Vec<usize> {
     let primes = factorize(n);
     let twos = primes.iter().filter(|&&p| p == 2).count();
