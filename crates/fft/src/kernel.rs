@@ -382,7 +382,11 @@ fn butterfly4<L: Lane>(v: &[L], sign: f64, out: &mut [L], m: usize) {
 /// loop's 49 complex multiply-adds. Every output sum starts from `v_0`, so
 /// an all-`+0.0` input still maps to all-`+0.0` (`+0 + -0 = +0`), which
 /// `batch::cft_2xy_sticks` relies on.
-#[inline]
+///
+/// Kept out of line. In an in-process race against the same code inlined
+/// into the recursion, the out-of-line build took 0.84–0.89× the time on
+/// n = 14 kernels and 0.92–0.97× on n = 60 kernels, which never call it.
+#[inline(never)]
 fn butterfly7<L: Lane>(v: &[L], sign: f64, out: &mut [L], m: usize) {
     // cos and sin of 2πk/7, correctly rounded: libm's cos/sin of the
     // rounded argument are one ulp off for four of the six.
