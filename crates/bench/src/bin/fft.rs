@@ -310,9 +310,11 @@ fn main() {
     let mut rows = String::from("transform,shape,seconds,mflops\n");
 
     // --- Correctness: every fast path vs the O(n^2) oracle. Sizes cover
-    // the radix kernels, the mixed-radix path and Bluestein (prime 127).
+    // the radix kernels (4, 2, 3 and the generic 5; 14 is a radix-7 leaf,
+    // 98 = 2·7·7 a twiddled radix-7 level above one), the mixed-radix path
+    // and Bluestein (prime 127).
     let mut max_err = 0.0f64;
-    for &n in &[8usize, 60, 90, 125, 127, 128, 243] {
+    for &n in &[8usize, 14, 60, 90, 98, 125, 127, 128, 243] {
         let x = signal(n);
         let want = naive_dft(&x, Direction::Forward);
         let mut got = x.clone();
