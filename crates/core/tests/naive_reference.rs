@@ -35,8 +35,8 @@
 //! in the sweep. On 14³, 2ρ + 5ε/2 is about 60·ε.
 
 use fftx_core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
-use fftx_fft::{max_dist, naive_dft_3d, Complex64, Direction};
-use fftx_pw::{coeffs_to_grid, grid_to_coeffs};
+use fftx_fft::{max_dist, naive_dft_3d, scale_in_place, Direction};
+use fftx_pw::{apply_potential, coeffs_to_grid, grid_to_coeffs};
 
 /// `oracle_tol`'s relative factor for one pass of length `n`.
 fn rho(n: usize) -> f64 {
@@ -65,13 +65,9 @@ fn engine_bands_match_a_naive_dft_reference() {
             nz,
             Direction::Inverse,
         );
-        for (p, &v) in psi.iter_mut().zip(&problem.v) {
-            *p = p.scale(v);
-        }
-        let dense: Vec<Complex64> = naive_dft_3d(&psi, nx, ny, nz, Direction::Forward)
-            .into_iter()
-            .map(|g| g.scale(1.0 / n))
-            .collect();
+        apply_potential(&mut psi, &problem.v, &grid);
+        let mut dense = naive_dft_3d(&psi, nx, ny, nz, Direction::Forward);
+        scale_in_place(&mut dense, 1.0 / n);
         let want = grid_to_coeffs(set, &grid, &dense);
 
         let norm = coeffs.iter().map(|c| c.norm_sqr()).sum::<f64>().sqrt();
