@@ -2,10 +2,12 @@
 //!
 //! Every knob the workspace reads — `FFTX_SCHEDULER`, `FFTX_CHAOS_SEED` /
 //! `FFTX_CHAOS_PROFILE`, the `FFTX_RECOVERY_*` budgets,
-//! `FFTX_ARENA_POISON`, and the fleet-capacity set (`FFTX_FLEET_MIN` /
-//! `FFTX_FLEET_MAX`, `FFTX_SCALE_UP_AT` / `FFTX_SCALE_DOWN_AT`,
-//! `FFTX_STEAL`, `FFTX_PLAN_ITERS` / `FFTX_PLAN_SEED`) — is parsed here
-//! through one entry point with typed errors. The lower-level crates keep
+//! `FFTX_ARENA_POISON`, `FFTX_DECOMP`, and the fleet-capacity set
+//! (`FFTX_FLEET_MIN` / `FFTX_FLEET_MAX`, `FFTX_SCALE_UP_AT` /
+//! `FFTX_SCALE_DOWN_AT`, `FFTX_STEAL`, `FFTX_PLAN_ITERS` /
+//! `FFTX_PLAN_SEED`) — is parsed here through one entry point with typed
+//! errors. The ABFT verify mode is not a knob: callers pass it to
+//! [`crate::run_verified`]. The lower-level crates keep
 //! their historical lenient readers (`ChaosConfig::from_env`,
 //! `RecoveryConfig::from_env`, `plan::arena_poison`) because library code
 //! deep in a run has no good way to report a typo; `FFTX_SCHEDULER` has no
@@ -14,7 +16,6 @@
 //! silently falling back — the failure mode this module exists to kill.
 
 use crate::config::{valid_decomps, DecompChoice, SchedulerPolicy};
-use crate::verify::VerifyMode;
 use fftx_fault::{ChaosConfig, RecoveryConfig};
 use std::fmt;
 
@@ -87,8 +88,6 @@ pub struct EnvKnobs {
     pub recovery: RecoveryConfig,
     /// `FFTX_ARENA_POISON`: NaN-poison reused scatter staging buffers.
     pub arena_poison: bool,
-    /// `FFTX_VERIFY`: ABFT verification mode of the pipeline's FFT legs.
-    pub verify: VerifyMode,
     /// `FFTX_DECOMP`: scatter decomposition request (slab/pencil/auto),
     /// when set. Callers keep their own default when unset — `slab` for
     /// the direct driver, `auto` for the serving layer's tuner.
@@ -173,15 +172,6 @@ pub fn load_from(get: impl Fn(&str) -> Option<String>) -> Result<EnvKnobs, EnvEr
         }
     };
 
-    let verify = match get("FFTX_VERIFY") {
-        None => VerifyMode::Off,
-        Some(v) => VerifyMode::parse(&v).ok_or_else(|| EnvError {
-            key: "FFTX_VERIFY",
-            value: v,
-            expected: "one of: off, cheap, full".into(),
-        })?,
-    };
-
     let decomp = match get("FFTX_DECOMP") {
         None => None,
         Some(v) => Some(DecompChoice::parse(&v).ok_or_else(|| EnvError {
@@ -224,7 +214,6 @@ pub fn load_from(get: impl Fn(&str) -> Option<String>) -> Result<EnvKnobs, EnvEr
         chaos,
         recovery,
         arena_poison,
-        verify,
         decomp,
         fleet,
     })
@@ -289,7 +278,6 @@ mod tests {
         assert_eq!(knobs.chaos, None);
         assert_eq!(knobs.recovery, RecoveryConfig::default());
         assert!(!knobs.arena_poison);
-        assert_eq!(knobs.verify, VerifyMode::Off);
         assert_eq!(knobs.decomp, None);
         assert_eq!(knobs.fleet, FleetKnobs::default());
     }
@@ -360,21 +348,6 @@ mod tests {
         for name in ["slab", "pencil", "auto"] {
             assert!(msg.contains(name), "message must list '{name}': {msg}");
         }
-    }
-
-    #[test]
-    fn verify_mode_vocabulary_is_enforced() {
-        for (v, want) in [
-            ("off", VerifyMode::Off),
-            ("cheap", VerifyMode::Cheap),
-            ("full", VerifyMode::Full),
-        ] {
-            let knobs = load_from(env(&[("FFTX_VERIFY", v)])).expect("valid");
-            assert_eq!(knobs.verify, want);
-        }
-        let err = load_from(env(&[("FFTX_VERIFY", "paranoid")])).expect_err("strict");
-        assert_eq!(err.key, "FFTX_VERIFY");
-        assert!(err.to_string().contains("cheap"), "{err}");
     }
 
     #[test]

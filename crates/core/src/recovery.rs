@@ -15,18 +15,18 @@
 //!    in total and peers only observe added latency (a fault after a
 //!    collective would desynchronise the matching sequence numbers — that
 //!    class escalates through the watchdog instead).
-//! 2. **Band-batch checkpoint/rollback** ([`run_rollback`]): the original
-//!    pipeline snapshots each batch's input shares at the iteration
-//!    boundary; a collective that times out mid-batch surfaces as a typed
-//!    [`VmpiError`], the batch is rolled back to the checkpoint and
-//!    replayed, up to [`RecoveryConfig::max_rollbacks`] times.
+//! 2. **Band-batch checkpoint/rollback** ([`run_rollback`]): the serial
+//!    policy's batch loop snapshots each batch's input shares at the
+//!    iteration boundary; any batch error (a collective timing out
+//!    mid-batch is a typed [`VmpiError`]) restores the checkpoint and
+//!    replays the batch, up to [`RecoveryConfig::max_rollbacks`] times.
 //! 3. **Rank eviction with layout re-planning** ([`run_eviction`]): a rank
 //!    that dies at a batch boundary is evicted; survivors shrink the world
 //!    communicator ([`fftx_vmpi::Communicator::shrink`]), re-factorise
 //!    R×T over the surviving rank count ([`fftx_pw::factorise_rt`]),
-//!    rebuild the stick/plane distribution, and redistribute every band —
-//!    including the victim's sticks, recovered from its ring buddy's
-//!    checkpoints — onto the re-planned layout, then finish the run.
+//!    and redistribute every band — the victim's sticks recovered from its
+//!    ring buddy's checkpoints — onto the re-planned layout, then finish
+//!    the run. Both phases run the same batch loop as mechanism 2.
 //!
 //! **Consistency without agreement.** Every injected fatal fault is a pure
 //! function of `(seed, logical key, attempt)` — never of rank identity or
@@ -45,19 +45,16 @@
 //! fault-free baselines.
 
 use crate::config::SchedulerPolicy;
-use crate::plan::BufferArena;
 use crate::problem::Problem;
-use crate::recorder::Recorder;
-use crate::stages::{finish_run, RunOutput, ScatterComms, StagePlan};
+use crate::stages::{
+    finish_run, task_rank, Attempt, BatchRule, Plain, RankShares, RunOutput, SerialRank,
+};
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
 use fftx_fft::Complex64;
-use fftx_pw::{
-    assemble_shares, extract_share, factorise_rt, StickDist, StickSet, TaskGroupLayout,
-};
-use fftx_taskrt::{RetryPolicy, Runtime, Shared, TaskError};
+use fftx_pw::{extract_share, factorise_rt, StickDist, StickSet, TaskGroupLayout};
+use fftx_taskrt::{RetryPolicy, TaskError};
 use fftx_trace::TraceSink;
 use fftx_vmpi::{Communicator, VmpiError, World};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -90,12 +87,6 @@ pub struct RecoveryStats {
     pub checkpoint_bytes: u64,
 }
 
-// The shared batch runner lives in the stage graph now:
-// [`crate::stages::StageRunner::band_batch`] is the fallible replay unit
-// (prep, collective pack, transform, collective unpack) and
-// [`crate::stages::StageRunner::band_fused`] the idempotent per-band task
-// body — one implementation for the engines and the recovery layer alike.
-
 // ---------------------------------------------------------------------
 // Mechanism 1: task re-execution
 // ---------------------------------------------------------------------
@@ -122,7 +113,38 @@ pub fn run_retry(
     };
     let sink = TraceSink::new();
     let world = World::new(cfg.vmpi_ranks()).with_trace(sink.clone());
-    let results = world.run(|comm| rank_retry(problem, comm, crashes, policy));
+    let results = world.run(|comm| {
+        let w = comm.rank();
+        task_rank(problem, comm, |env, rt, shares| {
+            for (b, share) in shares.iter().enumerate() {
+                let (env, share) = (env.clone(), share.clone());
+                let attempts = Arc::new(AtomicU32::new(0));
+                // The fault key of this rank's task for band b. Crashes are
+                // local decisions (no collective state is consumed before the
+                // injection point), so unlike batch aborts they need no
+                // cross-rank symmetry.
+                let key = ((w as u64) << 32) | b as u64;
+                rt.spawn_retryable(
+                    &format!("fft-band-{b}"),
+                    Some(b as u64),
+                    &[share.dep_inout()],
+                    policy,
+                    move || {
+                        let attempt = attempts.fetch_add(1, Ordering::Relaxed);
+                        if crashes.is_some_and(|c| c.should_crash(key, attempt)) {
+                            panic!("injected transient task fault (band {b}, attempt {attempt})");
+                        }
+                        // Idempotent over the input snapshot: band_fused reads
+                        // the share, computes into the worker's arena (prep
+                        // re-zeroes its work buffers on every attempt), writes
+                        // the share last.
+                        env.with_runner(|runner, sc, a| runner.band_fused(b, sc, &share, a))
+                            .unwrap_or_else(|e| panic!("{e}"));
+                    },
+                );
+            }
+        })
+    });
     let mut plain = Vec::with_capacity(results.len());
     let mut retries = 0u64;
     for r in results {
@@ -131,7 +153,7 @@ pub fn run_retry(
         plain.push((shares, span));
     }
     sink.counter("recovery.retries", retries);
-    let out = finish_run(problem, sink, plain);
+    let out = finish_run(&problem.layout, sink, plain);
     let stats = RecoveryStats {
         task_retries: retries,
         layout_before: (problem.layout.r, problem.layout.t),
@@ -139,91 +161,6 @@ pub fn run_retry(
         ..Default::default()
     };
     Ok((out, stats))
-}
-
-type RankShares = Vec<Vec<Complex64>>;
-
-fn rank_retry(
-    problem: &Arc<Problem>,
-    comm: &Communicator,
-    crashes: Option<TaskCrashes>,
-    policy: RetryPolicy,
-) -> Result<(RankShares, f64, u64), TaskError> {
-    let cfg = problem.config;
-    let w = comm.rank();
-    let g = w; // layout has t = 1: every rank is its own task group
-    let sp = Arc::new(StagePlan::for_problem(problem, g));
-    // Collective: every rank constructs the scatter communicator set (and,
-    // under the pencil decomposition, its row/column sub-communicators)
-    // before any task runs.
-    let sc = Arc::new(ScatterComms::new(comm.clone(), cfg.decomp));
-    let arenas: Arc<Vec<Shared<BufferArena>>> = Arc::new(
-        (0..cfg.ntg).map(|_| Shared::new(BufferArena::new())).collect(),
-    );
-    let shares: Vec<Shared<Vec<Complex64>>> = problem
-        .initial_shares(w)
-        .into_iter()
-        .map(Shared::new)
-        .collect();
-
-    let mut builder = Runtime::builder(cfg.ntg).clock(comm.clock()).rank(w);
-    if let Some(sink) = comm.trace_sink() {
-        builder = builder.trace(sink);
-    }
-    let rt = builder.build();
-
-    comm.barrier();
-    let t_start = comm.now();
-    for (b, share) in shares.iter().enumerate() {
-        let problem = Arc::clone(problem);
-        let comm = comm.clone();
-        let sp = Arc::clone(&sp);
-        let sc = Arc::clone(&sc);
-        let arenas = Arc::clone(&arenas);
-        let share = share.clone();
-        let attempts = Arc::new(AtomicU32::new(0));
-        // The fault key of this rank's task for band b. Crashes are local
-        // decisions (no collective state is consumed before the injection
-        // point), so unlike batch aborts they need no cross-rank symmetry.
-        let key = ((w as u64) << 32) | b as u64;
-        rt.spawn_retryable(
-            &format!("fft-band-{b}"),
-            Some(b as u64),
-            &[share.dep_inout()],
-            policy,
-            move || {
-                let attempt = attempts.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = crashes {
-                    if c.should_crash(key, attempt) {
-                        panic!("injected transient task fault (band {b}, attempt {attempt})");
-                    }
-                }
-                // Idempotent over the input snapshot: band_fused reads the
-                // share, computes into the worker's arena (prep re-zeroes
-                // its work buffers on every attempt), writes the share last.
-                let rec = Recorder::new(comm.trace_sink(), comm.clock(), comm.rank());
-                let runner = sp.runner(&problem.v, &rec);
-                let mut guard = arenas[fftx_trace::current_thread()].write();
-                runner
-                    .band_fused(b, &sc, &share, &mut guard)
-                    .unwrap_or_else(|e| panic!("{e}"));
-            },
-        );
-    }
-    let waited = rt.try_taskwait();
-    if waited.is_ok() {
-        comm.barrier();
-    }
-    let t_end = comm.now();
-    let retries = rt.retries();
-    let shutdown = rt.try_shutdown();
-    waited?;
-    shutdown?;
-    let shares = shares
-        .into_iter()
-        .map(|s| s.try_unwrap().ok().expect("share uniquely owned after taskwait"))
-        .collect();
-    Ok((shares, t_end - t_start, retries))
 }
 
 // ---------------------------------------------------------------------
@@ -247,10 +184,18 @@ pub fn run_rollback(
     );
     let sink = TraceSink::new();
     let world = World::new(cfg.vmpi_ranks()).with_trace(sink.clone());
-    let results = world.run(|comm| rank_rollback(problem, comm, aborts, recovery));
+    let results = world.run(|comm| {
+        let mut rank = SerialRank::start(problem, comm);
+        let mut rule = Rollback {
+            aborts,
+            max_rollbacks: recovery.max_rollbacks,
+        };
+        rank.run(0, cfg.iterations(), &mut rule, |_, _| Ok(()))?;
+        let span = rank.finish()?;
+        Ok::<_, VmpiError>((rank.shares, span, rank.rollbacks, rank.ckpt_bytes))
+    });
     let mut plain = Vec::with_capacity(results.len());
-    let mut rollbacks = 0u64;
-    let mut ckpt_bytes = 0u64;
+    let (mut rollbacks, mut ckpt_bytes) = (0u64, 0u64);
     for r in results {
         let (shares, span, n, bytes) = r?;
         // Rollback decisions are rank-symmetric; count each once.
@@ -260,7 +205,7 @@ pub fn run_rollback(
     }
     sink.counter("recovery.rollbacks", rollbacks);
     sink.counter("recovery.checkpoint_bytes", ckpt_bytes);
-    let out = finish_run(problem, sink, plain);
+    let out = finish_run(&problem.layout, sink, plain);
     let stats = RecoveryStats {
         batch_rollbacks: rollbacks,
         checkpoint_bytes: ckpt_bytes,
@@ -271,73 +216,52 @@ pub fn run_rollback(
     Ok((out, stats))
 }
 
-fn rank_rollback(
-    problem: &Arc<Problem>,
-    comm: &Communicator,
+/// The rollback engine's rule: checkpoint every batch (everything a replay
+/// needs — prep re-zeroes the arena's work buffers on every attempt), and
+/// replay any batch error up to `max_rollbacks` times before it escalates.
+struct Rollback {
     aborts: Option<BatchAborts>,
-    recovery: &RecoveryConfig,
-) -> Result<(RankShares, f64, u64, u64), VmpiError> {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    let w = comm.rank();
-    let g = l.task_group_of(w);
-    let i = l.member_of(w);
-    let t = l.t;
-    let pack_comm = comm.split(g as u64, i);
-    let scatter_comm = ScatterComms::new(comm.split(i as u64, g), cfg.decomp);
-    let rec = Recorder::new(comm.trace_sink(), comm.clock(), w);
-    let sp = StagePlan::for_problem(problem, g);
-    let runner = sp.runner(&problem.v, &rec);
-    let mut shares = problem.initial_shares(w);
-    let mut arena = BufferArena::new();
-    let mut rollbacks = 0u64;
-    let mut ckpt_bytes = 0u64;
+    max_rollbacks: u32,
+}
 
-    comm.barrier();
-    let t_start = comm.now();
-    for k in 0..cfg.iterations() {
-        // Checkpoint cut at the step boundary: snapshot the batch's input
-        // shares (everything a replay needs — the prep step re-zeroes the
-        // arena's work buffers on every attempt).
-        let checkpoint: Vec<Vec<Complex64>> =
-            (0..t).map(|j| shares[k * t + j].clone()).collect();
-        ckpt_bytes += checkpoint
-            .iter()
-            .map(|s| (s.len() * std::mem::size_of::<Complex64>()) as u64)
-            .sum::<u64>();
-        let mut attempt = 0u32;
-        loop {
-            let inject = aborts.is_some_and(|a| a.should_abort(k as u64, attempt));
-            match runner.band_batch(
-                k * t,
-                &pack_comm,
-                &scatter_comm,
-                &mut shares,
-                &mut arena,
-                inject,
-            ) {
-                Ok(()) => break,
-                Err(e) => {
-                    if attempt >= recovery.max_rollbacks {
-                        return Err(e);
-                    }
-                    // Roll back: restore the batch's input shares and
-                    // replay. The abort decision is a pure function of
-                    // (seed, batch, attempt), so every rank replays in
-                    // lockstep and the collective sequence counters stay
-                    // aligned.
-                    for (j, c) in checkpoint.iter().enumerate() {
-                        shares[k * t + j] = c.clone();
-                    }
-                    rollbacks += 1;
-                    attempt += 1;
-                }
-            }
+impl BatchRule for Rollback {
+    fn checkpoints(&self) -> bool {
+        true
+    }
+
+    /// Fails the attempt *mid-flight* where `aborts` says so, before leg 0:
+    /// the pack collective has completed — its sequence number consumed
+    /// symmetrically on every rank — and the scatter never runs, so the
+    /// rollback path sees the typed error a real watchdog expiry produces.
+    fn leg(
+        &mut self,
+        at: Attempt,
+        leg: usize,
+        buf: &mut [Complex64],
+        run: &mut dyn FnMut(&mut [Complex64]),
+    ) -> Result<(), VmpiError> {
+        if leg == 0 && self.aborts.is_some_and(|a| a.should_abort(at.k as u64, at.replays)) {
+            return Err(VmpiError::Timeout {
+                message: format!(
+                    "vmpi deadlock: injected collective timeout in band batch starting at band {}",
+                    at.base
+                ),
+                diagnostic: String::new(),
+            });
+        }
+        run(buf);
+        Ok(())
+    }
+
+    /// The abort decision is a pure function of (seed, batch, attempt), so
+    /// every rank replays in lockstep and the collective sequence counters
+    /// stay aligned.
+    fn replay(&mut self, at: Attempt, done: Result<(), VmpiError>) -> Result<bool, VmpiError> {
+        match done {
+            Err(e) if at.replays >= self.max_rollbacks => Err(e),
+            done => Ok(done.is_err()),
         }
     }
-    comm.try_barrier()?;
-    let t_end = comm.now();
-    Ok((shares, t_end - t_start, rollbacks, ckpt_bytes))
 }
 
 // ---------------------------------------------------------------------
@@ -398,27 +322,16 @@ pub fn run_eviction(
     for r in results {
         let (outcome, span) = r?;
         fft_phase_s = fft_phase_s.max(span);
-        if let Some(o) = outcome {
-            outcomes.push(o);
-        }
+        outcomes.extend(outcome);
     }
     assert_eq!(outcomes.len(), p - 1, "every survivor reports an outcome");
     outcomes.sort_by_key(|o| o.shrunk_rank);
     let ckpt_bytes = outcomes.iter().map(|o| o.ckpt_bytes).sum();
     sink.counter("recovery.evictions", 1);
     sink.counter("recovery.checkpoint_bytes", ckpt_bytes);
-    let bands = (0..cfg.nbnd)
-        .map(|b| {
-            let shares: Vec<Vec<Complex64>> =
-                outcomes.iter().map(|o| o.shares[b].clone()).collect();
-            assemble_shares(&new_l.set, &new_l.dist, &shares)
-        })
-        .collect();
-    let out = RunOutput {
-        bands,
-        trace: sink.finish(),
-        fft_phase_s,
-    };
+    // The FFT phase spans every rank, the victim's too.
+    let survivors = outcomes.into_iter().map(|o| (o.shares, fft_phase_s)).collect();
+    let out = finish_run(&new_l, sink, survivors);
     let stats = RecoveryStats {
         evictions: 1,
         evicted_ranks: vec![death.rank],
@@ -438,44 +351,24 @@ fn rank_eviction(
 ) -> Result<(Option<EvictionOutcome>, f64), VmpiError> {
     let cfg = problem.config;
     let l = &problem.layout;
-    let w = comm.rank();
-    let p = comm.size();
-    let g = l.task_group_of(w);
-    let i = l.member_of(w);
-    let t = l.t;
-    let pack_comm = comm.split(g as u64, i);
-    let scatter_comm = ScatterComms::new(comm.split(i as u64, g), cfg.decomp);
-    let rec = Recorder::new(comm.trace_sink(), comm.clock(), w);
-    let sp = StagePlan::for_problem(problem, g);
-    let runner = sp.runner(&problem.v, &rec);
-    let mut shares = problem.initial_shares(w);
-    let mut arena = BufferArena::new();
+    let (w, p, t) = (comm.rank(), comm.size(), l.t);
+    let mut rank = SerialRank::start(problem, comm);
     let mut ckpt_bytes = 0u64;
-    let succ = (w + 1) % p;
-    let pred = (w + p - 1) % p;
-    // Buddy checkpoints received from the ring predecessor, keyed by batch.
-    let mut stored: HashMap<usize, Vec<Complex64>> = HashMap::new();
-
-    comm.barrier();
-    let t_start = comm.now();
+    // Buddy checkpoints received from the ring predecessor, by batch.
+    let mut stored: Vec<Vec<Complex64>> = Vec::with_capacity(death.batch);
 
     // Phase 1: the original layout up to the death boundary, with buddy
     // checkpointing — after each batch, every rank sends its updated batch
     // shares to its ring successor, so each rank's processed state has an
     // off-rank copy that one failure cannot erase.
-    for k in 0..death.batch {
-        runner.band_batch(k * t, &pack_comm, &scatter_comm, &mut shares, &mut arena, false)?;
-        let flat: Vec<Complex64> = (0..t)
-            .flat_map(|j| shares[k * t + j].iter().copied())
-            .collect();
-        ckpt_bytes += (flat.len() * std::mem::size_of::<Complex64>()) as u64;
-        comm.send(succ, CKPT_TAG_BASE + k as u32, flat);
-        stored.insert(k, comm.try_recv(pred, CKPT_TAG_BASE + k as u32)?);
-    }
+    rank.run(0, death.batch, &mut Plain, |k, batch| {
+        stored.push(buddy_checkpoint(comm, k, batch, &mut ckpt_bytes)?);
+        Ok(())
+    })?;
 
     if w == death.rank {
         // The victim stops at the batch boundary, mid-run.
-        return Ok((None, comm.now() - t_start));
+        return Ok((None, rank.elapsed()));
     }
 
     // Survivors: evict, shrink, re-plan. Knowledge of the death is
@@ -485,31 +378,24 @@ fn rank_eviction(
     // communication.
     let shrunk = comm.shrink(&[death.rank], 0);
     let me2 = shrunk.rank();
-    let t2 = new_l.t;
     let done_bands = death.batch * t;
 
     // The victim's ring buddy reconstructs the victim's held state:
     // processed bands from the received checkpoints, unprocessed bands
     // recomputed from the deterministic problem.
     let buddy = (death.rank + 1) % p;
-    let victim_shares: Option<RankShares> = if w == buddy {
+    let victim_shares: Option<RankShares> = (w == buddy).then(|| {
         let vlen = l.ngw_rank(death.rank);
-        Some(
-            (0..cfg.nbnd)
-                .map(|b| {
-                    if b < done_bands {
-                        let (kb, j) = (b / t, b % t);
-                        let flat = &stored[&kb];
-                        flat[j * vlen..(j + 1) * vlen].to_vec()
-                    } else {
-                        extract_share(&l.set, &l.dist, death.rank, &problem.band(b))
-                    }
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
+        (0..cfg.nbnd)
+            .map(|b| {
+                if b < done_bands {
+                    stored[b / t][(b % t) * vlen..][..vlen].to_vec()
+                } else {
+                    extract_share(&l.set, &l.dist, death.rank, &problem.band(b))
+                }
+            })
+            .collect()
+    });
 
     // Redistribute every band from the old stick distribution to the
     // re-planned one: one alltoallv per band on the shrunk world, the
@@ -517,7 +403,7 @@ fn rank_eviction(
     let new_owner = stick_owner(&new_l.dist, l.set.nst());
     let mut new_shares: RankShares = Vec::with_capacity(cfg.nbnd);
     for b in 0..cfg.nbnd {
-        let mut held: Vec<(usize, &[Complex64])> = vec![(w, shares[b].as_slice())];
+        let mut held: Vec<(usize, &[Complex64])> = vec![(w, rank.shares[b].as_slice())];
         if let Some(vs) = &victim_shares {
             held.push((death.rank, vs[b].as_slice()));
         }
@@ -536,43 +422,41 @@ fn rank_eviction(
         ));
     }
 
-    // Phase 2: the remaining batches under the re-planned R×T layout. The
-    // single stage-graph re-plan ([`StagePlan::for_layout`]) covers every
-    // scheduler policy (eviction is the one path where plans cannot be
-    // precomputed — the layout is only known after the death); the arena is
-    // reused, its buffers re-fitted to the new geometry.
-    let g2 = new_l.task_group_of(me2);
-    let i2 = new_l.member_of(me2);
-    let pack2 = shrunk.split(g2 as u64, i2);
-    let scat2 = ScatterComms::new(shrunk.split(i2 as u64, g2), cfg.decomp);
-    let sp2 = StagePlan::for_layout_decomp(new_l, g2, cfg.decomp);
-    let runner2 = sp2.runner(&problem.v, &rec);
-    let p2 = shrunk.size();
-    let rem_batches = (cfg.nbnd - done_bands) / t2;
-    for kk in 0..rem_batches {
-        let base = done_bands + kk * t2;
-        runner2.band_batch(base, &pack2, &scat2, &mut new_shares, &mut arena, false)?;
-        // Checkpointing continues on the survivor ring — a second eviction
-        // is out of scope, but the steady-state traffic is part of the
-        // overhead the experiment measures.
-        let flat: Vec<Complex64> = (base..base + t2)
-            .flat_map(|b| new_shares[b].iter().copied())
-            .collect();
-        ckpt_bytes += (flat.len() * std::mem::size_of::<Complex64>()) as u64;
-        let tag = CKPT_TAG_BASE + (death.batch + kk) as u32;
-        shrunk.send((me2 + 1) % p2, tag, flat);
-        let _ = shrunk.try_recv::<Complex64>((me2 + p2 - 1) % p2, tag)?;
-    }
-    shrunk.try_barrier()?;
-    let t_end = comm.now();
-    Ok((
-        Some(EvictionOutcome {
-            shrunk_rank: me2,
-            shares: new_shares,
-            ckpt_bytes,
-        }),
-        t_end - t_start,
-    ))
+    // Phase 2: the remaining batches under the re-planned R×T layout (the
+    // one path where plans cannot be precomputed — the layout is only
+    // known after the death). Checkpointing continues on the survivor
+    // ring — a second eviction is out of scope, but the steady-state
+    // traffic is part of the overhead the experiment measures.
+    rank.shares = new_shares;
+    rank.replan(&shrunk, new_l);
+    let rem_batches = (cfg.nbnd - done_bands) / new_l.t;
+    rank.run(done_bands, rem_batches, &mut Plain, |kk, batch| {
+        buddy_checkpoint(&shrunk, death.batch + kk, batch, &mut ckpt_bytes).map(drop)
+    })?;
+    let span = rank.finish()?;
+    let outcome = EvictionOutcome {
+        shrunk_rank: me2,
+        shares: rank.shares,
+        ckpt_bytes,
+    };
+    Ok((Some(outcome), span))
+}
+
+/// The ring-buddy checkpoint of batch `n`: sends the batch's updated
+/// shares to this rank's ring successor on `comm`, adds their bytes to
+/// `bytes`, and returns the copy received from the ring predecessor.
+fn buddy_checkpoint(
+    comm: &Communicator,
+    n: usize,
+    batch: &[Vec<Complex64>],
+    bytes: &mut u64,
+) -> Result<Vec<Complex64>, VmpiError> {
+    let flat: Vec<Complex64> = batch.iter().flatten().copied().collect();
+    *bytes += (flat.len() * std::mem::size_of::<Complex64>()) as u64;
+    let (me, p) = (comm.rank(), comm.size());
+    let tag = CKPT_TAG_BASE + n as u32;
+    comm.send((me + 1) % p, tag, flat);
+    comm.try_recv((me + p - 1) % p, tag)
 }
 
 // ---------------------------------------------------------------------
@@ -668,7 +552,7 @@ fn deposit_redistributed(
 mod tests {
     use super::*;
     use crate::config::FftxConfig;
-    use crate::stages::run_policy;
+    use crate::stages::{run_policy, StageKind};
 
     fn eviction_config() -> FftxConfig {
         // 7 ranks as 7×1; after evicting one, 6 survivors re-plan to 3×2.
@@ -720,6 +604,25 @@ mod tests {
         );
         assert!(stats.checkpoint_bytes > 0);
         assert_eq!(out.bands, baseline.bands, "rollback changed the answer");
+        // The injected timeout fires after the pack all-to-allv and before
+        // the first FFT leg, so each replay re-runs only Prep and Pack, on
+        // every rank.
+        let spans = |trace: &fftx_trace::Trace| -> Vec<(u32, usize)> {
+            fftx_trace::stage_profile(trace)
+                .into_iter()
+                .map(|(stage, n, _)| (stage, n))
+                .collect()
+        };
+        let replayed = stats.batch_rollbacks as usize * cfg.vmpi_ranks();
+        let want: Vec<(u32, usize)> = spans(&baseline.trace)
+            .into_iter()
+            .map(|(stage, n)| match StageKind::from_id(stage) {
+                Some(StageKind::Prep | StageKind::Pack) => (stage, n + replayed),
+                _ => (stage, n),
+            })
+            .collect();
+        assert_eq!(want.len(), StageKind::ALL.len());
+        assert_eq!(spans(&out.trace), want, "replays re-ran stages past the pack");
     }
 
     #[test]

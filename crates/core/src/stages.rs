@@ -12,8 +12,10 @@
 //! * [`StageRunner`] — the one implementation of every stage's math and
 //!   data movement against [`ExecPlan`]/[`BufferArena`], recording the
 //!   per-stage trace spans ([`crate::recorder::Recorder::stage`]) once for
-//!   all policies. Recovery replays ([`StageRunner::band_batch`],
-//!   [`StageRunner::band_fused`]) and fault injection hook here too.
+//!   all policies; its `transform` runs each FFT leg through a leg hook.
+//! * The **serial batch loop** (`SerialRank`): the serial policy, batch
+//!   rollback, ABFT verify and both eviction phases all run it, each with
+//!   its own leg hook and replay rule.
 //! * The **task-cut table** — how each [`SchedulerPolicy`] cuts one band
 //!   into tasks: the band's tasks in chain order, each a list of phases
 //!   (a whole stage, or one half of a split scatter).
@@ -42,7 +44,7 @@ use crate::problem::Problem;
 use crate::recorder::Recorder;
 use fftx_fft::{cft_1z, cft_2xy_sticks, opcount, Complex64, Direction};
 use fftx_pw::{apply_potential_slab, assemble_shares, ProcessGrid, TaskGroupLayout};
-use fftx_taskrt::{Dep, Handle, Runtime, Shared, SlotArena, TaskGraph};
+use fftx_taskrt::{Dep, Handle, Runtime, Shared, SlotArena, TaskError, TaskGraph};
 use fftx_trace::{StateClass, Trace, TraceSink};
 use fftx_vmpi::{
     AlltoallRequest, ChaosConfig, Communicator, FaultReport, VmpiError, World,
@@ -519,27 +521,6 @@ impl ScatterComms {
     pub fn post_comm(&self) -> &Communicator {
         self.pencil.as_ref().map_or(&self.full, |p| &p.row)
     }
-
-    /// The decomposition this bundle serves.
-    pub fn decomp(&self) -> Decomposition {
-        if self.pencil.is_some() {
-            Decomposition::Pencil
-        } else {
-            Decomposition::Slab
-        }
-    }
-}
-
-impl Clone for ScatterComms {
-    fn clone(&self) -> Self {
-        ScatterComms {
-            full: self.full.clone(),
-            pencil: self.pencil.as_ref().map(|p| PencilComms {
-                row: p.row.clone(),
-                col: p.col.clone(),
-            }),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -549,8 +530,7 @@ impl Clone for ScatterComms {
 /// Execution plan plus flop estimates for one task group — everything a
 /// [`StageRunner`] needs that depends on the layout. Built once per rank
 /// through [`StagePlan::for_problem`]; recovery's eviction path rebuilds it
-/// through [`StagePlan::for_layout`] after shrinking the world, so a single
-/// re-plan covers every scheduler policy.
+/// through [`StagePlan::for_layout_decomp`] after shrinking the world.
 pub struct StagePlan {
     /// Precomputed index tables and interned FFT plans.
     pub plan: Arc<ExecPlan>,
@@ -567,15 +547,10 @@ impl StagePlan {
         }
     }
 
-    /// A plan for task group `g` of an explicit layout (the mid-run re-plan
-    /// after a rank eviction, where the layout is only known at runtime).
-    pub fn for_layout(l: &TaskGroupLayout, g: usize) -> Self {
-        Self::for_layout_decomp(l, g, Decomposition::Slab)
-    }
-
-    /// [`StagePlan::for_layout`] under an explicit decomposition — the
-    /// eviction re-plan must keep the surviving ranks on the decomposition
-    /// the run started with.
+    /// A plan for task group `g` of an explicit layout under `decomp` (the
+    /// mid-run re-plan after a rank eviction, where the layout is only
+    /// known at runtime and the survivors keep the decomposition the run
+    /// started with).
     pub fn for_layout_decomp(l: &TaskGroupLayout, g: usize, decomp: Decomposition) -> Self {
         StagePlan {
             plan: Arc::new(ExecPlan::for_layout_decomp(l, g, decomp)),
@@ -1004,14 +979,16 @@ impl StageRunner<'_> {
     }
 
     /// The pipeline middle (z-FFT → scatter → xy-FFTs/VOFR → scatter →
-    /// z-FFT) over the arena's buffers. `tag` keeps concurrent scatters of
+    /// z-FFT) over the arena's buffers, each of the four FFT legs run
+    /// through `hook` (see [`LegHook`]). `tag` keeps concurrent scatters of
     /// different bands apart.
-    pub fn transform(
+    pub(crate) fn transform(
         &self,
         band: usize,
         sc: &ScatterComms,
         tag: u32,
         a: &mut BufferArena,
+        hook: &mut LegHook<'_>,
     ) -> Result<(), VmpiError> {
         let BufferArena {
             zbuf,
@@ -1023,45 +1000,32 @@ impl StageRunner<'_> {
             pencil_mid,
             ..
         } = a;
-        self.fft_z(StageKind::FftZInv, band, zbuf, scratch);
+        hook(0, zbuf, &mut |b| self.fft_z(StageKind::FftZInv, band, b, scratch))?;
         self.scatter_fwd(band, sc, tag, zbuf, planes, scatter_send, scatter_recv, pencil_mid)?;
-        self.fft_xy(StageKind::FftXyInv, band, planes, scratch, col);
+        hook(1, planes, &mut |b| self.fft_xy(StageKind::FftXyInv, band, b, scratch, col))?;
         self.vofr(band, planes);
-        self.fft_xy(StageKind::FftXyFwd, band, planes, scratch, col);
+        hook(2, planes, &mut |b| self.fft_xy(StageKind::FftXyFwd, band, b, scratch, col))?;
         self.scatter_bwd(band, sc, tag, planes, zbuf, scatter_send, scatter_recv, pencil_mid)?;
-        self.fft_z(StageKind::FftZFwd, band, zbuf, scratch);
-        Ok(())
+        hook(3, zbuf, &mut |b| self.fft_z(StageKind::FftZFwd, band, b, scratch))
     }
 
     /// One band batch of the serial policy (bands `base .. base + T`):
-    /// prep, collective pack, transform, collective unpack — every
-    /// collective fallible. This is also recovery's replay unit: when
-    /// `inject_abort` is set the batch fails *mid-flight* with the same
-    /// typed error a real watchdog expiry produces (the pack collective has
-    /// completed — its sequence number is consumed symmetrically on every
-    /// rank — the scatter never runs), so the rollback path cannot tell it
-    /// from a real timeout.
+    /// prep, collective pack, transform (its legs run through `hook`),
+    /// collective unpack — every collective fallible. This is the replay
+    /// unit of [`SerialRank::run`].
     #[allow(clippy::too_many_arguments)]
-    pub fn band_batch(
+    pub(crate) fn band_batch(
         &self,
         base: usize,
         pack_comm: &Communicator,
         scatter_comm: &ScatterComms,
         shares: &mut [Vec<Complex64>],
         a: &mut BufferArena,
-        inject_abort: bool,
+        hook: &mut LegHook<'_>,
     ) -> Result<(), VmpiError> {
         self.prep(base, &mut a.zbuf, &mut a.planes);
         self.pack_exchange(base, shares, pack_comm, a)?;
-        if inject_abort {
-            return Err(VmpiError::Timeout {
-                message: format!(
-                    "vmpi deadlock: injected collective timeout in band batch starting at band {base}"
-                ),
-                diagnostic: String::new(),
-            });
-        }
-        self.transform(base, scatter_comm, 0, a)?;
+        self.transform(base, scatter_comm, 0, a, hook)?;
         self.unpack_exchange(base, shares, pack_comm, a)?;
         Ok(())
     }
@@ -1070,7 +1034,7 @@ impl StageRunner<'_> {
     /// recovery's retryable band tasks): idempotent over the input
     /// snapshot — read the share, compute in the worker's arena (prep
     /// re-zeroes it on every attempt), write the share last.
-    pub fn band_fused(
+    pub(crate) fn band_fused(
         &self,
         band: usize,
         sc: &ScatterComms,
@@ -1079,11 +1043,26 @@ impl StageRunner<'_> {
     ) -> Result<(), VmpiError> {
         self.prep(band, &mut a.zbuf, &mut a.planes);
         self.pack_local(band, &share.read(), &mut a.zbuf);
-        self.transform(band, sc, band as u32, a)?;
+        self.transform(band, sc, band as u32, a, &mut |_, buf, run| {
+            run(buf);
+            Ok(())
+        })?;
         self.unpack_local(band, &a.zbuf, &mut share.write());
         Ok(())
     }
 }
+
+/// The hook each FFT leg of [`StageRunner::transform`] runs through. It
+/// gets the leg's index (0 z inverse, 1 xy inverse, 2 xy forward, 3 z
+/// forward), the leg's buffer and a closure that runs the leg on a
+/// buffer. It may run that closure more than once (full-mode verify
+/// recomputes a leg), or fail the batch instead of running it.
+pub(crate) type LegHook<'h> = dyn FnMut(
+        usize,
+        &mut [Complex64],
+        &mut dyn FnMut(&mut [Complex64]),
+    ) -> Result<(), VmpiError>
+    + 'h;
 
 // ---------------------------------------------------------------------
 // Running a problem under a scheduler policy
@@ -1141,13 +1120,6 @@ impl StepFlops {
     }
 }
 
-/// One empty arena per runtime worker; task bodies index with
-/// [`fftx_trace::current_thread`] (a worker runs one task at a time, so
-/// the `Shared` access check never trips).
-pub(crate) fn worker_arenas(workers: usize) -> Arc<Vec<Shared<BufferArena>>> {
-    Arc::new((0..workers).map(|_| Shared::new(BufferArena::new())).collect())
-}
-
 /// Runs the problem under `policy` and returns the reassembled bands,
 /// trace and FFT-phase time.
 pub fn run_policy(problem: &Arc<Problem>, policy: SchedulerPolicy) -> RunOutput {
@@ -1175,29 +1147,37 @@ pub fn run_policy_chaotic(
         world = world.with_chaos(c);
     }
     let results = world.run(|comm| match policy {
-        SchedulerPolicy::Serial => rank_serial(problem, comm),
+        SchedulerPolicy::Serial => {
+            let mut rank = SerialRank::start(problem, comm);
+            let span = rank
+                .run(0, cfg.iterations(), &mut Plain, |_, _| Ok(()))
+                .and_then(|()| rank.finish())
+                .unwrap_or_else(|e| panic!("{e}"));
+            (rank.shares, span)
+        }
         _ => rank_tasks(problem, comm, policy),
     });
     let report = world.fault_report();
-    (finish_run(problem, sink, results), report)
+    (finish_run(&problem.layout, sink, results), report)
 }
 
-/// Reassembles bands from per-rank shares and closes the trace.
+/// Reassembles bands from per-rank shares, in rank order of layout `l`,
+/// and closes the trace.
 pub(crate) fn finish_run(
-    problem: &Problem,
+    l: &TaskGroupLayout,
     sink: TraceSink,
-    results: Vec<(Vec<Vec<Complex64>>, f64)>,
+    results: Vec<(RankShares, f64)>,
 ) -> RunOutput {
     let fft_phase_s = results
         .iter()
         .map(|(_, t)| *t)
         .fold(0.0_f64, f64::max);
-    let nbnd = problem.config.nbnd;
+    let nbnd = results.first().map_or(0, |(s, _)| s.len());
     let bands = (0..nbnd)
         .map(|b| {
             let shares: Vec<Vec<Complex64>> =
                 results.iter().map(|(s, _)| s[b].clone()).collect();
-            assemble_shares(&problem.layout.set, &problem.layout.dist, &shares)
+            assemble_shares(&l.set, &l.dist, &shares)
         })
         .collect();
     RunOutput {
@@ -1207,9 +1187,58 @@ pub(crate) fn finish_run(
     }
 }
 
-/// Per-rank body of the serial policy: plan once, then an allocation-free
-/// steady-state loop of band batches through the arena. Per outer
-/// iteration k (bands `kT .. (k+1)T`), every rank `g*T + i` runs:
+/// One rank's band shares, indexed by band.
+pub(crate) type RankShares = Vec<Vec<Complex64>>;
+
+// ---------------------------------------------------------------------
+// The serial policy's batch loop, shared by every serial-policy engine
+// ---------------------------------------------------------------------
+
+/// Attempt `replays` (0 first) at batch `k`, whose first band is `base`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Attempt {
+    pub k: usize,
+    pub base: usize,
+    pub replays: u32,
+}
+
+/// What a serial-policy engine decides around each band batch. The
+/// defaults are the plain serial policy's: no checkpoint, each leg run
+/// once, any error escalated.
+pub(crate) trait BatchRule {
+    /// Whether each batch's input shares are snapshotted for replays.
+    fn checkpoints(&self) -> bool {
+        false
+    }
+
+    /// The [`LegHook`] of attempt `at`.
+    fn leg(
+        &mut self,
+        _at: Attempt,
+        _leg: usize,
+        buf: &mut [Complex64],
+        run: &mut dyn FnMut(&mut [Complex64]),
+    ) -> Result<(), VmpiError> {
+        run(buf);
+        Ok(())
+    }
+
+    /// Judges attempt `at`, which ended in `done`: `Ok(true)` replays it
+    /// from the checkpoint, `Ok(false)` accepts it, an error ends the run.
+    fn replay(&mut self, _at: Attempt, done: Result<(), VmpiError>) -> Result<bool, VmpiError> {
+        done.map(|()| false)
+    }
+}
+
+/// The plain serial policy's rule.
+pub(crate) struct Plain;
+
+impl BatchRule for Plain {}
+
+/// One rank of a serial-policy run: plan once, then an allocation-free
+/// steady-state loop of band batches through the arena
+/// ([`SerialRank::run`]). Per outer iteration k (bands `kT .. (k+1)T`),
+/// every rank `g*T + i` runs:
 ///
 /// ```text
 /// pack    : Alltoallv in the task group  (band shares -> band k*T+i on U_g)
@@ -1222,52 +1251,186 @@ pub(crate) fn finish_run(
 /// FFT z   : forward
 /// unpack  : Alltoallv back (band k*T+i -> band shares)
 /// ```
-fn rank_serial(problem: &Problem, comm: &Communicator) -> (Vec<Vec<Complex64>>, f64) {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    let w = comm.rank();
-    let g = l.task_group_of(w);
-    let i = l.member_of(w);
+pub(crate) struct SerialRank<'a> {
+    problem: &'a Problem,
+    /// The world, or the shrunk world after an eviction: the end barrier
+    /// spans it (its clock is the world's).
+    comm: Communicator,
+    pack: Communicator,
+    scatter: ScatterComms,
+    rec: Recorder,
+    sp: StagePlan,
+    pub(crate) shares: RankShares,
+    arena: BufferArena,
+    t_start: f64,
+    /// Batches replayed from their checkpoint.
+    pub(crate) rollbacks: u64,
+    /// Bytes of batch checkpoints taken.
+    pub(crate) ckpt_bytes: u64,
+}
 
-    let pack_comm = comm.split(g as u64, i);
-    let scatter_comm = ScatterComms::new(comm.split(i as u64, g), cfg.decomp);
-    let rec = Recorder::new(comm.trace_sink(), comm.clock(), w);
-    let sp = StagePlan::for_problem(problem, g);
-    let runner = sp.runner(&problem.v, &rec);
-    let mut shares = problem.initial_shares(w);
-    let mut arena = BufferArena::new();
-
-    comm.barrier();
-    let t_start = comm.now();
-    for k in 0..cfg.iterations() {
-        runner
-            .band_batch(k * l.t, &pack_comm, &scatter_comm, &mut shares, &mut arena, false)
-            .unwrap_or_else(|e| panic!("{e}"));
+impl<'a> SerialRank<'a> {
+    /// Sets up rank `comm.rank()` on the problem's own layout, then waits
+    /// at the start barrier.
+    pub(crate) fn start(problem: &'a Problem, comm: &Communicator) -> Self {
+        let l = &problem.layout;
+        let w = comm.rank();
+        let (g, i) = (l.task_group_of(w), l.member_of(w));
+        let rank = SerialRank {
+            problem,
+            comm: comm.clone(),
+            pack: comm.split(g as u64, i),
+            scatter: ScatterComms::new(comm.split(i as u64, g), problem.config.decomp),
+            rec: Recorder::new(comm.trace_sink(), comm.clock(), w),
+            sp: StagePlan::for_problem(problem, g),
+            shares: problem.initial_shares(w),
+            arena: BufferArena::new(),
+            t_start: 0.0,
+            rollbacks: 0,
+            ckpt_bytes: 0,
+        };
+        comm.barrier();
+        SerialRank { t_start: comm.now(), ..rank }
     }
-    comm.barrier();
-    let t_end = comm.now();
-    (shares, t_end - t_start)
+
+    /// Moves the rank onto layout `l` of the shrunk world `comm` (the
+    /// re-plan after an eviction). The shares, recorder and arena carry
+    /// over; the arena's buffers re-fit to the new geometry.
+    pub(crate) fn replan(&mut self, comm: &Communicator, l: &TaskGroupLayout) {
+        let me = comm.rank();
+        let (g, i) = (l.task_group_of(me), l.member_of(me));
+        let decomp = self.problem.config.decomp;
+        self.pack = comm.split(g as u64, i);
+        self.scatter = ScatterComms::new(comm.split(i as u64, g), decomp);
+        self.sp = StagePlan::for_layout_decomp(l, g, decomp);
+        self.comm = comm.clone();
+    }
+
+    /// Runs `batches` band batches from band `first`, each up the ladder:
+    /// take a checkpoint if `rule` asks, attempt the batch, restore and
+    /// replay it while `rule` says so. `after` then gets the accepted
+    /// batch's index and updated shares.
+    pub(crate) fn run(
+        &mut self,
+        first: usize,
+        batches: usize,
+        rule: &mut impl BatchRule,
+        mut after: impl FnMut(usize, &[Vec<Complex64>]) -> Result<(), VmpiError>,
+    ) -> Result<(), VmpiError> {
+        let runner = self.sp.runner(&self.problem.v, &self.rec);
+        let t = runner.plan.t;
+        for k in 0..batches {
+            let base = first + k * t;
+            let batch = base..base + t;
+            let checkpoint = rule.checkpoints().then(|| self.shares[batch.clone()].to_vec());
+            if let Some(c) = &checkpoint {
+                let len: usize = c.iter().map(Vec::len).sum();
+                self.ckpt_bytes += (len * std::mem::size_of::<Complex64>()) as u64;
+            }
+            let mut at = Attempt { k, base, replays: 0 };
+            loop {
+                let done = runner.band_batch(
+                    base,
+                    &self.pack,
+                    &self.scatter,
+                    &mut self.shares,
+                    &mut self.arena,
+                    &mut |leg, buf, run| rule.leg(at, leg, buf, run),
+                );
+                if !rule.replay(at, done)? {
+                    break;
+                }
+                let c = checkpoint.as_ref().expect("a rule that replays takes checkpoints");
+                self.shares[batch.clone()].clone_from_slice(c);
+                self.rollbacks += 1;
+                at.replays += 1;
+            }
+            after(k, &self.shares[batch])?;
+        }
+        Ok(())
+    }
+
+    /// Seconds since the start barrier.
+    pub(crate) fn elapsed(&self) -> f64 {
+        self.comm.now() - self.t_start
+    }
+
+    /// Waits at the end barrier; returns the seconds since the start one.
+    pub(crate) fn finish(&self) -> Result<f64, VmpiError> {
+        self.comm.try_barrier()?;
+        Ok(self.elapsed())
+    }
 }
 
 /// Context cloned into every task of one rank.
 #[derive(Clone)]
-struct RankEnv {
+pub(crate) struct RankEnv {
     problem: Arc<Problem>,
     comm: Communicator,
     sc: Arc<ScatterComms>,
     sp: Arc<StagePlan>,
+    /// One arena per runtime worker (a worker runs one task at a time, so
+    /// the `Shared` access check never trips).
     arenas: Arc<Vec<Shared<BufferArena>>>,
 }
 
 impl RankEnv {
-    fn recorder(&self) -> Recorder {
-        Recorder::new(self.comm.trace_sink(), self.comm.clock(), self.comm.rank())
+    /// Runs a task body `f` with a runner recording for this rank, the
+    /// scatter communicators and the running worker's arena.
+    pub(crate) fn with_runner<R>(
+        &self,
+        f: impl FnOnce(&StageRunner<'_>, &ScatterComms, &mut BufferArena) -> R,
+    ) -> R {
+        let rec = Recorder::new(self.comm.trace_sink(), self.comm.clock(), self.comm.rank());
+        let runner = self.sp.runner(&self.problem.v, &rec);
+        f(&runner, &self.sc, &mut self.arenas[fftx_trace::current_thread()].write())
     }
+}
 
-    /// The running worker's arena (one task per worker at a time).
-    fn arena(&self) -> &Shared<BufferArena> {
-        &self.arenas[fftx_trace::current_thread()]
+/// One task-policy rank (T = 1: every rank is its own task group): sets
+/// up the task context, the runtime (recording into the rank's trace sink)
+/// and the band shares, waits at the start barrier, lets `spawn` submit the
+/// band tasks, drains them and waits at the end barrier. Returns the band
+/// shares, the seconds between the barriers and the runtime's retries.
+pub(crate) fn task_rank(
+    problem: &Arc<Problem>,
+    comm: &Communicator,
+    spawn: impl FnOnce(&RankEnv, &Runtime, &[Shared<Vec<Complex64>>]),
+) -> Result<(RankShares, f64, u64), TaskError> {
+    let cfg = problem.config;
+    let w = comm.rank();
+    let env = RankEnv {
+        problem: Arc::clone(problem),
+        comm: comm.clone(),
+        // Task layouts scatter over the whole world; the pencil split (a
+        // collective) happens here, before any task runs.
+        sc: Arc::new(ScatterComms::new(comm.clone(), cfg.decomp)),
+        sp: Arc::new(StagePlan::for_problem(problem, w)),
+        arenas: Arc::new((0..cfg.ntg).map(|_| Shared::new(BufferArena::new())).collect()),
+    };
+    let shares: Vec<_> = problem.initial_shares(w).into_iter().map(Shared::new).collect();
+    let mut builder = Runtime::builder(cfg.ntg).clock(comm.clock()).rank(w);
+    if let Some(sink) = comm.trace_sink() {
+        builder = builder.trace(sink);
     }
+    let rt = builder.build();
+    comm.barrier();
+    let t_start = comm.now();
+    spawn(&env, &rt, &shares);
+    let waited = rt.try_taskwait();
+    if waited.is_ok() {
+        comm.barrier();
+    }
+    let span = comm.now() - t_start;
+    let retries = rt.retries();
+    let shutdown = rt.try_shutdown();
+    waited?;
+    shutdown?;
+    let shares = shares
+        .into_iter()
+        .map(|s| s.try_unwrap().ok().expect("share uniquely owned after taskwait"))
+        .collect();
+    Ok((shares, span, retries))
 }
 
 /// Per-rank body of every task policy: build the band task graph from the
@@ -1276,50 +1439,18 @@ fn rank_tasks(
     problem: &Arc<Problem>,
     comm: &Communicator,
     policy: SchedulerPolicy,
-) -> (Vec<Vec<Complex64>>, f64) {
-    let cfg = problem.config;
-    let w = comm.rank();
-    let g = w; // task layouts have t = 1: every rank is its own task group
-    let env = RankEnv {
-        problem: Arc::clone(problem),
-        comm: comm.clone(),
-        // Task layouts scatter over the whole world; the pencil split (a
-        // collective) happens here, before any task runs.
-        sc: Arc::new(ScatterComms::new(comm.clone(), cfg.decomp)),
-        sp: Arc::new(StagePlan::for_problem(problem, g)),
-        arenas: worker_arenas(cfg.ntg),
-    };
-    let shares: Vec<Shared<Vec<Complex64>>> = problem
-        .initial_shares(w)
-        .into_iter()
-        .map(Shared::new)
-        .collect();
-
-    let mut builder = Runtime::builder(cfg.ntg).clock(comm.clock()).rank(w);
-    if let Some(sink) = comm.trace_sink() {
-        builder = builder.trace(sink);
-    }
-    let rt = builder.build();
-
-    comm.barrier();
-    let t_start = comm.now();
+) -> (RankShares, f64) {
     let cut = band_cut(policy);
-    let mut slots = SlotArena::new();
-    let mut graph = TaskGraph::new();
-    for (b, share) in shares.iter().enumerate() {
-        push_band(&mut graph, &mut slots, &env, cut, b, share);
-    }
-    rt.spawn_graph(graph);
-    rt.taskwait();
-    comm.barrier();
-    let t_end = comm.now();
-    rt.shutdown();
-
-    let shares = shares
-        .into_iter()
-        .map(|s| s.try_unwrap().ok().expect("share uniquely owned after taskwait"))
-        .collect();
-    (shares, t_end - t_start)
+    let (shares, span, _) = task_rank(problem, comm, |env, rt, shares| {
+        let mut slots = SlotArena::new();
+        let mut graph = TaskGraph::new();
+        for (b, share) in shares.iter().enumerate() {
+            push_band(&mut graph, &mut slots, env, cut, b, share);
+        }
+        rt.spawn_graph(graph);
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
+    (shares, span)
 }
 
 /// The buffers one band's tasks hand each other in a multi-task cut:
@@ -1452,16 +1583,13 @@ fn push_band(
     for (n, (label, priority, phases)) in band_tasks(cut, b, nbnd).enumerate() {
         let (env, share, bufs) = (env.clone(), share.clone(), bufs.clone());
         graph.node(label, Some(priority), task_deps(cut, n, &bs), move || {
-            let rec = env.recorder();
-            let runner = env.sp.runner(&env.problem.v, &rec);
-            let mut guard = env.arena().write();
-            let done = match &bufs {
-                None => runner.band_fused(b, &env.sc, &share, &mut guard),
+            env.with_runner(|runner, sc, a| match &bufs {
+                None => runner.band_fused(b, sc, &share, a),
                 Some(bufs) => phases
                     .iter()
-                    .try_for_each(|&p| bufs.run(&runner, &env.sc, &share, p, &mut guard)),
-            };
-            done.unwrap_or_else(|e| panic!("{e}"));
+                    .try_for_each(|&p| bufs.run(runner, sc, &share, p, a)),
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
         });
     }
 }

@@ -24,7 +24,7 @@
 //!   within [`PARSEVAL_TOL`]. One pass over the buffer per leg. The
 //!   forward xy leg y-transforms only the stick columns and leaves the
 //!   rest x-transformed, so it checks the identity of that restricted
-//!   transform instead ([`Parseval::StickCols`]), which still covers every
+//!   transform instead (`Parseval::StickCols`), which still covers every
 //!   element of the buffer.
 //! - **`full`** — recompute and compare. The leg input is snapshotted, the
 //!   leg recomputed on an independent (clean) path, and the outputs
@@ -35,7 +35,7 @@
 //!
 //! **Detectability contract.** Injected transient strikes are constrained
 //! to the high exponent bit of one `f64` component
-//! ([`apply_significant_strike`]): such a flip rescales the component by
+//! (`apply_significant_strike`): such a flip rescales the component by
 //! `2^±512`, which no finite wavefunction value hides from the energy
 //! check. Raw mantissa flips below the Parseval tolerance are numerically
 //! indistinguishable from kernel rounding — `cheap` mode cannot and does
@@ -47,26 +47,25 @@
 //! collective sequence counters, so a rank never aborts a batch on its own
 //! verdict: local flags accumulate through the batch, a world-wide
 //! OR-allreduce agrees on the outcome, and then *every* rank rolls the
-//! batch back to its checkpoint in lockstep (the rollback path of
-//! `recovery`). Transient profiles bound their strikes per key, so the
-//! rollback budget provably clears them; budget exhaustion escalates a
-//! typed [`VmpiError::Integrity`].
+//! batch back to its checkpoint in lockstep — the replay ladder of the
+//! serial policy's shared batch loop, to which this module supplies the
+//! leg hook and the replay rule. Transient profiles bound their strikes
+//! per key, so the rollback budget provably clears them; budget
+//! exhaustion escalates a typed [`VmpiError::Integrity`].
 //!
 //! **Persistent faults.** A stuck lane strikes on every replay — rollback
 //! cannot clear it. Instead, every rank's FFT unit is *probed* before the
 //! run ([`probe_fft_unit`]: a known-energy vector plus a linearity check,
 //! pure in `(seed, rank)` so every process computes the same verdict), and
-//! a flaky rank is escalated straight to
-//! [`run_eviction`](crate::recovery::run_eviction) — it is evicted at
-//! batch 0, computes nothing, and the survivors re-plan the layout. One
+//! a flaky rank is escalated straight to [`run_eviction`] — it is evicted
+//! at batch 0, computes nothing, and the survivors re-plan the layout. One
 //! eviction per run: a second flaky rank escalates as a typed error.
 
 use crate::config::SchedulerPolicy;
-use crate::plan::{BufferArena, ExecPlan};
+use crate::plan::ExecPlan;
 use crate::problem::Problem;
-use crate::recorder::Recorder;
 use crate::recovery::run_eviction;
-use crate::stages::{finish_run, RunOutput, ScatterComms, StageKind, StagePlan, StageRunner};
+use crate::stages::{finish_run, Attempt, BatchRule, RunOutput, SerialRank};
 use fftx_fault::{mix64, CorruptionConfig, RankDeath, RecoveryConfig, Strike, StuckLane};
 use fftx_fft::{c64, cached_plan, cft_1z, Complex64, Direction};
 use fftx_trace::TraceSink;
@@ -86,8 +85,9 @@ const TARGET_SALT: u64 = 0x7C15_8A2D_93E4_F506;
 // Verify mode
 // ---------------------------------------------------------------------
 
-/// How much ABFT verification the pipeline runs per FFT leg — the axis the
-/// `FFTX_VERIFY` environment knob exposes.
+/// How much ABFT verification [`run_verified`] runs per FFT leg. Callers
+/// pass it per run: the `integrity` bench sweeps every mode, and the
+/// serving backend runs `cheap` on batches under corruption chaos.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerifyMode {
     /// No compute verification (transport checksums still apply).
@@ -104,7 +104,7 @@ impl VerifyMode {
     /// Every mode, in escalation order.
     pub const ALL: [VerifyMode; 3] = [VerifyMode::Off, VerifyMode::Cheap, VerifyMode::Full];
 
-    /// The knob vocabulary name.
+    /// The mode's name, as CSV columns and reports spell it.
     pub fn name(self) -> &'static str {
         match self {
             VerifyMode::Off => "off",
@@ -113,19 +113,9 @@ impl VerifyMode {
         }
     }
 
-    /// Parses a knob value (the inverse of [`VerifyMode::name`]).
+    /// Parses a mode name (the inverse of [`VerifyMode::name`]).
     pub fn parse(s: &str) -> Option<VerifyMode> {
         VerifyMode::ALL.iter().copied().find(|m| m.name() == s)
-    }
-
-    /// Reads `FFTX_VERIFY` leniently (unset or unparsable → `Off`) — the
-    /// library-level reader; binaries validate strictly via
-    /// [`crate::load_env`].
-    pub fn from_env() -> VerifyMode {
-        std::env::var("FFTX_VERIFY")
-            .ok()
-            .and_then(|v| VerifyMode::parse(&v))
-            .unwrap_or(VerifyMode::Off)
     }
 }
 
@@ -202,6 +192,23 @@ fn apply_significant_strike(s: &Strike, buf: &mut [Complex64]) -> bool {
 /// so corruption exercises every rank's detection path over a run.
 fn strike_target(key: u64, ranks: usize) -> usize {
     (mix64(key ^ TARGET_SALT) % ranks.max(1) as u64) as usize
+}
+
+/// Injects the modeled FFT-unit faults of world rank `comm.rank()` into a
+/// leg's output buffer: a bounded transient strike when the rank is the
+/// key's target, plus the rank's persistent stuck lane.
+fn inject(c: &CorruptionConfig, comm: &Communicator, key: u64, attempt: u32, b: &mut [Complex64]) {
+    let rank = comm.rank();
+    if let Some(bf) = c.bitflip {
+        if strike_target(key, comm.size()) == rank {
+            if let Some(s) = bf.strike(key, attempt) {
+                apply_significant_strike(&s, b);
+            }
+        }
+    }
+    if let Some(st) = c.stuck {
+        apply_stuck(&st, rank as u64, b);
+    }
 }
 
 /// The fault key of one FFT leg of one band batch.
@@ -328,178 +335,120 @@ pub fn probe_fft_unit(corruption: &CorruptionConfig, rank: usize, n: usize) -> b
 }
 
 // ---------------------------------------------------------------------
-// Verified leg execution
+// The verify engine's batch rule
 // ---------------------------------------------------------------------
 
-/// The verification context one rank carries through a run.
-struct VerifyCtx {
+/// The verify engine's rule for one rank: every FFT leg runs through the
+/// fault model and the mode's invariant, and a batch replays from its
+/// checkpoint when the world agrees it is corrupt.
+struct Verifier<'a> {
     mode: VerifyMode,
     corruption: CorruptionConfig,
-    /// World rank (fault-model identity: strike targeting, stuck lanes).
-    rank: usize,
-    /// World size.
-    ranks: usize,
-    tol: f64,
-}
-
-/// Per-batch detection state, accumulated locally and agreed collectively.
-#[derive(Default)]
-struct VerifyFlags {
-    detected: bool,
-    /// `(expected, got)` energy bits of the first local detection — the
-    /// evidence carried into the escalation error.
+    /// The world: its rank is the fault-model identity (strike targeting,
+    /// stuck lanes), and the verdict allreduce spans it.
+    comm: &'a Communicator,
+    /// The rank's plan (the forward xy leg's [`Parseval`] identity).
+    plan: &'a ExecPlan,
+    max_rollbacks: u32,
+    /// `(expected, got)` energy bits of the running attempt's first local
+    /// detection — the evidence carried into the escalation error.
     evidence: Option<(u64, u64)>,
-    checks: u64,
-    recomputes: u64,
-    repaired: u64,
+    /// This rank's checks, recomputes, repairs and detections.
+    stats: VerifyStats,
 }
 
-/// Injects the modeled FFT-unit faults into a leg's output buffer:
-/// a bounded transient strike when this rank is the key's target, plus the
-/// rank's persistent stuck lane.
-fn inject(vx: &VerifyCtx, key: u64, attempt: u32, buf: &mut [Complex64]) {
-    if let Some(bf) = vx.corruption.bitflip {
-        if strike_target(key, vx.ranks) == vx.rank {
-            if let Some(s) = bf.strike(key, attempt) {
-                apply_significant_strike(&s, buf);
+impl BatchRule for Verifier<'_> {
+    /// `Off` must stay zero-overhead: it takes no checkpoint.
+    fn checkpoints(&self) -> bool {
+        self.mode != VerifyMode::Off
+    }
+
+    /// Runs one FFT leg through the fault model and the selected
+    /// invariant: compute, inject, then check (`cheap`: the leg's
+    /// [`Parseval`] identity; `full`: bit-exact recompute from the
+    /// snapshot, repairing in place on mismatch).
+    fn leg(
+        &mut self,
+        at: Attempt,
+        leg: usize,
+        buf: &mut [Complex64],
+        run: &mut dyn FnMut(&mut [Complex64]),
+    ) -> Result<(), VmpiError> {
+        let key = leg_key(at.base, leg as u64);
+        let faults = |b: &mut [Complex64]| inject(&self.corruption, self.comm, key, at.replays, b);
+        match self.mode {
+            VerifyMode::Off => {
+                run(buf);
+                faults(buf);
+            }
+            VerifyMode::Cheap => {
+                let grid = &self.plan.grid;
+                let (nz, nxy) = (grid.nr3 as f64, (grid.nr1 * grid.nr2) as f64);
+                // The inverse xy leg skips only rows that are zero in and
+                // out, so the whole-buffer identity holds for it as for the
+                // z legs.
+                let parseval = match leg {
+                    0 => Parseval::Whole(nz),
+                    1 => Parseval::Whole(nxy),
+                    2 => Parseval::StickCols(self.plan),
+                    _ => Parseval::Whole(1.0 / nz),
+                };
+                let e_in = energy(buf);
+                run(buf);
+                faults(buf);
+                self.stats.parseval_checks += 1;
+                let (want, got) = parseval.energies(e_in, buf);
+                if !energy_close(got, want, PARSEVAL_TOL) {
+                    self.evidence.get_or_insert((want.to_bits(), got.to_bits()));
+                }
+            }
+            VerifyMode::Full => {
+                let snapshot = buf.to_vec();
+                run(buf);
+                faults(buf);
+                self.stats.recomputed_legs += 1;
+                // Recompute on the clean path (the check unit: in the KNL
+                // story, the scalar fallback kernel) and compare bit-exactly.
+                let mut clean = snapshot;
+                run(&mut clean);
+                if !bits_equal(buf, &clean) {
+                    buf.copy_from_slice(&clean);
+                    self.stats.repaired_legs += 1;
+                }
             }
         }
+        Ok(())
     }
-    if let Some(st) = vx.corruption.stuck {
-        apply_stuck(&st, vx.rank as u64, buf);
+
+    /// Replays only a batch the whole world agrees is corrupt (a rank
+    /// acting on its own flag would desynchronise the collective sequence
+    /// counters); strikes are pure in (seed, key, attempt), so every rank
+    /// replays in lockstep. A transport error escapes without a replay.
+    fn replay(&mut self, at: Attempt, done: Result<(), VmpiError>) -> Result<bool, VmpiError> {
+        done?;
+        let evidence = self.evidence.take();
+        let corrupt = self.mode != VerifyMode::Off
+            && self.comm.allreduce(vec![u64::from(evidence.is_some())], |a, b| a | b)[0] != 0;
+        if !corrupt {
+            return Ok(false);
+        }
+        self.stats.detected_batches += 1;
+        if at.replays >= self.max_rollbacks {
+            let (expected, got) = evidence.unwrap_or((0, 0));
+            return Err(VmpiError::Integrity {
+                peer: self.comm.rank(),
+                tag: at.k as u32,
+                expected,
+                got,
+            });
+        }
+        Ok(true)
     }
-}
-
-/// Runs one FFT leg through the fault model and the selected invariant:
-/// compute, inject, then check (`cheap`: the leg's [`Parseval`] identity;
-/// `full`: bit-exact recompute from the snapshot, repairing in place on
-/// mismatch).
-fn verified_leg(
-    vx: &VerifyCtx,
-    flags: &mut VerifyFlags,
-    key: u64,
-    attempt: u32,
-    parseval: Parseval<'_>,
-    buf: &mut [Complex64],
-    mut leg: impl FnMut(&mut [Complex64]),
-) {
-    match vx.mode {
-        VerifyMode::Off => {
-            leg(buf);
-            inject(vx, key, attempt, buf);
-        }
-        VerifyMode::Cheap => {
-            let e_in = energy(buf);
-            leg(buf);
-            inject(vx, key, attempt, buf);
-            flags.checks += 1;
-            let (want, got) = parseval.energies(e_in, buf);
-            if !energy_close(got, want, vx.tol) {
-                flags.detected = true;
-                flags.evidence.get_or_insert((want.to_bits(), got.to_bits()));
-            }
-        }
-        VerifyMode::Full => {
-            let snapshot = buf.to_vec();
-            leg(buf);
-            inject(vx, key, attempt, buf);
-            flags.recomputes += 1;
-            // Recompute on the clean path (the check unit: in the KNL
-            // story, the scalar fallback kernel) and compare bit-exactly.
-            let mut clean = snapshot;
-            leg(&mut clean);
-            if !bits_equal(buf, &clean) {
-                buf.copy_from_slice(&clean);
-                flags.repaired += 1;
-            }
-        }
-    }
-}
-
-/// The transform middle with every FFT leg verified. Scatters stay on the
-/// plain path: their integrity is the transport checksums' job.
-#[allow(clippy::too_many_arguments)]
-fn verified_transform(
-    r: &StageRunner<'_>,
-    base: usize,
-    sc: &ScatterComms,
-    tag: u32,
-    a: &mut BufferArena,
-    vx: &VerifyCtx,
-    attempt: u32,
-    flags: &mut VerifyFlags,
-) -> Result<(), VmpiError> {
-    let BufferArena {
-        zbuf,
-        planes,
-        scratch,
-        col,
-        scatter_send,
-        scatter_recv,
-        pencil_mid,
-        ..
-    } = a;
-    let nz = r.plan.grid.nr3 as f64;
-    let nxy = (r.plan.grid.nr1 * r.plan.grid.nr2) as f64;
-    // The inverse xy leg skips only rows that are zero in and out, so the
-    // whole-buffer identity holds for it as for the z legs.
-    let (z_inv, z_fwd) = (Parseval::Whole(nz), Parseval::Whole(1.0 / nz));
-    let (xy_inv, xy_fwd) = (Parseval::Whole(nxy), Parseval::StickCols(r.plan));
-    verified_leg(vx, flags, leg_key(base, 0), attempt, z_inv, zbuf, |b| {
-        r.fft_z(StageKind::FftZInv, base, b, scratch)
-    });
-    r.scatter_fwd(base, sc, tag, zbuf, planes, scatter_send, scatter_recv, pencil_mid)?;
-    verified_leg(vx, flags, leg_key(base, 1), attempt, xy_inv, planes, |b| {
-        r.fft_xy(StageKind::FftXyInv, base, b, scratch, col)
-    });
-    r.vofr(base, planes);
-    verified_leg(vx, flags, leg_key(base, 2), attempt, xy_fwd, planes, |b| {
-        r.fft_xy(StageKind::FftXyFwd, base, b, scratch, col)
-    });
-    r.scatter_bwd(base, sc, tag, planes, zbuf, scatter_send, scatter_recv, pencil_mid)?;
-    verified_leg(vx, flags, leg_key(base, 3), attempt, z_fwd, zbuf, |b| {
-        r.fft_z(StageKind::FftZFwd, base, b, scratch)
-    });
-    Ok(())
-}
-
-/// One band batch with verified FFT legs — the replay unit of the
-/// verified run, shaped exactly like
-/// [`StageRunner::band_batch`](crate::stages::StageRunner::band_batch).
-#[allow(clippy::too_many_arguments)]
-fn verified_band_batch(
-    r: &StageRunner<'_>,
-    base: usize,
-    pack_comm: &Communicator,
-    sc: &ScatterComms,
-    shares: &mut [Vec<Complex64>],
-    a: &mut BufferArena,
-    vx: &VerifyCtx,
-    attempt: u32,
-    flags: &mut VerifyFlags,
-) -> Result<(), VmpiError> {
-    r.prep(base, &mut a.zbuf, &mut a.planes);
-    r.pack_exchange(base, shares, pack_comm, a)?;
-    verified_transform(r, base, sc, 0, a, vx, attempt, flags)?;
-    r.unpack_exchange(base, shares, pack_comm, a)?;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
 // The verified run
 // ---------------------------------------------------------------------
-
-type RankShares = Vec<Vec<Complex64>>;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct RankTotals {
-    checks: u64,
-    recomputes: u64,
-    repaired: u64,
-    detected: u64,
-    rollbacks: u64,
-    ckpt_bytes: u64,
-}
 
 /// Runs the original pipeline under the corruption model with ABFT
 /// verification: every rank's FFT unit is probed up front (a flaky rank is
@@ -556,125 +505,39 @@ pub fn run_verified(
 
     let sink = TraceSink::new();
     let world = World::new(p).with_trace(sink.clone());
-    let results = world.run(|comm| rank_verified(problem, comm, corruption, mode, recovery));
+    let results = world.run(|comm| {
+        let mut rank = SerialRank::start(problem, comm);
+        let mut rule = Verifier {
+            mode,
+            corruption,
+            comm,
+            plan: problem.exec_plan(problem.layout.task_group_of(comm.rank())),
+            max_rollbacks: recovery.max_rollbacks,
+            evidence: None,
+            stats: VerifyStats::default(),
+        };
+        rank.run(0, cfg.iterations(), &mut rule, |_, _| Ok(()))?;
+        let span = rank.finish()?;
+        Ok::<_, VmpiError>((rank.shares, span, rule.stats, rank.rollbacks, rank.ckpt_bytes))
+    });
     let mut plain = Vec::with_capacity(results.len());
-    let mut totals = RankTotals::default();
     for r in results {
-        let (shares, span, t) = r?;
-        totals.checks += t.checks;
-        totals.recomputes += t.recomputes;
-        totals.repaired += t.repaired;
+        let (shares, span, rs, rollbacks, ckpt_bytes) = r?;
+        stats.parseval_checks += rs.parseval_checks;
+        stats.recomputed_legs += rs.recomputed_legs;
+        stats.repaired_legs += rs.repaired_legs;
         // Detection and rollback decisions are rank-symmetric; count once.
-        totals.detected = totals.detected.max(t.detected);
-        totals.rollbacks = totals.rollbacks.max(t.rollbacks);
-        totals.ckpt_bytes += t.ckpt_bytes;
+        stats.detected_batches = stats.detected_batches.max(rs.detected_batches);
+        stats.batch_rollbacks = stats.batch_rollbacks.max(rollbacks);
+        stats.checkpoint_bytes += ckpt_bytes;
         plain.push((shares, span));
     }
-    sink.counter("integrity.parseval_checks", totals.checks);
-    sink.counter("integrity.detected_batches", totals.detected);
-    sink.counter("integrity.recomputed_legs", totals.recomputes);
-    sink.counter("integrity.repaired_legs", totals.repaired);
-    sink.counter("recovery.rollbacks", totals.rollbacks);
-    let out = finish_run(problem, sink, plain);
-    stats.parseval_checks = totals.checks;
-    stats.recomputed_legs = totals.recomputes;
-    stats.repaired_legs = totals.repaired;
-    stats.detected_batches = totals.detected;
-    stats.batch_rollbacks = totals.rollbacks;
-    stats.checkpoint_bytes = totals.ckpt_bytes;
-    Ok((out, stats))
-}
-
-fn rank_verified(
-    problem: &Arc<Problem>,
-    comm: &Communicator,
-    corruption: CorruptionConfig,
-    mode: VerifyMode,
-    recovery: &RecoveryConfig,
-) -> Result<(RankShares, f64, RankTotals), VmpiError> {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    let w = comm.rank();
-    let g = l.task_group_of(w);
-    let i = l.member_of(w);
-    let t = l.t;
-    let pack_comm = comm.split(g as u64, i);
-    let scatter_comm = ScatterComms::new(comm.split(i as u64, g), cfg.decomp);
-    let rec = Recorder::new(comm.trace_sink(), comm.clock(), w);
-    let sp = StagePlan::for_problem(problem, g);
-    let runner = sp.runner(&problem.v, &rec);
-    let mut shares = problem.initial_shares(w);
-    let mut arena = BufferArena::new();
-    let vx = VerifyCtx {
-        mode,
-        corruption,
-        rank: w,
-        ranks: comm.size(),
-        tol: PARSEVAL_TOL,
-    };
-    let mut totals = RankTotals::default();
-
-    comm.barrier();
-    let t_start = comm.now();
-    for k in 0..cfg.iterations() {
-        // Checkpoint cut at the step boundary, exactly as in the rollback
-        // engine — skipped under `Off`, which must stay zero-overhead.
-        let checkpoint: Option<Vec<Vec<Complex64>>> = (mode != VerifyMode::Off)
-            .then(|| (0..t).map(|j| shares[k * t + j].clone()).collect());
-        if let Some(c) = &checkpoint {
-            totals.ckpt_bytes += c
-                .iter()
-                .map(|s| (s.len() * std::mem::size_of::<Complex64>()) as u64)
-                .sum::<u64>();
-        }
-        let mut attempt = 0u32;
-        loop {
-            let mut flags = VerifyFlags::default();
-            verified_band_batch(
-                &runner,
-                k * t,
-                &pack_comm,
-                &scatter_comm,
-                &mut shares,
-                &mut arena,
-                &vx,
-                attempt,
-                &mut flags,
-            )?;
-            totals.checks += flags.checks;
-            totals.recomputes += flags.recomputes;
-            totals.repaired += flags.repaired;
-            // Agree on the batch verdict world-wide before acting: a rank
-            // must never abort on its local flag alone, or the collective
-            // sequence counters desynchronise.
-            let corrupt = mode != VerifyMode::Off
-                && comm.allreduce(vec![u64::from(flags.detected)], |a, b| a | b)[0] != 0;
-            if !corrupt {
-                break;
-            }
-            totals.detected += 1;
-            if attempt >= recovery.max_rollbacks {
-                let (expected, got) = flags.evidence.unwrap_or((0, 0));
-                return Err(VmpiError::Integrity {
-                    peer: w,
-                    tag: k as u32,
-                    expected,
-                    got,
-                });
-            }
-            // Roll back rank-symmetrically: the verdict is collectively
-            // agreed and the injected strikes are pure in (seed, key,
-            // attempt), so every rank replays in lockstep.
-            for (j, c) in checkpoint.as_ref().expect("checkpoint exists when verifying").iter().enumerate() {
-                shares[k * t + j] = c.clone();
-            }
-            totals.rollbacks += 1;
-            attempt += 1;
-        }
-    }
-    comm.try_barrier()?;
-    let t_end = comm.now();
-    Ok((shares, t_end - t_start, totals))
+    sink.counter("integrity.parseval_checks", stats.parseval_checks);
+    sink.counter("integrity.detected_batches", stats.detected_batches);
+    sink.counter("integrity.recomputed_legs", stats.recomputed_legs);
+    sink.counter("integrity.repaired_legs", stats.repaired_legs);
+    sink.counter("recovery.rollbacks", stats.batch_rollbacks);
+    Ok((finish_run(&problem.layout, sink, plain), stats))
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@
 //! `1/(nx*ny)` in `cft_2xy`, so a full forward 3-D pass scales by `1/N` and
 //! the backward pass is unnormalised.
 //!
-//! Every batch runs through one function, [`transform_seqs`], over a
+//! Every batch runs through one function, `transform_seqs`, over a
 //! selection of its sequences: direct sizes go through the mixed-radix
-//! kernel four sequences at a time (see [`crate::kernel::Quad`]), bitwise
+//! kernel four sequences at a time (see `kernel::Quad`), bitwise
 //! identical to transforming them one by one; a remainder of fewer than
 //! four, and every sequence of a Bluestein size, runs one at a time through
 //! [`Fft::process_with`].

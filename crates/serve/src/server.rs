@@ -1,6 +1,6 @@
 //! The serving loop: a deterministic virtual-time discrete-event server
 //! that admits requests, coalesces them into batches, places each batch
-//! with the [`Tuner`](crate::tuner::Tuner), and optionally executes it for
+//! with the [`Tuner`], and optionally executes it for
 //! real on the stage-graph engines — surviving injected chaos through the
 //! recovery ladder (task retry → batch rollback → rank eviction) without
 //! losing a single accepted job.

@@ -4,7 +4,7 @@
 //! Every fleet state transition — acceptance, shedding, batch formation,
 //! dispatch, completion, heartbeats, shard death, failover, degradation —
 //! is journaled as a [`Record`] *before* it is applied, and
-//! [`Fleet::apply`] is the only path that mutates fleet state. The live
+//! `Fleet::apply` is the only path that mutates fleet state. The live
 //! loop therefore factors into `emit = append ∘ apply`, and recovery is
 //! exact by construction: [`resume_fleet`] replays a journal prefix
 //! through the same `apply`, then continues the loop — producing a journal

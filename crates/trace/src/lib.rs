@@ -8,8 +8,9 @@
 //!   counters, MPI calls with communicator/byte info, task lifecycles;
 //! * [`columnar`] — the single columnar [`EventLog`] store behind every
 //!   producer (self-describing binary encoding);
-//! * [`query`] — offline aggregation over the log (rollups, group-bys,
-//!   quantiles, rate windows, diff-vs-baseline);
+//! * [`query`] — offline aggregation over the log (per-stage and
+//!   per-class rollups, group-bys, weighted time windows, the CSV
+//!   summary);
 //! * [`trace`] — the trace container and the thread-safe [`TraceSink`],
 //!   the one collector every producer records through;
 //! * [`pop`] — the multiplicative efficiency model of Tables I and II;

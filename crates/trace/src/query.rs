@@ -3,15 +3,14 @@
 //!
 //! Exporters (paraver/pop/fig renderers) and bench bins used to each carry
 //! a bespoke accumulator over the row-form [`crate::trace::Trace`]. The
-//! queries here operate on the log directly: group-bys over
-//! dictionary-encoded columns, per-stage and per-class rollups, quantiles,
-//! rate windows and diff-vs-baseline — so a bin is a run, a handful of
-//! query calls, and an artifact write.
+//! queries here operate on the log directly: per-stage and per-class
+//! rollups, group-bys over dictionary-encoded columns, weighted time
+//! windows and the CSV summary — so a bin is a run, a handful of query
+//! calls, and an artifact write.
 
-use crate::columnar::{EventLog, STREAM_COMPUTE, STREAM_COUNTER, STREAM_STAGE, STREAM_STATE};
+use crate::columnar::{EventLog, STREAM_COMPUTE, STREAM_STAGE, STREAM_STATE};
 use crate::error::TraceError;
 use crate::event::StateClass;
-use crate::metrics::Quantiles;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -29,17 +28,6 @@ pub fn stage_rollup(log: &EventLog) -> Result<Vec<(u32, usize, f64)>, TraceError
         e.1 += (t1[i] - t0[i]).max(0.0);
     }
     Ok(acc.into_iter().map(|(k, (n, t))| (k, n, t)).collect())
-}
-
-/// All span durations of one stage id, in append order.
-pub fn stage_durations(log: &EventLog, stage_id: u32) -> Result<Vec<f64>, TraceError> {
-    let s = &log.streams()[STREAM_STAGE];
-    let stage = s.col_u32("stage")?;
-    let (t0, t1) = (s.col_f64("t_start")?, s.col_f64("t_end")?);
-    Ok((0..s.rows())
-        .filter(|&i| stage[i] == stage_id)
-        .map(|i| (t1[i] - t0[i]).max(0.0))
-        .collect())
 }
 
 /// One row of the per-class compute rollup.
@@ -85,39 +73,11 @@ pub fn class_rollup(log: &EventLog) -> Result<BTreeMap<StateClass, ClassTotals>,
     Ok(acc)
 }
 
-/// Exact quantiles over an explicit sample slice (delegates to
-/// [`Quantiles`]; returns `NaN`s on an empty slice).
-pub fn quantiles(samples: &[f64], qs: &[f64]) -> Vec<f64> {
-    let mut est = Quantiles::new();
-    for &v in samples {
-        est.push(v);
-    }
-    qs.iter().map(|&q| est.quantile(q)).collect()
-}
-
-/// Event counts per fixed time window: bins `[t0 + k·window, t0 + (k+1)·window)`
-/// over the given timestamps (which need not be sorted). Returns the bin
-/// counts; empty input yields an empty vec.
-pub fn rate_windows(ts: &[f64], window: f64) -> Vec<usize> {
-    if ts.is_empty() || window <= 0.0 {
-        return Vec::new();
-    }
-    let t0 = ts.iter().copied().fold(f64::INFINITY, f64::min);
-    let t1 = ts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let bins = (((t1 - t0) / window).floor() as usize) + 1;
-    let mut out = vec![0usize; bins];
-    for &t in ts {
-        let b = (((t - t0) / window) as usize).min(bins - 1);
-        out[b] += 1;
-    }
-    out
-}
-
-/// Weighted rate windows: sums `ws[i]` into fixed time bins
+/// Weighted time windows: sums `ws[i]` into fixed time bins
 /// `[t0 + k·window, t0 + (k+1)·window)` over the paired timestamps — the
-/// per-timestep *work* profile where [`rate_windows`] gives the *count*
-/// profile. The slices are paired positionally; the shorter one bounds the
-/// aggregation. Empty input or a non-positive window yields an empty vec.
+/// per-timestep *work* profile. The slices are paired positionally; the
+/// shorter one bounds the aggregation. Empty input or a non-positive
+/// window yields an empty vec.
 pub fn window_sums(ts: &[f64], ws: &[f64], window: f64) -> Vec<f64> {
     let n = ts.len().min(ws.len());
     if n == 0 || window <= 0.0 {
@@ -155,61 +115,6 @@ pub fn group_count(
     Ok(acc)
 }
 
-/// Counter totals grouped under a label prefix split: every counter key is
-/// grouped by its segment up to (and excluding) the first `.` after
-/// `strip`, e.g. `counter_groups(log, "shed.")` rolls `shed.deadline`,
-/// `shed.capacity` into `deadline`/`capacity` totals.
-pub fn counter_groups(log: &EventLog, strip: &str) -> Result<BTreeMap<String, u64>, TraceError> {
-    let mut out = BTreeMap::new();
-    for (key, v) in log.counters()?.iter() {
-        if let Some(rest) = key.strip_prefix(strip) {
-            let head = rest.split('.').next().unwrap_or(rest);
-            *out.entry(head.to_string()).or_insert(0) += v;
-        }
-    }
-    Ok(out)
-}
-
-/// One row of a diff against a baseline rollup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffRow {
-    /// Metric label.
-    pub key: String,
-    /// Baseline value (`NaN` when the key is new).
-    pub baseline: f64,
-    /// Current value (`NaN` when the key disappeared).
-    pub current: f64,
-    /// `current / baseline − 1` (`NaN` when either side is missing or the
-    /// baseline is 0).
-    pub rel_delta: f64,
-}
-
-/// Diffs two labelled metric maps (current vs baseline), emitting one row
-/// per key in sorted order — the regression-gate primitive the trajectory
-/// checker builds on.
-pub fn diff_rollup(baseline: &BTreeMap<String, f64>, current: &BTreeMap<String, f64>) -> Vec<DiffRow> {
-    let mut keys: Vec<&String> = baseline.keys().chain(current.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    keys.into_iter()
-        .map(|k| {
-            let b = baseline.get(k).copied().unwrap_or(f64::NAN);
-            let c = current.get(k).copied().unwrap_or(f64::NAN);
-            let rel = if b.is_finite() && c.is_finite() && b != 0.0 {
-                c / b - 1.0
-            } else {
-                f64::NAN
-            };
-            DiffRow {
-                key: k.clone(),
-                baseline: b,
-                current: c,
-                rel_delta: rel,
-            }
-        })
-        .collect()
-}
-
 /// Deterministic CSV summary of a log — the converter output committed in
 /// place of the binary: per-stream row counts, the per-class compute
 /// rollup, the per-stage rollup and every counter total.
@@ -234,24 +139,10 @@ pub fn summary_csv(log: &EventLog) -> Result<String, TraceError> {
     Ok(out)
 }
 
-/// Timestamps of every increment of one counter are not recorded (counters
-/// are unstamped); this helper instead returns the append-order increment
-/// values of `key`, for rate analysis over event index.
-pub fn counter_increments(log: &EventLog, key: &str) -> Result<Vec<u64>, TraceError> {
-    let s = &log.streams()[STREAM_COUNTER];
-    let (keys, ns) = (s.col_str("key")?, s.col_u64("n")?);
-    let mut out = Vec::new();
-    for i in 0..s.rows() {
-        if log.lookup(keys[i])? == key {
-            out.push(ns[i]);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::STREAM_COUNTER;
     use crate::event::{ComputeRecord, Lane};
     use crate::stage::StageRecord;
 
@@ -294,8 +185,6 @@ mod tests {
         let log = sample_log();
         let r = stage_rollup(&log).expect("rollup");
         assert_eq!(r, vec![(1, 2, 3.0), (4, 1, 2.0)]);
-        assert_eq!(stage_durations(&log, 1).expect("durs"), vec![1.0, 2.0]);
-        assert!(stage_durations(&log, 9).expect("durs").is_empty());
     }
 
     #[test]
@@ -312,18 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_and_rates() {
-        let q = quantiles(&[4.0, 1.0, 3.0, 2.0], &[0.0, 0.5, 1.0]);
-        assert!((q[0] - 1.0).abs() < 1e-12);
-        assert!((q[1] - 2.5).abs() < 1e-12);
-        assert!((q[2] - 4.0).abs() < 1e-12);
-        assert!(quantiles(&[], &[0.5])[0].is_nan());
-        assert_eq!(rate_windows(&[0.0, 0.1, 1.1, 2.7], 1.0), vec![2, 1, 1]);
-        assert!(rate_windows(&[], 1.0).is_empty());
-        assert!(rate_windows(&[1.0], 0.0).is_empty());
-    }
-
-    #[test]
     fn window_sums_weight_the_bins() {
         let s = window_sums(&[0.0, 0.1, 1.1, 2.7], &[1.0, 2.0, 4.0, 8.0], 1.0);
         assert_eq!(s, vec![3.0, 4.0, 8.0]);
@@ -334,33 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn group_counts_and_counter_groups() {
+    fn group_counts_by_label_column() {
         let log = sample_log();
         let g = group_count(&log, STREAM_STATE, "state").expect("group");
         assert_eq!(g["normal"], 2);
         assert_eq!(g["degraded"], 1);
-        let cg = counter_groups(&log, "shed.").expect("groups");
-        assert_eq!(cg["deadline"], 5);
-        assert_eq!(cg["capacity"], 1);
-        assert_eq!(
-            counter_increments(&log, "shed.deadline").expect("inc"),
-            vec![2, 3]
-        );
         assert!(group_count(&log, 99, "state").is_err());
         assert!(group_count(&log, STREAM_COUNTER, "nope").is_err());
-    }
-
-    #[test]
-    fn diff_rows_cover_both_sides() {
-        let base: BTreeMap<String, f64> =
-            [("a".to_string(), 2.0), ("gone".to_string(), 1.0)].into();
-        let cur: BTreeMap<String, f64> = [("a".to_string(), 3.0), ("new".to_string(), 1.0)].into();
-        let d = diff_rollup(&base, &cur);
-        assert_eq!(d.len(), 3);
-        assert_eq!(d[0].key, "a");
-        assert!((d[0].rel_delta - 0.5).abs() < 1e-12);
-        assert!(d[1].current.is_nan()); // "gone"
-        assert!(d[2].baseline.is_nan()); // "new"
     }
 
     #[test]

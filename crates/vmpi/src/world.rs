@@ -16,7 +16,7 @@
 //!   `FFTX_CHAOS_SEED` environment variable, and completely absent (one
 //!   `Option` branch per operation) otherwise;
 //! * a **watchdog**: every blocking wait carries the world timeout and, on
-//!   expiry, produces a [`WorldShared::diagnostic_snapshot`] — per-rank last
+//!   expiry, produces a `WorldShared::diagnostic_snapshot` — per-rank last
 //!   events, pending collective slots, mailbox depths — instead of hanging;
 //! * an **abort flag**: an unrecoverable local error (a dropped split-phase
 //!   request) marks the whole world failed, so peers blocked on collectives
