@@ -19,9 +19,10 @@
 use fftx_bench::{CheckKind, GateOp, Harness, MetricValue};
 use fftx_core::stages::StagePlan;
 use fftx_core::{
-    run_policy, run_verified, simulate_config, FftxConfig, Problem, SchedulerPolicy, VerifyMode,
+    load_env, run_policy, run_verified, simulate_config, FftxConfig, Problem, SchedulerPolicy,
+    VerifyMode,
 };
-use fftx_fault::{BitFlip, CorruptionConfig, RecoveryConfig};
+use fftx_fault::{BitFlip, CorruptionConfig};
 use fftx_knlsim::{CommModel, ContentionModel, KnlConfig};
 use fftx_serve::{
     assemble, band_hash, generate, run_fleet, Backend, FleetConfig, LoadProfile, Placement,
@@ -60,7 +61,15 @@ fn corruption_at(rate: f64) -> CorruptionConfig {
 
 fn main() {
     println!("=== Integrity: bit-flip chaos vs ABFT verify-and-recompute ===\n");
-    let rc = RecoveryConfig::from_env();
+    // Rollback budgets come from FFTX_RECOVERY_*; a value that does not
+    // parse stops the run instead of falling back to the default.
+    let rc = match load_env() {
+        Ok(knobs) => knobs.recovery,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
 
     // --- Part 1: flip rate × verify mode sweep on the real engine. ---
     let problem = Problem::new(FftxConfig::small(2, 2, SchedulerPolicy::Serial));

@@ -15,10 +15,10 @@
 
 use fftx_bench::{CheckKind, GateOp, Harness};
 use fftx_core::{
-    run_eviction, run_policy, run_retry, run_rollback, simulate_config, FftxConfig, Problem,
-    SchedulerPolicy,
+    load_env, run_eviction, run_policy, run_retry, run_rollback, simulate_config, FftxConfig,
+    Problem, SchedulerPolicy,
 };
-use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
+use fftx_fault::{BatchAborts, RankDeath, TaskCrashes};
 use fftx_knlsim::{CommModel, ContentionModel, KnlConfig};
 use fftx_trace::CommOp;
 use std::time::Instant;
@@ -53,8 +53,15 @@ fn main() {
         }
     }));
     // Budgets come from the environment (FFTX_RECOVERY_*, defaults
-    // otherwise) so the knobs documented in the README drive this harness.
-    let rc = RecoveryConfig::from_env();
+    // otherwise) so the knobs documented in the README drive this harness;
+    // a value that does not parse stops it instead of falling back.
+    let rc = match load_env() {
+        Ok(knobs) => knobs.recovery,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
     let mut csv = String::from(
         "mechanism,clean_s,recovered_s,overhead_pct,events,checkpoint_bytes,bitwise_identical\n",
     );

@@ -158,7 +158,7 @@ pub enum GateOp {
 
 impl GateOp {
     /// The artifact's operator spelling.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             GateOp::Ge => ">=",
             GateOp::Le => "<=",
@@ -167,7 +167,7 @@ impl GateOp {
     }
 
     /// Evaluates `value op threshold`; NaN fails every gate.
-    pub fn eval(self, value: f64, threshold: f64) -> bool {
+    pub(crate) fn eval(self, value: f64, threshold: f64) -> bool {
         match self {
             GateOp::Ge => value >= threshold,
             GateOp::Le => value <= threshold,
@@ -251,7 +251,7 @@ impl Harness {
     }
 
     /// The recorded value of `key`, if any.
-    pub fn metric_value(&self, key: &str) -> Option<&MetricValue> {
+    pub(crate) fn metric_value(&self, key: &str) -> Option<&MetricValue> {
         self.metrics.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 

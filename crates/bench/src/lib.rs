@@ -24,7 +24,7 @@ pub fn results_dir() -> PathBuf {
 /// True when the bin was invoked with `--check`: artifacts are diffed
 /// against the committed files instead of overwritten, so CI can detect
 /// stale committed CSVs (code changed, artifacts didn't get regenerated).
-pub fn check_mode() -> bool {
+pub(crate) fn check_mode() -> bool {
     static MODE: OnceLock<bool> = OnceLock::new();
     *MODE.get_or_init(|| std::env::args().any(|a| a == "--check"))
 }

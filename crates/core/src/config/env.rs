@@ -7,13 +7,16 @@
 //! `FFTX_SCALE_DOWN_AT`, `FFTX_STEAL`, `FFTX_PLAN_ITERS` /
 //! `FFTX_PLAN_SEED`) — is parsed here through one entry point with typed
 //! errors. The ABFT verify mode is not a knob: callers pass it to
-//! [`crate::run_verified`]. The lower-level crates keep
-//! their historical lenient readers (`ChaosConfig::from_env`,
-//! `RecoveryConfig::from_env`, `plan::arena_poison`) because library code
-//! deep in a run has no good way to report a typo; `FFTX_SCHEDULER` has no
-//! such reader and is parsed only here. The *binaries* call [`load`] up
-//! front and refuse to start on an invalid value instead of
-//! silently falling back — the failure mode this module exists to kill.
+//! [`crate::run_verified`]. The lower-level crates keep two lenient
+//! readers (`ChaosConfig::from_env`, `plan::arena_poison`) because library
+//! code deep in a run has no good way to report a typo. The
+//! `FFTX_RECOVERY_*` budgets and `FFTX_SCHEDULER` have no such reader and
+//! are parsed only here: the recovery budgets reach a run through
+//! [`EnvKnobs::recovery`], which the `recovery` and `integrity` bench
+//! binaries read. The *binaries* (`fftx`, `fftx-serve` and those two
+//! benches) call [`load`] up front and refuse to start on an invalid value
+//! instead of silently falling back — the failure mode this module exists
+//! to kill.
 
 use crate::config::{valid_decomps, DecompChoice, SchedulerPolicy};
 use fftx_fault::{ChaosConfig, RecoveryConfig};
@@ -97,7 +100,7 @@ pub struct EnvKnobs {
     pub fleet: FleetKnobs,
 }
 
-/// Parses every knob from the process environment. See [`load_from`].
+/// Parses every knob from the process environment.
 ///
 /// # Errors
 /// Returns the first [`EnvError`] encountered; the message names the
@@ -111,7 +114,7 @@ pub fn load() -> Result<EnvKnobs, EnvError> {
 ///
 /// # Errors
 /// Returns the first [`EnvError`] encountered.
-pub fn load_from(get: impl Fn(&str) -> Option<String>) -> Result<EnvKnobs, EnvError> {
+pub(crate) fn load_from(get: impl Fn(&str) -> Option<String>) -> Result<EnvKnobs, EnvError> {
     let scheduler = match get("FFTX_SCHEDULER") {
         None => None,
         Some(v) => Some(SchedulerPolicy::parse(&v).ok_or_else(|| EnvError {
@@ -395,11 +398,15 @@ mod tests {
         let knobs = load_from(env(&[
             ("FFTX_RECOVERY_MAX_RETRIES", "5"),
             ("FFTX_RECOVERY_BACKOFF_US", "10"),
+            ("FFTX_RECOVERY_MAX_BACKOFF_US", "80"),
+            ("FFTX_RECOVERY_MAX_ROLLBACKS", "9"),
             ("FFTX_RECOVERY_PREFER_T", "4"),
         ]))
         .expect("valid");
         assert_eq!(knobs.recovery.max_retries, 5);
         assert_eq!(knobs.recovery.base_backoff, Duration::from_micros(10));
+        assert_eq!(knobs.recovery.max_backoff, Duration::from_micros(80));
+        assert_eq!(knobs.recovery.max_rollbacks, 9);
         assert_eq!(knobs.recovery.prefer_t, 4);
 
         let err =

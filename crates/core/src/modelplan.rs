@@ -24,7 +24,6 @@ use fftx_knlsim::{
 };
 use fftx_pw::{Cell, FftGrid, GSphere, ProcessGrid, StickSet, TaskGroupLayout, DUAL};
 use fftx_trace::{CommOp, StateClass, Trace};
-use std::sync::Arc;
 
 /// Communicator-key blocks (stable ids for the trace / matching).
 const PACK_KEY_BASE: u64 = 1_000;
@@ -405,11 +404,6 @@ pub fn simulate_config_faulty(
     simulate_faulty(&programs, knl, contention, comm, plan)
 }
 
-/// Convenience used by tests: total flops of all programs of a problem.
-pub fn total_program_flops(problem: &Arc<Problem>) -> f64 {
-    build_programs(problem).iter().map(|r| r.total_flops()).sum()
-}
-
 // ---------------------------------------------------------------------
 // Decomposition auto-resolution
 // ---------------------------------------------------------------------
@@ -470,6 +464,11 @@ mod tests {
 
     fn small(nr: usize, ntg: usize, mode: SchedulerPolicy) -> FftxConfig {
         FftxConfig::small(nr, ntg, mode)
+    }
+
+    /// Total flops of all programs of a problem.
+    fn total_program_flops(problem: &Problem) -> f64 {
+        build_programs(problem).iter().map(|r| r.total_flops()).sum()
     }
 
     #[test]

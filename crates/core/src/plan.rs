@@ -56,7 +56,7 @@ pub struct PencilTables {
 
 impl PencilTables {
     /// Tables for a scatter family of `r` ranks.
-    pub fn for_family(r: usize) -> Self {
+    pub(crate) fn for_family(r: usize) -> Self {
         let pgrid = ProcessGrid::factor(r);
         PencilTables {
             pgrid,
@@ -182,7 +182,7 @@ impl ExecPlan {
     }
 
     /// Coefficients member `j` contributes (`ngw_rank(g*t + j)`).
-    pub fn ngw_member(&self, j: usize) -> usize {
+    pub(crate) fn ngw_member(&self, j: usize) -> usize {
         self.maps.member_offsets[j + 1] - self.maps.member_offsets[j]
     }
 

@@ -102,14 +102,6 @@ impl Problem {
             .collect()
     }
 
-    /// The slab of V(r) owned by task group `g` (planes
-    /// `plane_range(g)`), referenced into the dense potential.
-    pub fn v_slab(&self, g: usize) -> &[f64] {
-        let plane = self.layout.grid.nr1 * self.layout.grid.nr2;
-        let (z0, z1) = self.layout.plane_range[g];
-        &self.v[z0 * plane..z1 * plane]
-    }
-
     /// Grid dimensions.
     pub fn grid(&self) -> FftGrid {
         self.layout.grid
@@ -144,20 +136,6 @@ mod tests {
             let band = assemble_shares(&p.layout.set, &p.layout.dist, &shares);
             assert_eq!(band, p.band(b));
         }
-    }
-
-    #[test]
-    fn v_slabs_tile_the_grid() {
-        let c = FftxConfig::small(3, 1, SchedulerPolicy::Serial);
-        let p = Problem::new(c);
-        let total: usize = (0..3).map(|g| p.v_slab(g).len()).sum();
-        assert_eq!(total, p.grid().volume());
-        // Concatenation equals the dense potential.
-        let mut cat = Vec::new();
-        for g in 0..3 {
-            cat.extend_from_slice(p.v_slab(g));
-        }
-        assert_eq!(cat, p.v);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use fftx_trace::{ComputeRecord, Lane, StageRecord, StateClass, TraceSink, WallCl
 /// counters (KNL's 1.4 GHz). Only the *consistency* matters: IPC values on
 /// real traces are indicative, the calibrated IPC story lives in the KNL
 /// simulator.
-pub const NOMINAL_HZ: f64 = 1.4e9;
+pub(crate) const NOMINAL_HZ: f64 = 1.4e9;
 
 /// Records compute bursts for one lane.
 #[derive(Clone)]

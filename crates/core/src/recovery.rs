@@ -396,6 +396,10 @@ fn rank_eviction(
             })
             .collect()
     });
+    // Phase 1 stored the predecessor's checkpoints on every rank, since no
+    // rank may assume before the death which rank dies. Only the buddy
+    // read them, just above: free them before redistribution and phase 2.
+    drop(stored);
 
     // Redistribute every band from the old stick distribution to the
     // re-planned one: one alltoallv per band on the shrunk world, the

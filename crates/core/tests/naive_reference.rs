@@ -1,7 +1,9 @@
 //! An oracle for the engine's bands that shares no code with the FFT
-//! kernels: every band of the 14³ problem the `clean/*/2x2` golden
+//! kernels: every band of two problems is recomputed with the O(n²)
+//! `naive_dft_3d`. The first is the 14³ problem the `clean/*/2x2` golden
 //! scenarios run (n = 14 = 2·7 on every axis, so the radix-2 and radix-7
-//! butterflies) is recomputed with the O(n²) `naive_dft_3d`.
+//! butterflies); the second is the same configuration on a 20³ grid
+//! (n = 20 = 4·5, so the radix-4 and radix-5 butterflies).
 //!
 //! `golden_bitwise` pins the engine's bits and the serial reference
 //! `apply_vloc` runs the same kernels, so neither can tell whether bits
@@ -32,11 +34,13 @@
 //!
 //! So every coefficient lies within max|V|·‖c‖₂·(2ρ + 5ε/2) of the exact
 //! result. The oracle's own rounding is inside the same budget, as it is
-//! in the sweep. On 14³, 2ρ + 5ε/2 is about 60·ε.
+//! in the sweep. On 14³, 2ρ + 5ε/2 is about 60·ε; on 20³, about 66·ε.
 
 use fftx_core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
+use fftx_fft::planner::radix_schedule;
 use fftx_fft::{max_dist, naive_dft_3d, scale_in_place, Direction};
-use fftx_pw::{apply_potential, coeffs_to_grid, grid_to_coeffs};
+use fftx_pw::{apply_potential, coeffs_to_grid, grid_to_coeffs, FftGrid};
+use std::sync::Arc;
 
 /// `oracle_tol`'s relative factor for one pass of length `n`.
 fn rho(n: usize) -> f64 {
@@ -45,12 +49,24 @@ fn rho(n: usize) -> f64 {
 
 #[test]
 fn engine_bands_match_a_naive_dft_reference() {
-    let problem = Problem::new(FftxConfig::small(2, 2, SchedulerPolicy::Serial));
+    let config = FftxConfig::small(2, 2, SchedulerPolicy::Serial);
+    for (problem, radices) in [
+        (Problem::new(config), [2, 7]),
+        (Problem::with_grid(config, FftGrid::new(20, 20, 20)), [4, 5]),
+    ] {
+        check_bands(&problem, &radices);
+    }
+}
+
+/// Checks every band of `problem`, whose cubic grid's transforms run the
+/// butterflies `radices`, against the naive reference under the bound.
+fn check_bands(problem: &Arc<Problem>, radices: &[usize]) {
     let grid = problem.grid();
     let (nx, ny, nz) = (grid.nr1, grid.nr2, grid.nr3);
-    assert_eq!((nx, ny, nz), (14, 14, 14), "the 14³ grid runs radix 7");
+    assert!(nx == ny && ny == nz, "a cubic grid, not {nx}x{ny}x{nz}");
+    assert_eq!(radix_schedule(nx), radices, "the {nx}³ grid's radices");
     let set = &problem.layout.set;
-    let out = run_policy(&problem, SchedulerPolicy::Serial);
+    let out = run_policy(problem, SchedulerPolicy::Serial);
     assert_eq!(out.bands.len(), problem.config.nbnd);
 
     let v_max = problem.v.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
@@ -75,7 +91,7 @@ fn engine_bands_match_a_naive_dft_reference() {
         let err = max_dist(got, &want);
         assert!(
             err <= bound,
-            "band {b}: deviation {err:e} from the naive reference exceeds {bound:e}"
+            "{nx}³ band {b}: deviation {err:e} from the naive reference exceeds {bound:e}"
         );
     }
 }

@@ -44,17 +44,6 @@ impl Strike {
             (self.index_bits % len as u64) as usize
         }
     }
-
-    /// Flips the planned bit of one `f64` in place. Returns the struck
-    /// index, or `None` on an empty buffer.
-    pub fn flip_f64(&self, buf: &mut [f64]) -> Option<usize> {
-        if buf.is_empty() {
-            return None;
-        }
-        let i = self.index(buf.len());
-        buf[i] = f64::from_bits(buf[i].to_bits() ^ (1u64 << (self.bit % 64)));
-        Some(i)
-    }
 }
 
 /// Deterministic transient bit-flip plan over arena buffers: decides how
@@ -85,7 +74,7 @@ impl BitFlip {
 
     /// How many executions of `key` are struck before one runs clean —
     /// pure in `(seed, key)`.
-    pub fn strikes_for(&self, key: u64) -> u32 {
+    pub(crate) fn strikes_for(&self, key: u64) -> u32 {
         let h = mix64(self.seed ^ mix64(key ^ 0xC3A5_9D17_4B6E_F208));
         if unit_f64(h) < self.p_flip {
             1 + (mix64(h) % u64::from(self.max_strikes)) as u32
@@ -274,26 +263,6 @@ mod tests {
         }
         assert!(struck > 50 && struck < 150, "~half the keys: {struck}");
         assert!((0..50).all(|k| BitFlip::new(42, 0.0, 2).strike(k, 0).is_none()));
-    }
-
-    #[test]
-    fn strike_flips_exactly_one_bit() {
-        let p = BitFlip::new(7, 1.0, 1);
-        let mut buf = vec![1.0f64; 64];
-        let strike = p.strike(3, 0).expect("p=1 strikes");
-        let i = strike.flip_f64(&mut buf).expect("non-empty");
-        assert!(i < buf.len());
-        let diff: Vec<usize> = (0..buf.len()).filter(|&j| buf[j] != 1.0).collect();
-        assert_eq!(diff, vec![i], "exactly one word changed");
-        assert_eq!(
-            (buf[i].to_bits() ^ 1.0f64.to_bits()).count_ones(),
-            1,
-            "exactly one bit of it"
-        );
-        // Flipping again restores the original.
-        strike.flip_f64(&mut buf);
-        assert!(buf.iter().all(|&x| x == 1.0));
-        assert_eq!(strike.flip_f64(&mut []), None);
     }
 
     #[test]

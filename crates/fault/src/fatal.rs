@@ -45,7 +45,7 @@ impl TaskCrashes {
 
     /// How many attempts of the task keyed `key` crash before one succeeds
     /// — pure in `(seed, key)`.
-    pub fn crashes_for(&self, key: u64) -> u32 {
+    pub(crate) fn crashes_for(&self, key: u64) -> u32 {
         let h = mix64(self.seed ^ mix64(key ^ 0xA5F1_52C8_9D3B_7E41));
         if unit_f64(h) < self.p_crash {
             1 + (mix64(h) % u64::from(self.max_crashes)) as u32
@@ -89,7 +89,7 @@ impl BatchAborts {
 
     /// How many executions of `batch` abort before one completes — pure in
     /// `(seed, batch)`.
-    pub fn aborts_for(&self, batch: u64) -> u32 {
+    pub(crate) fn aborts_for(&self, batch: u64) -> u32 {
         let h = mix64(self.seed ^ mix64(batch ^ 0x1B56_C4E9_A92D_F30C));
         if unit_f64(h) < self.p_abort {
             1 + (mix64(h) % u64::from(self.max_aborts)) as u32
@@ -148,7 +148,7 @@ impl NodeDeath {
     /// When shard `shard` dies, as a fraction of the run horizon in
     /// `[0.2, 0.8)` (deaths land mid-run so there is work to fail over),
     /// or `None` if it survives — pure in `(seed, shard)`.
-    pub fn death_fraction(&self, shard: u64) -> Option<f64> {
+    pub(crate) fn death_fraction(&self, shard: u64) -> Option<f64> {
         let h = mix64(self.seed ^ mix64(shard ^ 0x6E0D_EDEA_7511_34B7));
         if unit_f64(h) < self.p_death {
             Some(0.2 + 0.6 * unit_f64(mix64(h)))
@@ -225,7 +225,7 @@ impl Partition {
 
     /// The partition window of shard `shard` as horizon fractions
     /// `[start, end)`, or `None` — pure in `(seed, shard)`.
-    pub fn window_fraction_of(&self, shard: u64) -> Option<(f64, f64)> {
+    pub(crate) fn window_fraction_of(&self, shard: u64) -> Option<(f64, f64)> {
         let h = mix64(self.seed ^ mix64(shard ^ 0x9A2F_70B3_C4D8_115E));
         if unit_f64(h) < self.p_partition {
             let start = 0.15 + 0.5 * unit_f64(mix64(h));
@@ -281,37 +281,6 @@ impl Default for RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// Reads the config from the `FFTX_RECOVERY_*` environment knobs,
-    /// falling back to the defaults for unset or unparsable values:
-    /// `FFTX_RECOVERY_MAX_RETRIES`, `FFTX_RECOVERY_BACKOFF_US`,
-    /// `FFTX_RECOVERY_MAX_BACKOFF_US`, `FFTX_RECOVERY_MAX_ROLLBACKS`,
-    /// `FFTX_RECOVERY_PREFER_T`.
-    pub fn from_env() -> Self {
-        Self::from_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// Same as [`RecoveryConfig::from_env`] with an injectable variable
-    /// source (tests use this to avoid mutating the process environment).
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Self {
-        fn parse<T: std::str::FromStr>(v: Option<String>, default: T) -> T {
-            v.and_then(|s| s.parse().ok()).unwrap_or(default)
-        }
-        let d = RecoveryConfig::default();
-        RecoveryConfig {
-            max_retries: parse(get("FFTX_RECOVERY_MAX_RETRIES"), d.max_retries),
-            base_backoff: Duration::from_micros(parse(
-                get("FFTX_RECOVERY_BACKOFF_US"),
-                d.base_backoff.as_micros() as u64,
-            )),
-            max_backoff: Duration::from_micros(parse(
-                get("FFTX_RECOVERY_MAX_BACKOFF_US"),
-                d.max_backoff.as_micros() as u64,
-            )),
-            max_rollbacks: parse(get("FFTX_RECOVERY_MAX_ROLLBACKS"), d.max_rollbacks),
-            prefer_t: parse(get("FFTX_RECOVERY_PREFER_T"), d.prefer_t),
-        }
-    }
-
     /// The bounded exponential backoff before retry `attempt` (0-based).
     pub fn backoff(&self, attempt: u32) -> Duration {
         let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
@@ -409,29 +378,6 @@ mod tests {
         }
         let none = Partition::new(9, 0.0, 0.2);
         assert!((0..50).all(|s| none.window_fraction_of(s).is_none()));
-    }
-
-    #[test]
-    fn recovery_config_parses_knobs_and_defaults() {
-        let d = RecoveryConfig::from_lookup(|_| None);
-        assert_eq!(d, RecoveryConfig::default());
-
-        let c = RecoveryConfig::from_lookup(|k| match k {
-            "FFTX_RECOVERY_MAX_RETRIES" => Some("5".into()),
-            "FFTX_RECOVERY_BACKOFF_US" => Some("10".into()),
-            "FFTX_RECOVERY_MAX_BACKOFF_US" => Some("80".into()),
-            "FFTX_RECOVERY_MAX_ROLLBACKS" => Some("9".into()),
-            "FFTX_RECOVERY_PREFER_T" => Some("4".into()),
-            _ => None,
-        });
-        assert_eq!(c.max_retries, 5);
-        assert_eq!(c.base_backoff, Duration::from_micros(10));
-        assert_eq!(c.max_rollbacks, 9);
-        assert_eq!(c.prefer_t, 4);
-
-        // Unparsable values fall back rather than panic.
-        let bad = RecoveryConfig::from_lookup(|_| Some("not a number".into()));
-        assert_eq!(bad, RecoveryConfig::default());
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Complex64 {
 
     /// Builds `r * e^{i theta}`.
     #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
+    pub(crate) fn from_polar(r: f64, theta: f64) -> Self {
         c64(r * theta.cos(), r * theta.sin())
     }
 
@@ -92,12 +92,6 @@ impl Complex64 {
     #[inline]
     pub fn mul_neg_i(self) -> Self {
         c64(self.im, -self.re)
-    }
-
-    /// Complex exponential `e^{self}`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Self::from_polar(self.re.exp(), self.im)
     }
 
     /// Multiplicative inverse. Returns NaNs for zero, like `1.0 / 0.0`.
@@ -345,16 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn polar_and_exp() {
+    fn polar_and_cis() {
         let z = Complex64::from_polar(2.0, PI / 2.0);
         assert!(z.dist(c64(0.0, 2.0)) < EPS);
         assert!((Complex64::cis(PI)).dist(c64(-1.0, 0.0)) < EPS);
-        // e^{i pi} = -1
-        let e = c64(0.0, PI).exp();
-        assert!(e.dist(c64(-1.0, 0.0)) < EPS);
-        // |e^{x+iy}| = e^x
-        let e2 = c64(1.0, 0.3).exp();
-        assert!((e2.abs() - 1.0_f64.exp()).abs() < EPS);
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl Fft3 {
         }
     }
 
-    /// Grid dimensions `(nx, ny, nz)`.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        (self.nx, self.ny, self.nz)
-    }
-
     /// Total number of grid points.
     pub fn volume(&self) -> usize {
         self.nx * self.ny * self.nz
@@ -138,7 +133,6 @@ mod tests {
         let (nx, ny, nz) = (12, 12, 12);
         let x = ramp(nx * ny * nz);
         let plan = Fft3::new(nx, ny, nz);
-        assert_eq!(plan.dims(), (12, 12, 12));
         assert_eq!(plan.volume(), 1728);
         let mut data = x.clone();
         plan.inverse(&mut data);

@@ -58,7 +58,7 @@ pub fn fft_z_batch_flops(n: usize, count: usize) -> f64 {
 }
 
 /// Flops of one 2-D `nx * ny` FFT (rows along x, columns along y).
-pub fn fft_2d_flops(nx: usize, ny: usize) -> f64 {
+pub(crate) fn fft_2d_flops(nx: usize, ny: usize) -> f64 {
     ny as f64 * fft_flops(nx) + nx as f64 * fft_flops(ny)
 }
 

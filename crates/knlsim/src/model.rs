@@ -133,19 +133,13 @@ impl ContentionModel {
     }
 
     /// Node-level slowdown factor for a given total load (sum of per-core
-    /// demands of active compute lanes) as experienced by a phase with
-    /// shared-resource demand 1.0.
-    pub fn node_factor(&self, load: f64) -> f64 {
-        self.node_factor_for(1.0, load)
-    }
-
-    /// Node-level slowdown factor experienced by a phase of demand
+    /// demands of active compute lanes) as experienced by a phase of demand
     /// `sensitivity`: phases that barely touch the shared resources are
     /// proportionally less sensitive to node load. (This is why overlapping
     /// a copy-bound prep phase with other ranks' FFTs costs the prep phase
     /// little while relieving the FFTs a lot — the asymmetry the task-based
     /// de-synchronisation exploits.)
-    pub fn node_factor_for(&self, sensitivity: f64, load: f64) -> f64 {
+    pub(crate) fn node_factor_for(&self, sensitivity: f64, load: f64) -> f64 {
         if !self.enabled {
             return 1.0;
         }
@@ -291,15 +285,15 @@ mod tests {
     #[test]
     fn node_factor_is_monotone_nonincreasing() {
         let m = ContentionModel::paper();
-        let mut prev = m.node_factor(0.0);
+        let mut prev = m.node_factor_for(1.0, 0.0);
         for load in [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0] {
-            let f = m.node_factor(load);
+            let f = m.node_factor_for(1.0, load);
             assert!(f <= prev + 1e-12, "load {load}");
             assert!(f > 0.0 && f <= 1.0);
             prev = f;
         }
-        assert_eq!(m.node_factor(0.0), 1.0);
-        assert_eq!(m.node_factor(8.0), 1.0);
+        assert_eq!(m.node_factor_for(1.0, 0.0), 1.0);
+        assert_eq!(m.node_factor_for(1.0, 8.0), 1.0);
     }
 
     #[test]
@@ -309,16 +303,16 @@ mod tests {
         // paper); this test pins the raw curve's regime so refactors that
         // change its meaning are caught early.
         let m = ContentionModel::paper();
-        let f8 = m.node_factor(8.0);
+        let f8 = m.node_factor_for(1.0, 8.0);
         assert!((f8 - 1.0).abs() < 1e-12, "no degradation at 8 lanes");
-        let r64 = m.node_factor(64.0) / f8;
+        let r64 = m.node_factor_for(1.0, 64.0) / f8;
         assert!(
             (0.40..0.60).contains(&r64),
             "main-phase slowdown at full node: {r64:.3}"
         );
         // Low-demand phases are proportionally less sensitive.
         let light = m.node_factor_for(0.35, 64.0);
-        assert!(light > m.node_factor(64.0));
+        assert!(light > m.node_factor_for(1.0, 64.0));
         assert!(light < 1.0);
     }
 
@@ -346,7 +340,7 @@ mod tests {
     #[test]
     fn uncontended_model_is_flat() {
         let m = ContentionModel::uncontended();
-        assert_eq!(m.node_factor(1000.0), 1.0);
+        assert_eq!(m.node_factor_for(1.0, 1000.0), 1.0);
         assert_eq!(
             m.effective_ipc(StateClass::FftXy, 4, 1.0, 1000.0),
             m.base_ipc(StateClass::FftXy)

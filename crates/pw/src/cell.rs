@@ -38,7 +38,7 @@ impl Cell {
 
     /// `tpiba^2` (Ry per squared Miller index, with hbar^2/2m = 1 Ry·bohr^2).
     #[inline]
-    pub fn tpiba2(&self) -> f64 {
+    pub(crate) fn tpiba2(&self) -> f64 {
         self.tpiba() * self.tpiba()
     }
 

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod gamma;
 pub mod grid;
 pub mod gvec;
 pub mod layout;
@@ -21,7 +20,6 @@ pub mod sticks;
 pub mod wave;
 
 pub use cell::{Cell, DUAL};
-pub use gamma::{apply_vloc_gamma, GammaBand, HalfSphere};
 pub use grid::FftGrid;
 pub use gvec::{GSphere, GVector};
 pub use layout::{factorise_rt, GroupIndexMaps, TaskGroupLayout};

@@ -57,7 +57,7 @@ impl Admission {
     }
 
     /// Queue slots one tenant may hold at most.
-    pub fn tenant_cap(&self) -> usize {
+    pub(crate) fn tenant_cap(&self) -> usize {
         ((self.cfg.queue_cap as f64 * self.cfg.tenant_share) as usize).max(1)
     }
 

@@ -7,18 +7,17 @@
 //! work is rejected with a typed
 //! [`RejectReason::FleetDegraded`](crate::request::RejectReason) while the
 //! backlog drains. Pressure is the admitting shards' mean queue occupancy;
-//! the ladder moves at most one level per supervisor tick (hysteresis:
-//! upgrades and downgrades use different thresholds, so the ladder cannot
-//! flap on a pressure boundary).
+//! the ladder moves at most one level per supervisor tick (hysteresis: it
+//! climbs at `UPGRADE_AT` (0.75) and descends at `DOWNGRADE_AT` (0.40), so
+//! it cannot flap on a pressure boundary).
 //!
 //! Above the queue-pressure rungs sits [`DegradeLevel::Quarantine`], the
 //! data-integrity rung: when the fraction of dispatched batches whose
-//! results failed ABFT verification reaches
-//! [`DegradeConfig::quarantine_at`], the ladder climbs past `RejectNew`
-//! regardless of queue pressure — the fleet stops accepting work it can
-//! no longer trust itself to compute, drains under verification, and
-//! steps back down once the corruption rate subsides. Queue pressure
-//! alone can never reach this rung.
+//! results failed ABFT verification reaches `QUARANTINE_AT` (0.5), the
+//! ladder climbs past `RejectNew` regardless of queue pressure — the fleet
+//! stops accepting work it can no longer trust itself to compute, drains
+//! under verification, and steps back down once the corruption rate
+//! subsides. Queue pressure alone can never reach this rung.
 
 use crate::request::DeadlineClass;
 
@@ -90,31 +89,18 @@ impl DegradeLevel {
     }
 }
 
-/// Ladder knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradeConfig {
-    /// Pressure at or above which the ladder climbs one level per tick.
-    pub upgrade_at: f64,
-    /// Pressure at or below which it descends one level per tick. Must be
-    /// below `upgrade_at` (the hysteresis band).
-    pub downgrade_at: f64,
-    /// Corruption pressure — the fraction of dispatched batches whose
-    /// results failed ABFT verification — at or above which the ladder
-    /// climbs one rung per tick toward [`DegradeLevel::Quarantine`],
-    /// overriding the queue-pressure rules. Below it, a quarantined
-    /// ladder steps back down.
-    pub quarantine_at: f64,
-}
+/// Pressure at or above which the ladder climbs one level per tick.
+const UPGRADE_AT: f64 = 0.75;
 
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig {
-            upgrade_at: 0.75,
-            downgrade_at: 0.40,
-            quarantine_at: 0.5,
-        }
-    }
-}
+/// Pressure at or below which it descends one level per tick. Below
+/// [`UPGRADE_AT`] (the hysteresis band).
+const DOWNGRADE_AT: f64 = 0.40;
+
+/// Corruption pressure — the fraction of dispatched batches whose results
+/// failed ABFT verification — at or above which the ladder climbs one rung
+/// per tick toward [`DegradeLevel::Quarantine`], overriding the
+/// queue-pressure rules. Below it, a quarantined ladder steps back down.
+const QUARANTINE_AT: f64 = 0.5;
 
 /// The ladder state machine: current level plus the one-step transition
 /// rule. The supervisor journals every transition as a `Degraded` record
@@ -149,27 +135,22 @@ impl Ladder {
 
     /// The one-step transition `(pressure, corruption)` implies, or
     /// `None` when the level holds. Corruption pressure dominates: at or
-    /// above [`DegradeConfig::quarantine_at`] the ladder climbs toward
+    /// above `QUARANTINE_AT` the ladder climbs toward
     /// [`DegradeLevel::Quarantine`] whatever the queues look like, and a
     /// quarantined ladder only descends once corruption subsides. Queue
     /// pressure alone caps at [`DegradeLevel::RejectNew`]. Pure: the
     /// supervisor journals the returned level before applying it.
-    pub fn next_level(
-        &self,
-        pressure: f64,
-        corruption: f64,
-        cfg: &DegradeConfig,
-    ) -> Option<DegradeLevel> {
+    pub fn next_level(&self, pressure: f64, corruption: f64) -> Option<DegradeLevel> {
         let i = self.level.index();
-        if corruption >= cfg.quarantine_at {
+        if corruption >= QUARANTINE_AT {
             return DegradeLevel::ALL.get(i + 1).copied();
         }
         if self.level == DegradeLevel::Quarantine {
             return Some(DegradeLevel::ALL[i - 1]);
         }
-        if pressure >= cfg.upgrade_at && i + 2 < DegradeLevel::ALL.len() {
+        if pressure >= UPGRADE_AT && i + 2 < DegradeLevel::ALL.len() {
             Some(DegradeLevel::ALL[i + 1])
-        } else if pressure <= cfg.downgrade_at && i > 0 {
+        } else if pressure <= DOWNGRADE_AT && i > 0 {
             Some(DegradeLevel::ALL[i - 1])
         } else {
             None
@@ -183,12 +164,11 @@ mod tests {
 
     #[test]
     fn ladder_climbs_one_level_per_step_and_descends_with_hysteresis() {
-        let cfg = DegradeConfig::default();
         let mut l = Ladder::new();
         // Sustained queue pressure walks the ladder one rung at a time —
         // but stops at RejectNew: Quarantine is corruption-only.
         let mut seen = vec![l.level()];
-        while let Some(next) = l.next_level(0.9, 0.0, &cfg) {
+        while let Some(next) = l.next_level(0.9, 0.0) {
             assert_eq!(next.index(), l.level().index() + 1);
             l.set_level(next);
             seen.push(next);
@@ -196,9 +176,9 @@ mod tests {
         assert_eq!(seen, DegradeLevel::ALL[..5].to_vec());
         assert_eq!(l.level(), DegradeLevel::RejectNew);
         // Mid-band pressure holds the level (hysteresis).
-        assert_eq!(l.next_level(0.6, 0.0, &cfg), None);
+        assert_eq!(l.next_level(0.6, 0.0), None);
         // Low pressure walks back down.
-        while let Some(next) = l.next_level(0.1, 0.0, &cfg) {
+        while let Some(next) = l.next_level(0.1, 0.0) {
             assert_eq!(next.index() + 1, l.level().index());
             l.set_level(next);
         }
@@ -207,10 +187,9 @@ mod tests {
 
     #[test]
     fn only_corruption_pressure_reaches_quarantine() {
-        let cfg = DegradeConfig::default();
         let mut l = Ladder::new();
         // Corruption at the threshold climbs even with idle queues.
-        while let Some(next) = l.next_level(0.0, cfg.quarantine_at, &cfg) {
+        while let Some(next) = l.next_level(0.0, QUARANTINE_AT) {
             assert_eq!(next.index(), l.level().index() + 1);
             l.set_level(next);
         }
@@ -219,13 +198,13 @@ mod tests {
         assert!(l.level().splits_batches());
         // Queue pressure alone cannot hold the quarantine rung: once
         // corruption subsides the ladder steps down, however hot the queues.
-        assert_eq!(l.next_level(1.0, 0.0, &cfg), Some(DegradeLevel::RejectNew));
+        assert_eq!(l.next_level(1.0, 0.0), Some(DegradeLevel::RejectNew));
         l.set_level(DegradeLevel::RejectNew);
         // From RejectNew, queue pressure holds but never re-enters
         // quarantine; renewed corruption does.
-        assert_eq!(l.next_level(1.0, 0.0, &cfg), None);
+        assert_eq!(l.next_level(1.0, 0.0), None);
         assert_eq!(
-            l.next_level(0.0, cfg.quarantine_at, &cfg),
+            l.next_level(0.0, QUARANTINE_AT),
             Some(DegradeLevel::Quarantine)
         );
     }

@@ -1,7 +1,7 @@
 //! The tenant→shard consistent-hash ring: virtual nodes, bounded-load
 //! overflow, rendezvous tie-breaking, and a monotone membership epoch.
 //!
-//! Routing places each shard at [`RingConfig::vnodes`] seeded points on a
+//! Routing places each shard at `VNODES` (16) seeded points on a
 //! 64-bit ring and sends a tenant key to the first member clockwise from
 //! the key's point. Membership changes move only the keys in the arcs the
 //! joining (or leaving) shard owns — the *minimal movement* property the
@@ -14,7 +14,8 @@
 //!   home shard already carries at least `ceil(c · (load+1) / members)`
 //!   queued jobs overflows clockwise to the next admitting member under
 //!   the bound, keeping the max/mean load ratio bounded by `c` (plus one
-//!   job of quantisation) however skewed the tenant population is;
+//!   job of quantisation) however skewed the tenant population is; the
+//!   fleet routes with `c` = `LOAD_FACTOR` (1.25);
 //! * **rendezvous tie-breaking**: virtual nodes of different shards that
 //!   hash to the same ring point are ordered by their seeded rendezvous
 //!   weight ([`fftx_fault::mix64`] of point and shard), so collisions
@@ -28,27 +29,19 @@
 
 use fftx_fault::mix64;
 
-/// Ring knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Virtual nodes per shard. More vnodes smooth the arc distribution
+/// (smaller max/mean spread) at linear routing-table cost.
+const VNODES: usize = 16;
+
+/// The fleet's bounded-load factor `c`: a shard's queue may exceed the
+/// mean load by at most this factor before keys overflow past it.
+pub(crate) const LOAD_FACTOR: f64 = 1.25;
+
+/// Ring configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RingConfig {
     /// Seed of every ring point and tie-break weight.
     pub seed: u64,
-    /// Virtual nodes per shard. More vnodes smooth the arc distribution
-    /// (smaller max/mean spread) at linear routing-table cost.
-    pub vnodes: usize,
-    /// Bounded-load factor `c`: a shard's queue may exceed the mean load
-    /// by at most this factor before keys overflow past it.
-    pub load_factor: f64,
-}
-
-impl Default for RingConfig {
-    fn default() -> Self {
-        RingConfig {
-            seed: 0,
-            vnodes: 16,
-            load_factor: 1.25,
-        }
-    }
 }
 
 /// The consistent-hash ring. See the module docs.
@@ -107,7 +100,7 @@ impl HashRing {
         }
         let idx = self.members.partition_point(|&m| m < shard);
         self.members.insert(idx, shard);
-        for v in 0..self.cfg.vnodes.max(1) {
+        for v in 0..VNODES {
             let p = self.vnode_point(shard, v);
             self.points.push((p, shard));
         }
@@ -204,7 +197,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn ring(members: &[u32]) -> HashRing {
-        let mut r = HashRing::new(RingConfig { seed: 7, ..Default::default() });
+        let mut r = HashRing::new(RingConfig { seed: 7 });
         for &m in members {
             r.insert(m);
         }

@@ -1,14 +1,15 @@
 //! Shard health checking: the supervisor's heartbeat schedule and the
 //! per-shard circuit breaker.
 //!
-//! Each supervisor tick probes every monitored shard once. The breaker
-//! trips open after `fail_threshold` consecutive misses (routing stops
-//! sending the shard new work), waits out a bounded exponential backoff
-//! (reusing [`fftx_fault::RecoveryConfig::backoff`], the same schedule the
-//! task-retry layer uses), then half-opens for a single probe: an answered
-//! probe closes it, a missed one re-opens it with a doubled backoff. A
-//! shard that misses `death_threshold` consecutive probes is declared dead
-//! and failed over — see the supervisor.
+//! Each supervisor tick (`TICK_S`, 0.05 virtual seconds apart) probes
+//! every monitored shard once. The breaker trips open after
+//! `FAIL_THRESHOLD` (2) consecutive misses (routing stops sending the
+//! shard new work), waits out a bounded exponential backoff (reusing
+//! [`fftx_fault::RecoveryConfig::backoff`] at its default, the same
+//! schedule the task-retry layer uses), then half-opens for a single
+//! probe: an answered probe closes it, a missed one re-opens it with a
+//! doubled backoff. A shard that misses `DEATH_THRESHOLD` (4) consecutive
+//! probes is declared dead and failed over — see the supervisor.
 //!
 //! Everything is driven by the virtual tick counter, so breaker evolution
 //! is a pure fold over the journaled heartbeat outcomes and replays
@@ -16,50 +17,30 @@
 
 use fftx_fault::RecoveryConfig;
 
-/// Health-check knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Virtual seconds between supervisor ticks (one probe per shard per
-    /// tick).
-    pub tick_s: f64,
-    /// Consecutive missed probes that trip the breaker open.
-    pub fail_threshold: u32,
-    /// Consecutive missed probes that declare the shard dead. Must exceed
-    /// `fail_threshold`: a shard stops receiving new work before the
-    /// (expensive) failover is committed.
-    pub death_threshold: u32,
-    /// Corrupt batches (ABFT verification failures) that trip the breaker
-    /// open: a shard whose results keep failing verification stops
-    /// receiving new work even though its heartbeats answer. Unlike
-    /// heartbeat misses, corruption strikes are not cleared by healthy
-    /// probes — only a successful half-open probe (a full backoff served)
-    /// resets them.
-    pub corrupt_threshold: u32,
-    /// Backoff schedule of the half-open probe delay: re-probe attempt `n`
-    /// waits `min(base · 2^n, max)` before half-opening.
-    pub backoff: RecoveryConfig,
-}
+/// Virtual seconds between supervisor ticks (one probe per shard per tick).
+pub(crate) const TICK_S: f64 = 0.05;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            tick_s: 0.05,
-            fail_threshold: 2,
-            death_threshold: 4,
-            corrupt_threshold: 3,
-            backoff: RecoveryConfig::default(),
-        }
-    }
-}
+/// Consecutive missed probes that trip the breaker open.
+const FAIL_THRESHOLD: u32 = 2;
 
-impl HealthConfig {
-    /// Ticks the breaker stays open before half-opening, for re-probe
-    /// attempt `attempt` (0-based): the backoff duration rounded up to
-    /// whole ticks, at least one.
-    pub fn open_ticks(&self, attempt: u32) -> u64 {
-        let ticks = self.backoff.backoff(attempt).as_secs_f64() / self.tick_s;
-        (ticks.ceil() as u64).max(1)
-    }
+/// Consecutive missed probes that declare the shard dead. Exceeds
+/// [`FAIL_THRESHOLD`]: a shard stops receiving new work before the
+/// (expensive) failover is committed.
+pub(crate) const DEATH_THRESHOLD: u32 = 4;
+
+/// Corrupt batches (ABFT verification failures) that trip the breaker
+/// open: a shard whose results keep failing verification stops receiving
+/// new work even though its heartbeats answer. Unlike heartbeat misses,
+/// corruption strikes are not cleared by healthy probes — only a
+/// successful half-open probe (a full backoff served) resets them.
+const CORRUPT_THRESHOLD: u32 = 3;
+
+/// Ticks the breaker stays open before half-opening, for re-probe attempt
+/// `attempt` (0-based): the backoff duration rounded up to whole ticks, at
+/// least one.
+fn open_ticks(attempt: u32) -> u64 {
+    let ticks = RecoveryConfig::default().backoff(attempt).as_secs_f64() / TICK_S;
+    (ticks.ceil() as u64).max(1)
 }
 
 /// Breaker state.
@@ -140,16 +121,15 @@ impl Breaker {
     }
 
     /// Folds one detected-corruption event (a batch that failed ABFT
-    /// verification) into the breaker at `tick`. At
-    /// [`HealthConfig::corrupt_threshold`] strikes a closed breaker trips
-    /// open — the shard is quarantined from new work for a full backoff,
-    /// exactly like a heartbeat trip, but healthy heartbeats do *not*
-    /// clear the strike count: only the successful half-open probe that
-    /// re-closes the breaker does. Returns the new state's name on a
-    /// transition.
-    pub fn on_corruption(&mut self, tick: u64, cfg: &HealthConfig) -> Option<&'static str> {
+    /// verification) into the breaker at `tick`. At `CORRUPT_THRESHOLD`
+    /// (3) strikes a closed breaker trips open — the shard is quarantined
+    /// from new work for a full backoff, exactly like a heartbeat trip, but
+    /// healthy heartbeats do *not* clear the strike count: only the
+    /// successful half-open probe that re-closes the breaker does. Returns
+    /// the new state's name on a transition.
+    pub fn on_corruption(&mut self, tick: u64) -> Option<&'static str> {
         self.corruptions += 1;
-        if self.state == BreakerState::Closed && self.corruptions >= cfg.corrupt_threshold {
+        if self.state == BreakerState::Closed && self.corruptions >= CORRUPT_THRESHOLD {
             self.state = BreakerState::Open;
             self.opened_tick = tick;
             return Some(self.state.name());
@@ -161,15 +141,13 @@ impl Breaker {
     /// state's name when the probe changed the state (an open breaker
     /// half-opening on backoff expiry counts, even though the transition
     /// is then immediately resolved by the probe itself).
-    pub fn on_heartbeat(&mut self, ok: bool, tick: u64, cfg: &HealthConfig) -> Option<&'static str> {
+    pub fn on_heartbeat(&mut self, ok: bool, tick: u64) -> Option<&'static str> {
         let before = self.state;
         let mut half_opened = false;
         self.run = if ok { 0 } else { self.run + 1 };
         // An open breaker whose backoff elapsed half-opens first; the probe
         // below then resolves the half-open state.
-        if self.state == BreakerState::Open
-            && tick >= self.opened_tick + cfg.open_ticks(self.attempt)
-        {
+        if self.state == BreakerState::Open && tick >= self.opened_tick + open_ticks(self.attempt) {
             self.state = BreakerState::HalfOpen;
             half_opened = true;
         }
@@ -179,7 +157,7 @@ impl Breaker {
                     self.misses = 0;
                 } else {
                     self.misses += 1;
-                    if self.misses >= cfg.fail_threshold {
+                    if self.misses >= FAIL_THRESHOLD {
                         self.state = BreakerState::Open;
                         self.opened_tick = tick;
                     }
@@ -207,103 +185,93 @@ impl Breaker {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig::default()
-    }
-
     #[test]
     fn breaker_trips_after_consecutive_misses() {
-        let c = cfg();
         let mut b = Breaker::new();
         assert!(b.admits());
-        assert_eq!(b.on_heartbeat(false, 0, &c), None);
+        assert_eq!(b.on_heartbeat(false, 0), None);
         assert!(b.admits(), "one miss is below the threshold");
-        assert_eq!(b.on_heartbeat(false, 1, &c), Some("open"));
+        assert_eq!(b.on_heartbeat(false, 1), Some("open"));
         assert!(!b.admits());
         assert_eq!(b.consecutive_misses(), 2);
     }
 
     #[test]
     fn ok_probe_resets_the_trip_counter() {
-        let c = cfg();
         let mut b = Breaker::new();
-        b.on_heartbeat(false, 0, &c);
-        b.on_heartbeat(true, 1, &c);
-        b.on_heartbeat(false, 2, &c);
+        b.on_heartbeat(false, 0);
+        b.on_heartbeat(true, 1);
+        b.on_heartbeat(false, 2);
         assert_eq!(b.state(), BreakerState::Closed, "non-consecutive misses never trip");
         assert_eq!(b.consecutive_misses(), 1);
     }
 
     #[test]
     fn half_open_probe_closes_or_reopens_with_backoff() {
-        let c = cfg();
         let mut b = Breaker::new();
-        b.on_heartbeat(false, 0, &c);
-        b.on_heartbeat(false, 1, &c);
+        b.on_heartbeat(false, 0);
+        b.on_heartbeat(false, 1);
         assert_eq!(b.state(), BreakerState::Open);
         // Before the backoff elapses the breaker ignores probes.
-        assert_eq!(b.on_heartbeat(true, 1 + c.open_ticks(0) - 1, &c), None);
+        assert_eq!(b.on_heartbeat(true, 1 + open_ticks(0) - 1), None);
         assert_eq!(b.state(), BreakerState::Open);
         // At expiry it half-opens; a good probe closes it in the same tick.
-        assert_eq!(b.on_heartbeat(true, 1 + c.open_ticks(0), &c), Some("closed"));
+        assert_eq!(b.on_heartbeat(true, 1 + open_ticks(0)), Some("closed"));
         assert!(b.admits());
 
         // A failed half-open probe re-opens with a doubled backoff.
         let mut b = Breaker::new();
-        b.on_heartbeat(false, 0, &c);
-        b.on_heartbeat(false, 1, &c);
-        let t = 1 + c.open_ticks(0);
-        assert_eq!(b.on_heartbeat(false, t, &c), Some("open"));
-        assert!(c.open_ticks(1) >= c.open_ticks(0), "backoff never shrinks");
-        assert_eq!(b.on_heartbeat(true, t + c.open_ticks(1), &c), Some("closed"));
+        b.on_heartbeat(false, 0);
+        b.on_heartbeat(false, 1);
+        let t = 1 + open_ticks(0);
+        assert_eq!(b.on_heartbeat(false, t), Some("open"));
+        assert!(open_ticks(1) >= open_ticks(0), "backoff never shrinks");
+        assert_eq!(b.on_heartbeat(true, t + open_ticks(1)), Some("closed"));
     }
 
     #[test]
     fn death_counter_spans_breaker_cycles() {
-        let c = cfg();
         let mut b = Breaker::new();
-        for tick in 0..c.death_threshold as u64 {
-            b.on_heartbeat(false, tick, &c);
+        for tick in 0..DEATH_THRESHOLD as u64 {
+            b.on_heartbeat(false, tick);
         }
-        assert!(b.consecutive_misses() >= c.death_threshold);
-        b.on_heartbeat(true, 100, &c);
+        assert!(b.consecutive_misses() >= DEATH_THRESHOLD);
+        b.on_heartbeat(true, 100);
         assert_eq!(b.consecutive_misses(), 0);
     }
 
     #[test]
     fn corruption_strikes_trip_the_breaker_despite_healthy_heartbeats() {
-        let c = cfg();
         let mut b = Breaker::new();
         // Strikes interleaved with answered probes: heartbeats never clear
         // corruption, so the third corrupt batch trips the breaker.
-        for tick in 0..(c.corrupt_threshold - 1) as u64 {
-            assert_eq!(b.on_corruption(tick, &c), None);
-            assert_eq!(b.on_heartbeat(true, tick, &c), None);
+        for tick in 0..(CORRUPT_THRESHOLD - 1) as u64 {
+            assert_eq!(b.on_corruption(tick), None);
+            assert_eq!(b.on_heartbeat(true, tick), None);
             assert!(b.admits());
         }
-        assert_eq!(b.on_corruption(10, &c), Some("open"));
+        assert_eq!(b.on_corruption(10), Some("open"));
         assert!(!b.admits(), "a corrupting shard is quarantined");
         assert_eq!(b.consecutive_misses(), 0, "corruption never declares death");
-        assert_eq!(b.corruption_strikes(), c.corrupt_threshold);
+        assert_eq!(b.corruption_strikes(), CORRUPT_THRESHOLD);
 
         // The backoff serves out; the successful half-open probe re-closes
         // the breaker and resets the strike count.
-        let t = 10 + c.open_ticks(0);
-        assert_eq!(b.on_heartbeat(true, t, &c), Some("closed"));
+        let t = 10 + open_ticks(0);
+        assert_eq!(b.on_heartbeat(true, t), Some("closed"));
         assert_eq!(b.corruption_strikes(), 0);
     }
 
     #[test]
     fn open_ticks_follow_the_bounded_exponential() {
-        let c = cfg();
-        assert!(c.open_ticks(0) >= 1);
+        assert!(open_ticks(0) >= 1);
         let mut last = 0;
         for attempt in 0..8 {
-            let t = c.open_ticks(attempt);
+            let t = open_ticks(attempt);
             assert!(t >= last, "monotone non-decreasing");
             last = t;
         }
         // The cap binds eventually.
-        assert_eq!(c.open_ticks(20), c.open_ticks(30));
+        assert_eq!(open_ticks(20), open_ticks(30));
     }
 }

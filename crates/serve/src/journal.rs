@@ -154,8 +154,8 @@ pub enum Record {
         /// Whether the probe was answered.
         ok: bool,
     },
-    /// The supervisor declared `shard` dead after `death_threshold`
-    /// consecutive missed heartbeats.
+    /// The supervisor declared `shard` dead after four consecutive missed
+    /// heartbeats.
     ShardDown {
         /// The shard.
         shard: u32,

@@ -59,13 +59,13 @@ pub mod tuner;
 
 pub use admission::{Admission, AdmissionConfig};
 pub use batch::{assemble, plan_batch, Batch, BatchConfig, BatchMember};
-pub use degrade::{DegradeConfig, DegradeLevel, Ladder};
+pub use degrade::{DegradeLevel, Ladder};
 pub use error::ServeError;
 pub use fleet::{
     load_bound, plan_capacity, AutoscaleConfig, HashRing, PlanConfig, PlanReport,
     PolicyEnvelope, RingConfig, ScaleDecision,
 };
-pub use health::{Breaker, BreakerState, HealthConfig};
+pub use health::{Breaker, BreakerState};
 pub use journal::{idempotency_key, Conservation, Journal, Record};
 pub use supervisor::{
     resume_fleet, run_fleet, Fleet, FleetConfig, FleetFaults, FleetJob, FleetReport,

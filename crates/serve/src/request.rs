@@ -84,7 +84,7 @@ impl GeometryClass {
     /// The explicit dense grid this class forces, when it does not use the
     /// cutoff-derived one. Only `Prime` overrides: its z dimension becomes
     /// [`PRIME_NR3`] while x and y keep the cutoff-derived order.
-    pub fn grid_override(self, config: &FftxConfig) -> Option<FftGrid> {
+    pub(crate) fn grid_override(self, config: &FftxConfig) -> Option<FftGrid> {
         match self {
             GeometryClass::Prime => {
                 let cell = Cell::cubic(config.alat);

@@ -48,12 +48,12 @@
 
 use crate::admission::Admission;
 use crate::batch::plan_batch;
-use crate::degrade::{DegradeConfig, DegradeLevel, Ladder};
+use crate::degrade::{DegradeLevel, Ladder};
 use crate::error::ServeError;
 use crate::exec::Backend;
 use crate::fleet::autoscale::{self, AutoscaleConfig, ScaleDecision};
-use crate::fleet::ring::{load_bound, HashRing, RingConfig};
-use crate::health::{Breaker, HealthConfig};
+use crate::fleet::ring::{load_bound, HashRing, RingConfig, LOAD_FACTOR};
+use crate::health::{Breaker, DEATH_THRESHOLD, TICK_S};
 use crate::journal::{idempotency_key, Conservation, Journal, Record};
 use crate::request::{band_hash, GeometryClass, RejectReason, Request};
 use crate::server::ServeConfig;
@@ -62,6 +62,10 @@ use fftx_core::{Decomposition, SchedulerPolicy};
 use fftx_fault::{mix64, NodeDeath, Partition, SlowNode};
 use fftx_trace::{CounterSet, EventLog, Quantiles, StateTimeline};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Safety bound on supervisor ticks before the loop reports
+/// [`ServeError::Stalled`].
+const MAX_TICKS: u64 = 100_000;
 
 /// Serve-level fault profiles, all pure in `(seed, shard)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,19 +107,11 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Per-shard serving knobs (admission, batching, tuner, execution).
     pub serve: ServeConfig,
-    /// Heartbeat / circuit-breaker knobs.
-    pub health: HealthConfig,
-    /// Brown-out ladder knobs.
-    pub degrade: DegradeConfig,
     /// Fault profiles.
     pub faults: FleetFaults,
     /// Virtual horizon the fault schedules are scaled to (seconds).
     pub horizon_s: f64,
-    /// Safety bound on supervisor ticks before the loop reports
-    /// [`ServeError::Stalled`].
-    pub max_ticks: u64,
-    /// Tenant→shard consistent-hash ring knobs (vnodes, bounded-load
-    /// factor; the ring seed is folded with the serve seed).
+    /// Tenant→shard consistent-hash ring seed (folded with the serve seed).
     pub ring: RingConfig,
     /// Elastic fleet: `Some` runs the reactive autoscaler between `min`
     /// and `max` active shards over the provisioned pool of
@@ -131,11 +127,8 @@ impl Default for FleetConfig {
         FleetConfig {
             shards: 3,
             serve: ServeConfig::default(),
-            health: HealthConfig::default(),
-            degrade: DegradeConfig::default(),
             faults: FleetFaults::default(),
             horizon_s: 2.0,
-            max_ticks: 100_000,
             ring: RingConfig::default(),
             autoscale: None,
             steal: false,
@@ -403,7 +396,6 @@ impl Fleet {
         let initial = cfg.autoscale.map_or(cfg.shards, |a| a.min);
         let mut ring = HashRing::new(RingConfig {
             seed: mix64(route_seed ^ cfg.ring.seed),
-            ..cfg.ring
         });
         for s in 0..initial {
             ring.insert(s as u32);
@@ -453,14 +445,13 @@ impl Fleet {
     /// stamped `t_s` was emitted in. Exact for tick-aligned stamps and for
     /// completion times that fall between ticks, despite float noise in
     /// the division (the correction loops pin the boundary bit-exactly
-    /// against the loop's own `tick * tick_s` products).
+    /// against the loop's own `tick * TICK_S` products).
     fn tick_of(&self, t_s: f64) -> u64 {
-        let dt = self.cfg.health.tick_s;
-        let mut k = (t_s / dt).ceil() as u64;
-        while k > 0 && (k - 1) as f64 * dt >= t_s {
+        let mut k = (t_s / TICK_S).ceil() as u64;
+        while k > 0 && (k - 1) as f64 * TICK_S >= t_s {
             k -= 1;
         }
-        while (k as f64) * dt < t_s {
+        while (k as f64) * TICK_S < t_s {
             k += 1;
         }
         k
@@ -684,7 +675,7 @@ impl Fleet {
                 self.shards[s].corruptions += detections;
                 self.log.push_counter("fleet.corruption.detected", *detections);
                 let tick = self.tick_of(*t_s);
-                if let Some(state) = self.shards[s].breaker.on_corruption(tick, &self.cfg.health) {
+                if let Some(state) = self.shards[s].breaker.on_corruption(tick) {
                     self.log.push_state(*t_s, *shard, state);
                     self.log.push_counter(&format!("fleet.breaker.{state}"), 1);
                 }
@@ -702,9 +693,7 @@ impl Fleet {
                 self.hb_from = s + 1;
                 let hb = if *ok { "fleet.heartbeat.ok" } else { "fleet.heartbeat.miss" };
                 self.log.push_counter(hb, 1);
-                if let Some(state) =
-                    self.shards[s].breaker.on_heartbeat(*ok, *tick, &self.cfg.health)
-                {
+                if let Some(state) = self.shards[s].breaker.on_heartbeat(*ok, *tick) {
                     self.log.push_state(*t_s, *shard, state);
                     self.log.push_counter(&format!("fleet.breaker.{state}"), 1);
                 }
@@ -971,7 +960,7 @@ impl Fleet {
             if self.shards[s].down {
                 continue;
             }
-            if self.shards[s].breaker.consecutive_misses() >= self.cfg.health.death_threshold {
+            if self.shards[s].breaker.consecutive_misses() >= DEATH_THRESHOLD {
                 self.emit(Record::ShardDown { shard: s as u32, t_s: t })?;
             }
         }
@@ -1122,7 +1111,7 @@ impl Fleet {
                 .iter()
                 .map(|&m| self.shards[m as usize].admission.depth())
                 .sum();
-            let bound = load_bound(total, self.ring.members().len(), self.cfg.ring.load_factor);
+            let bound = load_bound(total, self.ring.members().len(), LOAD_FACTOR);
             let shards = &self.shards;
             let target = self.ring.route_bounded(
                 req.tenant as u64,
@@ -1300,8 +1289,8 @@ impl Fleet {
     }
 
     /// Phase 9: the brown-out ladder moves at most one level per tick on
-    /// the admitting active shards' mean queue occupancy, or — past
-    /// [`DegradeConfig::quarantine_at`] — on the fraction of started
+    /// the admitting active shards' mean queue occupancy, or — past the
+    /// ladder's quarantine threshold — on the fraction of started
     /// batches whose results failed ABFT verification. Both pressures are
     /// journal-derived, so the step is replay-stable.
     fn phase_degrade(&mut self, t: f64) -> Result<(), ServeError> {
@@ -1328,7 +1317,7 @@ impl Fleet {
         } else {
             self.corruption_x.len() as f64 / started as f64
         };
-        if let Some(next) = self.ladder.next_level(pressure, corruption, &self.cfg.degrade) {
+        if let Some(next) = self.ladder.next_level(pressure, corruption) {
             self.emit(Record::Degraded { level: next.index(), t_s: t })?;
         }
         Ok(())
@@ -1347,18 +1336,18 @@ impl Fleet {
             // `open` but before its heartbeats, and the uninterrupted run
             // finished that tick. Every phase is idempotent over its
             // already-journaled part, so nothing is emitted twice.
-            let t = self.tick as f64 * self.cfg.health.tick_s;
+            let t = self.tick as f64 * TICK_S;
             self.run_tick(t)?;
             self.tick += 1;
         }
         while self.arrival_cursor < self.trace.len() || !self.open.is_empty() {
-            if self.tick > self.cfg.max_ticks {
+            if self.tick > MAX_TICKS {
                 return Err(ServeError::Stalled {
                     tick: self.tick,
                     open_jobs: self.open.len(),
                 });
             }
-            let t = self.tick as f64 * self.cfg.health.tick_s;
+            let t = self.tick as f64 * TICK_S;
             self.run_tick(t)?;
             self.tick += 1;
         }

@@ -46,7 +46,7 @@ impl Placement {
 
     /// Hyper-threading degree on `node`: lanes stacked per core once the
     /// placement occupies more lanes than the node has cores.
-    pub fn ht_degree(&self, node: &KnlConfig) -> usize {
+    pub(crate) fn ht_degree(&self, node: &KnlConfig) -> usize {
         self.lanes().div_ceil(node.cores_used(self.lanes()))
     }
 
@@ -139,7 +139,7 @@ pub struct CandidateScore {
 impl CandidateScore {
     /// The cost the ranking uses: observed mean when refined, else the DES
     /// price, else infinity (screened out).
-    pub fn effective_s(&self) -> f64 {
+    pub(crate) fn effective_s(&self) -> f64 {
         self.observed_s
             .map(|(s, _)| s)
             .or(self.des_s)

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 fn ring(seed: u64, members: &[u32]) -> HashRing {
-    let mut r = HashRing::new(RingConfig { seed, ..Default::default() });
+    let mut r = HashRing::new(RingConfig { seed });
     for &m in members {
         r.insert(m);
     }

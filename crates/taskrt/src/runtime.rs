@@ -202,8 +202,8 @@ impl RuntimeBuilder {
     /// Starts the worker pool.
     ///
     /// # Panics
-    /// Panics if the OS refuses to spawn a worker thread;
-    /// [`RuntimeBuilder::try_build`] is the non-panicking variant.
+    /// Panics if the OS refuses to spawn a worker thread, after shutting
+    /// down and joining the workers already started.
     pub fn build(self) -> Runtime {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -212,7 +212,7 @@ impl RuntimeBuilder {
     /// typed [`TaskError::Spawn`] instead of panicking. On failure every
     /// already-started worker is shut down and joined before the error is
     /// returned, so nothing leaks.
-    pub fn try_build(self) -> Result<Runtime, TaskError> {
+    pub(crate) fn try_build(self) -> Result<Runtime, TaskError> {
         let inner = Arc::new(Inner {
             sched: Mutex::new(Sched::default()),
             cv_ready: Condvar::new(),
@@ -297,7 +297,7 @@ impl Runtime {
     /// gives every task of band `b` priority `b`, which makes every rank
     /// drain bands in the same order — the invariant behind the
     /// deadlock-freedom argument for blocking collectives inside tasks.
-    pub fn spawn_prio<F>(&self, label: &str, priority: Option<u64>, deps: &[Dep], body: F)
+    pub(crate) fn spawn_prio<F>(&self, label: &str, priority: Option<u64>, deps: &[Dep], body: F)
     where
         F: FnOnce() + Send + 'static,
     {

@@ -32,7 +32,7 @@ const MAGIC: &[u8; 4] = b"FXCL";
 /// Format version.
 const VERSION: u8 = 1;
 /// Default rows per encoded chunk.
-pub const DEFAULT_CHUNK_ROWS: usize = 512;
+pub(crate) const DEFAULT_CHUNK_ROWS: usize = 512;
 
 /// Column payload: one type tag per column, values in row order.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,7 +128,7 @@ impl Stream {
     }
 
     /// See [`Stream::col_u32`].
-    pub fn col_u64(&self, name: &str) -> Result<&[u64], TraceError> {
+    pub(crate) fn col_u64(&self, name: &str) -> Result<&[u64], TraceError> {
         match self.column(name)? {
             ColumnData::U64(v) => Ok(v),
             other => Err(type_err(&self.name, name, "u64", other)),
@@ -162,15 +162,15 @@ fn type_err(stream: &str, col: &str, want: &str, got: &ColumnData) -> TraceError
 /// Stream names (indices into [`EventLog::streams`] in this order).
 pub const STREAM_COMPUTE: usize = 0;
 /// See [`STREAM_COMPUTE`].
-pub const STREAM_COMM: usize = 1;
+pub(crate) const STREAM_COMM: usize = 1;
 /// See [`STREAM_COMPUTE`].
-pub const STREAM_TASK: usize = 2;
+pub(crate) const STREAM_TASK: usize = 2;
 /// See [`STREAM_COMPUTE`].
 pub const STREAM_STAGE: usize = 3;
 /// See [`STREAM_COMPUTE`].
 pub const STREAM_COUNTER: usize = 4;
 /// See [`STREAM_COMPUTE`].
-pub const STREAM_GAUGE: usize = 5;
+pub(crate) const STREAM_GAUGE: usize = 5;
 /// See [`STREAM_COMPUTE`].
 pub const STREAM_STATE: usize = 6;
 
@@ -699,17 +699,6 @@ impl EventLog {
         }
         Ok(log)
     }
-
-    /// Writes the encoded log to a file.
-    pub fn write_file(&self, path: &std::path::Path) -> Result<(), TraceError> {
-        std::fs::write(path, self.encode())?;
-        Ok(())
-    }
-
-    /// Reads and decodes a log file.
-    pub fn read_file(path: &std::path::Path) -> Result<Self, TraceError> {
-        Self::decode(&std::fs::read(path)?)
-    }
 }
 
 /// A typed cell for the internal append path.
@@ -983,18 +972,6 @@ mod tests {
         assert!(matches!(s.col_u32("nope"), Err(TraceError::Schema(_))));
         assert!(matches!(s.col_u64("rank"), Err(TraceError::Schema(_))));
         assert!(matches!(log.lookup(0), Err(TraceError::Decode(_))));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("fxcl-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("log.bin");
-        let log = sample_log();
-        log.write_file(&path).expect("write");
-        let back = EventLog::read_file(&path).expect("read");
-        assert_eq!(back, log);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

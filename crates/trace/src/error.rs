@@ -1,5 +1,5 @@
-//! Typed errors for the trace crate — decoding a columnar log, schema
-//! lookups and I/O are fallible and must not panic the analysis pipeline.
+//! Typed errors for the trace crate — decoding a columnar log and schema
+//! lookups are fallible and must not panic the analysis pipeline.
 
 use std::fmt;
 
@@ -12,8 +12,6 @@ pub enum TraceError {
     /// A query referenced a stream or column the log does not carry, or the
     /// column has the wrong type.
     Schema(String),
-    /// Reading or writing a log file failed.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for TraceError {
@@ -21,25 +19,11 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::Decode(m) => write!(f, "columnar decode error: {m}"),
             TraceError::Schema(m) => write!(f, "columnar schema error: {m}"),
-            TraceError::Io(e) => write!(f, "columnar io error: {e}"),
         }
     }
 }
 
-impl std::error::Error for TraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for TraceError {
-    fn from(e: std::io::Error) -> Self {
-        TraceError::Io(e)
-    }
-}
+impl std::error::Error for TraceError {}
 
 #[cfg(test)]
 mod tests {
@@ -49,8 +33,5 @@ mod tests {
     fn display_formats() {
         assert!(TraceError::Decode("x".into()).to_string().contains("decode"));
         assert!(TraceError::Schema("y".into()).to_string().contains("schema"));
-        let io = TraceError::from(std::io::Error::other("boom"));
-        assert!(io.to_string().contains("boom"));
-        assert!(std::error::Error::source(&io).is_some());
     }
 }

@@ -32,7 +32,7 @@ pub fn stage_rollup(log: &EventLog) -> Result<Vec<(u32, usize, f64)>, TraceError
 
 /// One row of the per-class compute rollup.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClassTotals {
+pub(crate) struct ClassTotals {
     /// Burst count.
     pub count: usize,
     /// Total burst seconds.
@@ -43,19 +43,10 @@ pub struct ClassTotals {
     pub cycles: f64,
 }
 
-impl ClassTotals {
-    /// Aggregate IPC of the class (0 when no cycles were recorded).
-    pub fn ipc(&self) -> f64 {
-        if self.cycles > 0.0 {
-            self.instructions / self.cycles
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Per-state-class rollup of the compute stream.
-pub fn class_rollup(log: &EventLog) -> Result<BTreeMap<StateClass, ClassTotals>, TraceError> {
+pub(crate) fn class_rollup(
+    log: &EventLog,
+) -> Result<BTreeMap<StateClass, ClassTotals>, TraceError> {
     let s = &log.streams()[STREAM_COMPUTE];
     let class = s.col_u32("class")?;
     let (t0, t1) = (s.col_f64("t_start")?, s.col_f64("t_end")?);
@@ -98,7 +89,7 @@ pub fn window_sums(ts: &[f64], ws: &[f64], window: f64) -> Vec<f64> {
 /// Row counts grouped by a dictionary-encoded column of one stream
 /// (group-by on stage/policy/shard/tenant-style label columns). Keys are
 /// the decoded strings, sorted.
-pub fn group_count(
+pub(crate) fn group_count(
     log: &EventLog,
     stream: usize,
     column: &str,
@@ -196,7 +187,6 @@ mod tests {
         assert!((t.seconds - 2.0).abs() < 1e-12);
         assert!((t.instructions - 14.0).abs() < 1e-12);
         assert!((t.cycles - 20.0).abs() < 1e-12);
-        assert!((t.ipc() - 0.7).abs() < 1e-12);
         assert_eq!(r[&StateClass::Pack].count, 1);
     }
 

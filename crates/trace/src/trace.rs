@@ -91,15 +91,6 @@ impl Trace {
             .sum()
     }
 
-    /// Total communication seconds of one lane.
-    pub fn comm_time(&self, lane: Lane) -> f64 {
-        self.comm
-            .iter()
-            .filter(|r| r.lane == lane)
-            .map(|r| r.duration())
-            .sum()
-    }
-
     /// Sum of instructions over all compute bursts (optionally of one class).
     pub fn total_instructions(&self, class: Option<StateClass>) -> f64 {
         self.compute
@@ -110,7 +101,7 @@ impl Trace {
     }
 
     /// Sum of cycles over all compute bursts (optionally of one class).
-    pub fn total_cycles(&self, class: Option<StateClass>) -> f64 {
+    pub(crate) fn total_cycles(&self, class: Option<StateClass>) -> f64 {
         self.compute
             .iter()
             .filter(|r| class.is_none_or(|c| r.class == c))
@@ -372,7 +363,6 @@ mod tests {
         assert_eq!(t.lanes(), vec![Lane::new(0, 0), Lane::new(1, 0)]);
         assert!((t.runtime() - 3.0).abs() < 1e-12);
         assert!((t.compute_time(Lane::new(0, 0)) - 1.0).abs() < 1e-12);
-        assert!((t.comm_time(Lane::new(0, 0)) - 2.0).abs() < 1e-12);
         assert!((t.total_instructions(None) - 13.0).abs() < 1e-12);
         assert!((t.aggregate_ipc(None) - 13.0 / 20.0).abs() < 1e-12);
         assert!((t.aggregate_ipc(Some(StateClass::FftXy)) - 0.8).abs() < 1e-12);

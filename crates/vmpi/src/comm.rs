@@ -558,7 +558,7 @@ impl Communicator {
     }
 
     /// Tag-qualified barrier (for use inside concurrent tasks).
-    pub fn barrier_tagged(&self, tag: u32) {
+    pub(crate) fn barrier_tagged(&self, tag: u32) {
         let t0 = self.now();
         let size = self.size();
         self.collective(CollKind::Barrier, tag, (), |_c: Vec<()>| vec![(); size]);

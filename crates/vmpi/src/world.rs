@@ -286,12 +286,6 @@ impl World {
         self
     }
 
-    /// Disables fault injection, including the environment-variable pickup.
-    pub fn without_chaos(mut self) -> Self {
-        self.chaos = None;
-        self
-    }
-
     /// The chaos engine's report so far (`None` when chaos is disabled).
     /// Call after [`World::run`] for the complete fault schedule; the
     /// engine outlives the run.
@@ -391,12 +385,5 @@ mod tests {
                     panic!("boom");
                 }
             });
-    }
-
-    #[test]
-    fn fault_report_is_none_without_chaos() {
-        let w = World::new(2).without_chaos();
-        w.run(|comm| comm.barrier());
-        assert!(w.fault_report().is_none());
     }
 }
