@@ -79,7 +79,7 @@ fn main() {
     let mut csv = String::from("rate_hz,fleet,shards,goodput_hz,shed_rate,conserved,scale_up,scale_down,steals\n");
     let mut min_ratio = f64::INFINITY;
     let mut all_conserved = true;
-    for rate in [60.0, 120.0, 200.0] {
+    for rate in [1920.0, 3840.0, 6400.0] {
         let requests = generate(&traffic(rate));
         let mut best_static: f64 = 0.0;
         for k in 1..=POOL {

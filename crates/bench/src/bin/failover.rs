@@ -147,10 +147,7 @@ fn main() {
     let mut max_overhead_pct = 0.0f64;
     println!("replay: {n} journal records, {exec_full} real batch executions uninterrupted");
     for &cut in &cuts {
-        let mut prefix = Journal::new();
-        for rec in &full.journal.records()[..cut] {
-            prefix.append(rec.clone());
-        }
+        let prefix = full.journal.prefix(cut);
         let resumed = resume_fleet(&prefix, &replay_requests, &replay_cfg).expect("resume");
         let identical = resumed.journal.encode() == full_bytes;
         bit_identical &= identical;
@@ -173,7 +170,7 @@ fn main() {
     // small shard must walk the ladder, shed typed, and recover. ---
     let overload_requests = generate(&TrafficConfig {
         seed: SEED,
-        rate_hz: 400.0,
+        rate_hz: 800.0,
         duration_s: 1.0,
         tenants: 2,
         profile: LoadProfile::Burst,

@@ -1,6 +1,7 @@
 //! `serve` — the job-serving experiment: offered load vs goodput and tail
 //! latency, auto-tuned placement vs every static scheduler policy, plus an
-//! end-to-end real-execution correctness pass and a chaos-seeded run.
+//! end-to-end real-execution correctness pass and a chaos-seeded run, all
+//! on a one-shard fleet (the single-node server).
 //!
 //! Everything runs at a pinned seed over virtual time, so the CSV/JSON
 //! artifacts are deterministic and the CI gates are exact:
@@ -17,9 +18,10 @@
 use fftx_bench::{CheckKind, GateOp, Harness, MetricValue};
 use fftx_core::{run_policy, SchedulerPolicy};
 use fftx_serve::{
-    band_hash, class_problem, generate, run_serve, LoadProfile, PlacementMode, ServeChaos,
-    ServeConfig, ServeReport, TrafficConfig,
+    band_hash, class_problem, generate, run_fleet, FleetConfig, FleetReport, LoadProfile,
+    PlacementMode, Request, ServeChaos, ServeConfig, TrafficConfig,
 };
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 const SEED: u64 = fftx_bench::harness::SEED;
@@ -38,7 +40,13 @@ fn traffic(rate_hz: f64) -> TrafficConfig {
 struct Point {
     rate_hz: f64,
     mode: PlacementMode,
-    report: ServeReport,
+    report: FleetReport,
+}
+
+/// Serves `requests` on one shard under `cfg`.
+fn serve(requests: &[Request], cfg: ServeConfig, what: &str) -> FleetReport {
+    let fleet = FleetConfig { shards: 1, serve: cfg, ..Default::default() };
+    run_fleet(requests, &fleet).unwrap_or_else(|e| panic!("{what}: {e}"))
 }
 
 fn modes() -> Vec<PlacementMode> {
@@ -47,22 +55,22 @@ fn modes() -> Vec<PlacementMode> {
     v
 }
 
-/// Direct-engine hashes for every served job of a report.
-fn hashes_match_direct(report: &ServeReport, seed: u64) -> bool {
-    for batch in &report.batches {
-        let p = batch.placement;
-        let problem = class_problem(batch.class, p.config(batch.class, batch.nbnd, seed));
-        let direct = run_policy(&problem, p.policy);
-        let mut start = 0;
-        for j in report.jobs.iter().filter(|j| j.batch == batch.index) {
-            let expect = band_hash(&direct.bands[start..start + j.request.bands]);
-            if j.hash != Some(expect) {
-                return false;
-            }
-            start += j.request.bands;
+/// Whether every served job's hash matches a direct engine run of its
+/// batch's journaled placement.
+fn hashes_match_direct(report: &FleetReport, seed: u64) -> bool {
+    let mut expect = BTreeMap::new();
+    for b in &report.batches {
+        let (class, nbnd, p) = (b.batch.class, b.batch.nbnd, b.placement);
+        let direct = run_policy(&class_problem(class, p.config(class, nbnd, seed)), p.policy);
+        for m in &b.batch.members {
+            let range = &direct.bands[m.band_start..m.band_start + m.request.bands];
+            expect.insert((b.id, m.request.id), band_hash(range));
         }
     }
-    true
+    report
+        .jobs
+        .iter()
+        .all(|j| j.hash.is_some() && j.hash == expect.get(&(j.batch, j.request.id)).copied())
 }
 
 fn main() {
@@ -73,15 +81,15 @@ fn main() {
     for &rate in &RATES {
         let requests = generate(&traffic(rate));
         for mode in modes() {
-            let report = run_serve(
+            let report = serve(
                 &requests,
-                &ServeConfig {
+                ServeConfig {
                     mode,
                     seed: SEED,
                     ..Default::default()
                 },
-            )
-            .expect("serve sweep");
+                "serve sweep",
+            );
             points.push(Point {
                 rate_hz: rate,
                 mode,
@@ -167,9 +175,9 @@ fn main() {
     // must engage the backpressure path (bounded queue, fair share,
     // deadline shedding) with typed rejections. ---
     let overload_requests = generate(&traffic(400.0));
-    let overload = run_serve(
+    let overload = serve(
         &overload_requests,
-        &ServeConfig {
+        ServeConfig {
             admission: fftx_serve::AdmissionConfig {
                 queue_cap: 8,
                 tenant_share: 0.5,
@@ -178,8 +186,8 @@ fn main() {
             seed: SEED,
             ..Default::default()
         },
-    )
-    .expect("overload serve");
+        "overload serve",
+    );
     println!(
         "overload (400Hz burst, queue cap 8): served {}, shed {} ({:.1}%), max depth {}",
         overload.jobs.len(),
@@ -196,15 +204,15 @@ fn main() {
 
     // --- Phase 2: real execution — served results == direct engine runs. ---
     let real_requests: Vec<_> = generate(&traffic(30.0)).into_iter().take(40).collect();
-    let real = run_serve(
+    let real = serve(
         &real_requests,
-        &ServeConfig {
+        ServeConfig {
             execute_real: true,
             seed: SEED,
             ..Default::default()
         },
-    )
-    .expect("real serve");
+        "real serve",
+    );
     let real_ok = real.offered() == real.jobs.len() + real.shed.len()
         && !real.jobs.is_empty()
         && hashes_match_direct(&real, SEED);
@@ -217,9 +225,9 @@ fn main() {
 
     // --- Phase 3: chaos-seeded serving with a forced rank eviction. ---
     let chaos_requests: Vec<_> = generate(&traffic(30.0)).into_iter().take(24).collect();
-    let chaos = run_serve(
+    let chaos = serve(
         &chaos_requests,
-        &ServeConfig {
+        ServeConfig {
             chaos: Some(ServeChaos {
                 seed: SEED ^ 0xC0DE,
                 evict_batch: Some(0),
@@ -228,8 +236,8 @@ fn main() {
             seed: SEED,
             ..Default::default()
         },
-    )
-    .expect("chaos serve");
+        "chaos serve",
+    );
     let recovered: u64 = chaos.counters.get("recovery.retries")
         + chaos.counters.get("recovery.rollbacks")
         + chaos.counters.get("recovery.evictions");

@@ -280,16 +280,6 @@ impl Default for RecoveryConfig {
     }
 }
 
-impl RecoveryConfig {
-    /// The bounded exponential backoff before retry `attempt` (0-based).
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        self.base_backoff
-            .saturating_mul(factor)
-            .min(self.max_backoff)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,19 +368,5 @@ mod tests {
         }
         let none = Partition::new(9, 0.0, 0.2);
         assert!((0..50).all(|s| none.window_fraction_of(s).is_none()));
-    }
-
-    #[test]
-    fn backoff_is_bounded_exponential() {
-        let c = RecoveryConfig {
-            base_backoff: Duration::from_micros(50),
-            max_backoff: Duration::from_micros(300),
-            ..RecoveryConfig::default()
-        };
-        assert_eq!(c.backoff(0), Duration::from_micros(50));
-        assert_eq!(c.backoff(1), Duration::from_micros(100));
-        assert_eq!(c.backoff(2), Duration::from_micros(200));
-        assert_eq!(c.backoff(3), Duration::from_micros(300), "capped");
-        assert_eq!(c.backoff(40), Duration::from_micros(300), "no overflow");
     }
 }

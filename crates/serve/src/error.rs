@@ -23,8 +23,6 @@ pub enum ServeError {
         /// The first non-matching member's class.
         found: &'static str,
     },
-    /// A dispatch was requested on an empty queue.
-    EmptyQueue,
     /// The batch planner returned a queue position past the queue end —
     /// plan and queue went out of sync.
     PlanOutOfRange {
@@ -67,7 +65,6 @@ impl fmt::Display for ServeError {
                 f,
                 "batch assembly mixed geometry classes: head is {expected}, found {found}"
             ),
-            ServeError::EmptyQueue => write!(f, "dispatch requested on an empty queue"),
             ServeError::PlanOutOfRange { pos, depth } => write!(
                 f,
                 "batch plan position {pos} out of range for queue depth {depth}"
@@ -102,7 +99,6 @@ mod tests {
                 ServeError::MixedClasses { expected: "small", found: "large" },
                 "head is small, found large",
             ),
-            (ServeError::EmptyQueue, "empty queue"),
             (ServeError::PlanOutOfRange { pos: 9, depth: 3 }, "position 9"),
             (ServeError::TenantUnaccounted { tenant: 4 }, "tenant 4"),
             (ServeError::UnorderedTrace { index: 2 }, "index 2"),

@@ -1,9 +1,8 @@
-//! The execution backend shared by the single-node server and the fleet
-//! supervisor: a base-problem cache keyed by (class, layout, policy), the
-//! real stage-graph execution of one batch routed through the recovery
-//! ladder (task retry → batch rollback → rank eviction, with escalation to
-//! a clean re-run), and the model-priced overhead of the recovery events a
-//! run absorbed.
+//! The execution backend of the fleet supervisor's shards: a base-problem
+//! cache keyed by (class, layout, policy), the real stage-graph execution
+//! of one batch routed through the recovery ladder (task retry → batch
+//! rollback → rank eviction, with escalation to a clean re-run), and the
+//! model-priced overhead of the recovery events a run absorbed.
 //!
 //! Execution is a pure function of (batch, placement, chaos seed, workload
 //! seed): the backend holds no virtual-time state, so the fleet rebuilds
@@ -78,16 +77,6 @@ impl Backend {
             comm: CommModel::paper(),
             problems: BTreeMap::new(),
         }
-    }
-
-    /// The chaos configuration the backend executes under.
-    pub fn chaos(&self) -> Option<ServeChaos> {
-        self.chaos
-    }
-
-    /// The communication model used to price recovery overhead.
-    pub fn comm(&self) -> &CommModel {
-        &self.comm
     }
 
     /// The batch problem of `(class, nbnd)` under `placement`, via a base

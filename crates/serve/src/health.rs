@@ -4,18 +4,18 @@
 //! Each supervisor tick (`TICK_S`, 0.05 virtual seconds apart) probes
 //! every monitored shard once. The breaker trips open after
 //! `FAIL_THRESHOLD` (2) consecutive misses (routing stops sending the
-//! shard new work), waits out a bounded exponential backoff (reusing
-//! [`fftx_fault::RecoveryConfig::backoff`] at its default, the same
-//! schedule the task-retry layer uses), then half-opens for a single
-//! probe: an answered probe closes it, a missed one re-opens it with a
-//! doubled backoff. A shard that misses `DEATH_THRESHOLD` (4) consecutive
-//! probes is declared dead and failed over — see the supervisor.
+//! shard new work) and re-probes on the next tick: the first heartbeat
+//! after the tick it opened on half-opens it for that single probe. An
+//! answered probe closes it, a missed one re-opens it for another tick.
+//! The wait is one tick, not a backoff: the task-retry backoff
+//! (50 µs doubling to a 2 ms cap) is far below one tick, so any backoff
+//! rounded up to whole ticks is one tick on every attempt. A shard that
+//! misses `DEATH_THRESHOLD` (4) consecutive probes is declared dead and
+//! failed over — see the supervisor.
 //!
 //! Everything is driven by the virtual tick counter, so breaker evolution
-//! is a pure fold over the journaled heartbeat outcomes and replays
-//! bit-identically.
-
-use fftx_fault::RecoveryConfig;
+//! is a pure fold over the journaled heartbeat and corruption records and
+//! replays bit-identically.
 
 /// Virtual seconds between supervisor ticks (one probe per shard per tick).
 pub(crate) const TICK_S: f64 = 0.05;
@@ -32,23 +32,18 @@ pub(crate) const DEATH_THRESHOLD: u32 = 4;
 /// open: a shard whose results keep failing verification stops receiving
 /// new work even though its heartbeats answer. Unlike heartbeat misses,
 /// corruption strikes are not cleared by healthy probes — only a
-/// successful half-open probe (a full backoff served) resets them.
+/// successful half-open probe (one re-probe tick later) resets them.
 const CORRUPT_THRESHOLD: u32 = 3;
 
-/// Ticks the breaker stays open before half-opening, for re-probe attempt
-/// `attempt` (0-based): the backoff duration rounded up to whole ticks, at
-/// least one.
-fn open_ticks(attempt: u32) -> u64 {
-    let ticks = RecoveryConfig::default().backoff(attempt).as_secs_f64() / TICK_S;
-    (ticks.ceil() as u64).max(1)
-}
+/// Ticks an open breaker waits before its half-open re-probe.
+const REPROBE_TICKS: u64 = 1;
 
 /// Breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: the shard receives new work.
     Closed,
-    /// Tripped: no new work until the backoff elapses.
+    /// Tripped: no new work until the re-probe tick.
     Open,
     /// Probing: one answered heartbeat closes it, one miss re-opens it.
     HalfOpen,
@@ -76,7 +71,6 @@ pub struct Breaker {
     /// Corrupt batches since the breaker last closed (quarantine counter).
     corruptions: u32,
     opened_tick: u64,
-    attempt: u32,
 }
 
 impl Default for Breaker {
@@ -94,7 +88,6 @@ impl Breaker {
             run: 0,
             corruptions: 0,
             opened_tick: 0,
-            attempt: 0,
         }
     }
 
@@ -123,7 +116,7 @@ impl Breaker {
     /// Folds one detected-corruption event (a batch that failed ABFT
     /// verification) into the breaker at `tick`. At `CORRUPT_THRESHOLD`
     /// (3) strikes a closed breaker trips open — the shard is quarantined
-    /// from new work for a full backoff, exactly like a heartbeat trip, but
+    /// from new work until its re-probe, exactly like a heartbeat trip, but
     /// healthy heartbeats do *not* clear the strike count: only the
     /// successful half-open probe that re-closes the breaker does. Returns
     /// the new state's name on a transition.
@@ -139,15 +132,15 @@ impl Breaker {
 
     /// Folds one probe outcome at `tick` into the breaker. Returns the new
     /// state's name when the probe changed the state (an open breaker
-    /// half-opening on backoff expiry counts, even though the transition
+    /// half-opening at its re-probe tick counts, even though the transition
     /// is then immediately resolved by the probe itself).
     pub fn on_heartbeat(&mut self, ok: bool, tick: u64) -> Option<&'static str> {
         let before = self.state;
         let mut half_opened = false;
         self.run = if ok { 0 } else { self.run + 1 };
-        // An open breaker whose backoff elapsed half-opens first; the probe
+        // An open breaker at its re-probe tick half-opens first; the probe
         // below then resolves the half-open state.
-        if self.state == BreakerState::Open && tick >= self.opened_tick + open_ticks(self.attempt) {
+        if self.state == BreakerState::Open && tick >= self.opened_tick + REPROBE_TICKS {
             self.state = BreakerState::HalfOpen;
             half_opened = true;
         }
@@ -168,11 +161,9 @@ impl Breaker {
                     self.state = BreakerState::Closed;
                     self.misses = 0;
                     self.corruptions = 0;
-                    self.attempt = 0;
                 } else {
                     self.state = BreakerState::Open;
                     self.opened_tick = tick;
-                    self.attempt += 1;
                 }
             }
             BreakerState::Open => {}
@@ -212,21 +203,21 @@ mod tests {
         b.on_heartbeat(false, 0);
         b.on_heartbeat(false, 1);
         assert_eq!(b.state(), BreakerState::Open);
-        // Before the backoff elapses the breaker ignores probes.
-        assert_eq!(b.on_heartbeat(true, 1 + open_ticks(0) - 1), None);
+        // Before the re-probe tick the breaker ignores probes.
+        assert_eq!(b.on_heartbeat(true, 1 + REPROBE_TICKS - 1), None);
         assert_eq!(b.state(), BreakerState::Open);
-        // At expiry it half-opens; a good probe closes it in the same tick.
-        assert_eq!(b.on_heartbeat(true, 1 + open_ticks(0)), Some("closed"));
+        // At the re-probe tick it half-opens; a good probe closes it in the
+        // same tick.
+        assert_eq!(b.on_heartbeat(true, 1 + REPROBE_TICKS), Some("closed"));
         assert!(b.admits());
 
-        // A failed half-open probe re-opens with a doubled backoff.
+        // A failed half-open probe re-opens for another tick.
         let mut b = Breaker::new();
         b.on_heartbeat(false, 0);
         b.on_heartbeat(false, 1);
-        let t = 1 + open_ticks(0);
+        let t = 1 + REPROBE_TICKS;
         assert_eq!(b.on_heartbeat(false, t), Some("open"));
-        assert!(open_ticks(1) >= open_ticks(0), "backoff never shrinks");
-        assert_eq!(b.on_heartbeat(true, t + open_ticks(1)), Some("closed"));
+        assert_eq!(b.on_heartbeat(true, t + REPROBE_TICKS), Some("closed"));
     }
 
     #[test]
@@ -255,23 +246,10 @@ mod tests {
         assert_eq!(b.consecutive_misses(), 0, "corruption never declares death");
         assert_eq!(b.corruption_strikes(), CORRUPT_THRESHOLD);
 
-        // The backoff serves out; the successful half-open probe re-closes
+        // The re-probe tick comes; the successful half-open probe re-closes
         // the breaker and resets the strike count.
-        let t = 10 + open_ticks(0);
+        let t = 10 + REPROBE_TICKS;
         assert_eq!(b.on_heartbeat(true, t), Some("closed"));
         assert_eq!(b.corruption_strikes(), 0);
-    }
-
-    #[test]
-    fn open_ticks_follow_the_bounded_exponential() {
-        assert!(open_ticks(0) >= 1);
-        let mut last = 0;
-        for attempt in 0..8 {
-            let t = open_ticks(attempt);
-            assert!(t >= last, "monotone non-decreasing");
-            last = t;
-        }
-        // The cap binds eventually.
-        assert_eq!(open_ticks(20), open_ticks(30));
     }
 }

@@ -58,6 +58,8 @@ pub enum Record {
         batch: u64,
         /// Member request ids, band order.
         jobs: Vec<u64>,
+        /// Formation time (virtual seconds).
+        t_s: f64,
     },
     /// Batch `batch` started executing on `shard`.
     Started {
@@ -67,8 +69,9 @@ pub enum Record {
         batch: u64,
         /// Dispatch time (virtual seconds).
         start_s: f64,
-        /// Service time under the chosen placement, slow-node factor
-        /// included (virtual seconds).
+        /// Service time under the chosen placement: the modeled cost plus
+        /// the model-priced overhead of the recovery a real run absorbed,
+        /// stretched by the slow-node factor (virtual seconds).
         service_s: f64,
         /// Placement: first parallel dimension R.
         nr: usize,
@@ -85,6 +88,12 @@ pub enum Record {
         /// differently after a resharding event fails loudly instead of
         /// silently diverging.
         epoch: u64,
+        /// What a real run taught the placement tuner: the modeled cost
+        /// plus recovery overhead, before the slow-node stretch (a slow
+        /// shard says nothing about the placement). `None` when nothing
+        /// ran for real. Replay feeds it to the tuner again, so a resumed
+        /// fleet decides exactly as the uninterrupted one did.
+        observed_s: Option<f64>,
     },
     /// Job `job` of batch `batch` completed on `shard`.
     Completed {
@@ -118,9 +127,9 @@ pub enum Record {
         hash: Option<u64>,
     },
     /// The ABFT verification layer caught corrupted FFT results in
-    /// `batch` on `shard` before any member completed. Always precedes
-    /// the batch's completions; [`Record::Recomputed`] journals the
-    /// recovery.
+    /// `batch` on `shard`. Journaled when the batch starts, before its
+    /// `Started` record, so it precedes every completion;
+    /// [`Record::Recomputed`] journals the recovery.
     CorruptionDetected {
         /// Shard whose execution failed verification.
         shard: u32,
@@ -236,15 +245,24 @@ fn parse_f64_bits(tok: Option<&str>, line: usize) -> Result<f64, ServeError> {
         .ok_or_else(|| ServeError::Journal(format!("line {line}: bad float bit pattern")))
 }
 
-/// The optional result-hash field shared by `C` and `Z` records: 16 hex
-/// digits or the literal `-`.
-fn parse_hash(tok: Option<&str>, line: usize) -> Result<Option<u64>, ServeError> {
+/// An optional 16-hex-digit field — the result hash of `C` and `Z`
+/// records, the observed service of `T` records — or the literal `-`.
+fn parse_opt_hex(tok: Option<&str>, line: usize) -> Result<Option<u64>, ServeError> {
     match tok {
         Some("-") => Ok(None),
         Some(t) => u64::from_str_radix(t, 16)
             .map(Some)
-            .map_err(|_| ServeError::Journal(format!("line {line}: bad hash"))),
-        None => Err(ServeError::Journal(format!("line {line}: missing hash"))),
+            .map_err(|_| ServeError::Journal(format!("line {line}: bad hex field"))),
+        None => Err(ServeError::Journal(format!("line {line}: missing hex field"))),
+    }
+}
+
+fn encode_opt_hex(out: &mut String, v: Option<u64>) {
+    match v {
+        Some(h) => {
+            let _ = write!(out, " {h:016x}");
+        }
+        None => out.push_str(" -"),
     }
 }
 
@@ -281,6 +299,22 @@ fn decode_req<'a>(
 }
 
 impl Record {
+    /// The virtual time of the event that emitted the record. Every record
+    /// names it, so a journal prefix tells a resume which event to re-run.
+    pub(crate) fn t_s(&self) -> f64 {
+        match self {
+            Record::Accepted { req, .. } | Record::Shed { req, .. } => req.arrival_s,
+            Record::Started { start_s, .. } => *start_s,
+            Record::Completed { done_s, .. } => *done_s,
+            Record::Batched { t_s, .. } | Record::Suppressed { t_s, .. } => *t_s,
+            Record::CorruptionDetected { t_s, .. } | Record::Recomputed { t_s, .. } => *t_s,
+            Record::Heartbeat { t_s, .. } | Record::ShardDown { t_s, .. } => *t_s,
+            Record::Failover { t_s, .. } | Record::Degraded { t_s, .. } => *t_s,
+            Record::ScaleUp { t_s, .. } | Record::ScaleDown { t_s, .. } => *t_s,
+            Record::Stolen { t_s, .. } => *t_s,
+        }
+    }
+
     /// One-line lossless text encoding (no trailing newline).
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -295,37 +329,30 @@ impl Record {
                 encode_req(&mut out, req);
                 let _ = write!(out, " {kind}");
             }
-            Record::Batched { shard, batch, jobs } => {
-                let _ = write!(out, "B {shard} {batch} {}", jobs.len());
+            Record::Batched { shard, batch, jobs, t_s } => {
+                let _ = write!(out, "B {shard} {batch} {} {}", f64_hex(*t_s), jobs.len());
                 for j in jobs {
                     let _ = write!(out, " {j}");
                 }
             }
-            Record::Started { shard, batch, start_s, service_s, nr, ntg, policy, decomp, epoch } => {
+            Record::Started {
+                shard, batch, start_s, service_s, nr, ntg, policy, decomp, epoch, observed_s,
+            } => {
                 let _ = write!(
                     out,
                     "T {shard} {batch} {} {} {nr} {ntg} {policy} {decomp} {epoch}",
                     f64_hex(*start_s),
                     f64_hex(*service_s),
                 );
+                encode_opt_hex(&mut out, observed_s.map(f64::to_bits));
             }
             Record::Completed { shard, batch, job, done_s, hash } => {
                 let _ = write!(out, "C {shard} {batch} {job} {}", f64_hex(*done_s));
-                match hash {
-                    Some(h) => {
-                        let _ = write!(out, " {h:016x}");
-                    }
-                    None => out.push_str(" -"),
-                }
+                encode_opt_hex(&mut out, *hash);
             }
             Record::Suppressed { shard, batch, job, t_s, hash } => {
                 let _ = write!(out, "Z {shard} {batch} {job} {}", f64_hex(*t_s));
-                match hash {
-                    Some(h) => {
-                        let _ = write!(out, " {h:016x}");
-                    }
-                    None => out.push_str(" -"),
-                }
+                encode_opt_hex(&mut out, *hash);
             }
             Record::CorruptionDetected { shard, batch, detections, t_s } => {
                 let _ = write!(out, "X {shard} {batch} {detections} {}", f64_hex(*t_s));
@@ -394,12 +421,13 @@ impl Record {
             "B" => {
                 let shard = parse_u64(toks.next(), line)? as u32;
                 let batch = parse_u64(toks.next(), line)?;
+                let t_s = parse_f64_bits(toks.next(), line)?;
                 let n = parse_usize(toks.next(), line)?;
                 let mut jobs = Vec::with_capacity(n);
                 for _ in 0..n {
                     jobs.push(parse_u64(toks.next(), line)?);
                 }
-                Record::Batched { shard, batch, jobs }
+                Record::Batched { shard, batch, jobs, t_s }
             }
             "T" => Record::Started {
                 shard: parse_u64(toks.next(), line)? as u32,
@@ -411,13 +439,14 @@ impl Record {
                 policy: parse_usize(toks.next(), line)?,
                 decomp: parse_usize(toks.next(), line)?,
                 epoch: parse_u64(toks.next(), line)?,
+                observed_s: parse_opt_hex(toks.next(), line)?.map(f64::from_bits),
             },
             "C" => {
                 let shard = parse_u64(toks.next(), line)? as u32;
                 let batch = parse_u64(toks.next(), line)?;
                 let job = parse_u64(toks.next(), line)?;
                 let done_s = parse_f64_bits(toks.next(), line)?;
-                let hash = parse_hash(toks.next(), line)?;
+                let hash = parse_opt_hex(toks.next(), line)?;
                 Record::Completed { shard, batch, job, done_s, hash }
             }
             "Z" => Record::Suppressed {
@@ -425,7 +454,7 @@ impl Record {
                 batch: parse_u64(toks.next(), line)?,
                 job: parse_u64(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
-                hash: parse_hash(toks.next(), line)?,
+                hash: parse_opt_hex(toks.next(), line)?,
             },
             "X" => Record::CorruptionDetected {
                 shard: parse_u64(toks.next(), line)? as u32,
@@ -536,6 +565,12 @@ impl Journal {
     /// The records, append order.
     pub fn records(&self) -> &[Record] {
         &self.records
+    }
+
+    /// The first `len` records (all of them when `len` is past the end):
+    /// the journal a crash after record `len` leaves behind.
+    pub fn prefix(&self, len: usize) -> Journal {
+        Journal { records: self.records[..len.min(self.records.len())].to_vec() }
     }
 
     /// Number of records.
@@ -799,7 +834,7 @@ mod tests {
         vec![
             Record::Accepted { req: req(0), key: idempotency_key(7, 0), shard: 1 },
             Record::Shed { req: req(1), kind: "queue_full".into() },
-            Record::Batched { shard: 1, batch: 0, jobs: vec![0] },
+            Record::Batched { shard: 1, batch: 0, jobs: vec![0], t_s: 0.05 },
             Record::Started {
                 shard: 1,
                 batch: 0,
@@ -810,6 +845,7 @@ mod tests {
                 policy: 3,
                 decomp: 1,
                 epoch: 3,
+                observed_s: Some(0.021_375),
             },
             Record::Heartbeat { shard: 0, tick: 3, t_s: 0.15, ok: true },
             Record::Heartbeat { shard: 1, tick: 3, t_s: 0.15, ok: false },
@@ -821,7 +857,7 @@ mod tests {
             Record::Failover { from: 2, to: 1, job: 9, t_s: 0.2 },
             Record::Degraded { level: 1, t_s: 0.25 },
             Record::ScaleUp { shard: 3, t_s: 0.25 },
-            Record::Batched { shard: 3, batch: 2, jobs: vec![] },
+            Record::Batched { shard: 3, batch: 2, jobs: vec![], t_s: 0.3 },
             Record::Stolen { from: 3, to: 1, batch: 2, t_s: 0.3 },
             Record::ScaleDown { shard: 3, t_s: 0.35 },
             Record::Completed { shard: 1, batch: 1, job: 9, done_s: 0.3, hash: Some(0x2b) },
@@ -843,6 +879,7 @@ mod tests {
             policy: 0,
             decomp: 0,
             epoch: 0,
+            observed_s: None,
         });
         // Hashless completion and zombie report (modeled-service journal).
         records.push(Record::Completed { shard: 0, batch: 7, job: 3, done_s: 0.4, hash: None });
@@ -870,6 +907,11 @@ mod tests {
             Journal::decode("T 0 1 0000000000000000 0000000000000000 1 1 0 0\n").is_err(),
             "dispatch without its ring epoch"
         );
+        assert!(
+            Journal::decode("T 0 1 0000000000000000 0000000000000000 1 1 0 0 3\n").is_err(),
+            "dispatch without its observed-service field"
+        );
+        assert!(Journal::decode("B 0 1 2 7 9\n").is_err(), "batch without its formation time");
         assert!(Journal::decode("U 0\n").is_err(), "scale-up without its time");
         assert!(Journal::decode("W 0 1 zz 0000000000000000\n").is_err(), "bad stolen batch");
         assert!(
@@ -912,7 +954,7 @@ mod tests {
     #[test]
     fn conservation_holds_stolen_batches_to_exactly_once() {
         let a = |id| Record::Accepted { req: req(id), key: idempotency_key(7, id), shard: 0 };
-        let formed = Record::Batched { shard: 0, batch: 4, jobs: vec![0] };
+        let formed = Record::Batched { shard: 0, batch: 4, jobs: vec![0], t_s: 0.05 };
         let steal = Record::Stolen { from: 0, to: 2, batch: 4, t_s: 0.1 };
 
         // The legitimate shape: formed on the origin, stolen, completed
@@ -955,6 +997,7 @@ mod tests {
             policy: 0,
             decomp: 0,
             epoch: 1,
+            observed_s: None,
         });
         j.append(steal.clone());
         let err = j.conservation().expect_err("steal after start");

@@ -16,25 +16,27 @@
 //!    estimate, priced exactly on the DES, refined online from measured
 //!    durations, cached in a deterministic tuning table, explainable via
 //!    [`Tuner::why`].
-//! 5. [`server`] — the virtual-time serving loop: dispatches batches on
-//!    the stage-graph engines, survives injected chaos through the
+//! 5. [`exec`] — the execution backend: a batch runs for real on the
+//!    stage-graph engines and survives injected chaos through the
 //!    recovery ladder (retry → rollback → eviction) without losing an
-//!    accepted job, and exports per-tenant/per-stage metrics.
+//!    accepted job.
 //!
-//! Fleet durability on top of the single-node path:
+//! The serving loop is [`supervisor`]'s: [`run_fleet`] over N simulated
+//! shard nodes, with one shard as the single-node server. Its durability
+//! and capacity layers:
 //!
 //! 6. [`journal`] — the append-only write-ahead log of every fleet state
 //!    transition, with a lossless text encoding, per-job idempotency
 //!    keys, and a machine-checked conservation audit.
 //! 7. [`health`] — the heartbeat schedule and the per-shard circuit
-//!    breaker (trip → bounded-backoff half-open probing), reusing the
-//!    task-retry backoff schedule.
+//!    breaker (trip → one-tick half-open re-probe).
 //! 8. [`degrade`] — the brown-out ladder: shed by deadline class, split
 //!    large batches, reject new work; every transition journaled.
-//! 9. [`supervisor`] — N simulated shard nodes under one supervisor:
-//!    journaled virtual-time loop, node-death failover through the
-//!    placement tuner, split-brain duplicate suppression, and exact
-//!    crash recovery by journal replay ([`resume_fleet`]).
+//! 9. [`supervisor`] — the event-driven virtual-time loop: admission,
+//!    batching and dispatch at each event's own time, node-death failover
+//!    through the placement tuner, split-brain duplicate suppression,
+//!    per-tenant/per-stage metrics, and exact crash recovery by journal
+//!    replay ([`resume_fleet`]).
 //! 10. [`fleet`] — fleet capacity: the tenant→shard consistent-hash ring
 //!     (bounded-load overflow, minimal movement on membership change),
 //!     the journaled reactive autoscaler, cross-shard work stealing, and
@@ -52,7 +54,6 @@ pub mod fleet;
 pub mod health;
 pub mod journal;
 pub mod request;
-pub mod server;
 pub mod supervisor;
 pub mod traffic;
 pub mod tuner;
@@ -68,14 +69,12 @@ pub use fleet::{
 pub use health::{Breaker, BreakerState};
 pub use journal::{idempotency_key, Conservation, Journal, Record};
 pub use supervisor::{
-    resume_fleet, run_fleet, Fleet, FleetConfig, FleetFaults, FleetJob, FleetReport,
+    resume_fleet, run_fleet, Fleet, FleetBatch, FleetConfig, FleetFaults, FleetJob, FleetReport,
+    PlacementMode, ServeConfig,
 };
 pub use exec::{Backend, RealRun, ServeChaos};
 pub use request::{
     band_hash, class_problem, DeadlineClass, GeometryClass, RejectReason, Request, PRIME_NR3,
-};
-pub use server::{
-    run_serve, BatchRecord, JobRecord, PlacementMode, ServeConfig, ServeReport, Server, ShedRecord,
 };
 pub use traffic::{generate, LoadProfile, TrafficConfig};
 pub use tuner::{

@@ -11,13 +11,29 @@
 //! byte-identical to the uninterrupted run's from *any* record-boundary
 //! crash point (pinned by the proptests).
 //!
-//! Time is virtual and tick-driven. Each tick runs a fixed phase order —
-//! completions, heartbeats, death declarations, failover, autoscaling,
-//! arrivals, work stealing, dispatch, degradation — and every phase is
-//! idempotent given applied state (cursor fields such as the arrival
-//! index, the per-tick heartbeat position, and per-shard pending-batch
-//! markers are all maintained inside `apply`), so re-running the crash
-//! tick emits nothing twice.
+//! Time is virtual and event-driven. The next event is the earliest of
+//! the next supervisor tick (`k · TICK_S`), the next arrival, and the
+//! completion of a batch on a shard alive to finish it. Every event runs
+//! completions, arrivals and dispatch, so a request is accepted at its own
+//! arrival time and a shard starts its next batch the instant its last one
+//! completes: a fleet's capacity is set by service time, not by the tick.
+//! A tick event runs all nine phases in a fixed order — completions,
+//! heartbeats, death declarations, failover, autoscaling, arrivals, work
+//! stealing, dispatch, degradation — so health checks, failover, scaling,
+//! stealing and the ladder keep their tick cadence. Breaker, warm-up and
+//! cooldown count ticks: the tick of an event is the last tick at or
+//! before it. Every record names the virtual time of the event that
+//! emitted it, and every phase is idempotent given applied state (cursor
+//! fields such as the arrival index, the per-tick heartbeat position, and
+//! per-shard pending-batch markers are all maintained inside `apply`), so
+//! a resume finishes the event of the last journaled record from the
+//! phase that emitted it, emits nothing twice, and continues from there.
+//!
+//! One shard is the single-node server (`FleetConfig { shards: 1, .. }`).
+//! Real executions run at dispatch, through the recovery ladder (task
+//! retry → batch rollback → rank eviction) under chaos: the model-priced
+//! overhead of the recovery a run absorbed is part of the journaled
+//! service time, and the tuner learns that duration from `Started`.
 //!
 //! Routing is a consistent-hash ring ([`crate::fleet::ring`]): tenants
 //! map to the first ring member clockwise from their seeded point, with
@@ -46,26 +62,132 @@
 //! under split-brain races. The machine-checked conservation audit
 //! ([`Journal::conservation`]) gates this in CI.
 
-use crate::admission::Admission;
-use crate::batch::plan_batch;
+use crate::admission::{Admission, AdmissionConfig};
+use crate::batch::{plan_batch, Batch, BatchConfig};
 use crate::degrade::{DegradeLevel, Ladder};
 use crate::error::ServeError;
-use crate::exec::Backend;
+use crate::exec::{Backend, RealRun, ServeChaos};
 use crate::fleet::autoscale::{self, AutoscaleConfig, ScaleDecision};
 use crate::fleet::ring::{load_bound, HashRing, RingConfig, LOAD_FACTOR};
 use crate::health::{Breaker, DEATH_THRESHOLD, TICK_S};
 use crate::journal::{idempotency_key, Conservation, Journal, Record};
 use crate::request::{band_hash, GeometryClass, RejectReason, Request};
-use crate::server::ServeConfig;
-use crate::tuner::{Placement, Tuner};
-use fftx_core::{Decomposition, SchedulerPolicy};
+use crate::tuner::{Placement, Tuner, TunerConfig};
+use fftx_core::{DecompChoice, Decomposition, SchedulerPolicy};
 use fftx_fault::{mix64, NodeDeath, Partition, SlowNode};
-use fftx_trace::{CounterSet, EventLog, Quantiles, StateTimeline};
+use fftx_trace::{stage_profile, CounterSet, DepthSeries, EventLog, Quantiles, StateTimeline};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Safety bound on supervisor ticks before the loop reports
 /// [`ServeError::Stalled`].
 const MAX_TICKS: u64 = 100_000;
+
+/// The eviction demo's layout ([`ServeChaos::evict_batch`]): 7 virtual
+/// ranks as 7×1 so one can die. 7 is prime, so a pencil grid would be
+/// degenerate anyway; the layout is pinned to the slab lowering.
+const EVICT_PLACEMENT: Placement = Placement {
+    nr: 7,
+    ntg: 1,
+    policy: SchedulerPolicy::Serial,
+    decomp: Decomposition::Slab,
+};
+
+/// Virtual time of tick `k`.
+fn tick_s(k: u64) -> f64 {
+    k as f64 * TICK_S
+}
+
+/// The tick of virtual time `t_s`: the last tick at or before it (0 before
+/// the first). Exact against the loop's own [`tick_s`] products: the
+/// correction loops absorb float noise in the division.
+fn tick_at(t_s: f64) -> u64 {
+    // A saturating cast: times before the first tick (and NaN) give 0.
+    let mut k = (t_s / TICK_S).floor() as u64;
+    while k > 0 && tick_s(k) > t_s {
+        k -= 1;
+    }
+    while tick_s(k + 1) <= t_s {
+        k += 1;
+    }
+    k
+}
+
+/// How the serving loop picks a placement per batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlacementMode {
+    /// Tuner searches every policy's candidate row (the full space).
+    Auto,
+    /// Tuner is restricted to one policy's row — the static baselines the
+    /// auto mode is gated against.
+    Static(SchedulerPolicy),
+}
+
+impl PlacementMode {
+    /// The pinned policy of a static mode; `None` under auto.
+    fn fixed(self) -> Option<SchedulerPolicy> {
+        match self {
+            PlacementMode::Auto => None,
+            PlacementMode::Static(p) => Some(p),
+        }
+    }
+
+    /// Display name: `auto` or the policy name.
+    pub fn name(self) -> String {
+        match self {
+            PlacementMode::Auto => "auto".into(),
+            PlacementMode::Static(p) => p.name().into(),
+        }
+    }
+
+    /// Parses `auto` or any scheduler-policy name.
+    pub fn parse(s: &str) -> Option<Self> {
+        if s == "auto" {
+            return Some(PlacementMode::Auto);
+        }
+        SchedulerPolicy::parse(s).map(PlacementMode::Static)
+    }
+}
+
+/// Per-shard serving configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServeConfig {
+    /// Admission-control knobs.
+    pub admission: AdmissionConfig,
+    /// Batch-formation knobs.
+    pub batch: BatchConfig,
+    /// Placement-tuner knobs.
+    pub tuner: TunerConfig,
+    /// Placement selection mode.
+    pub mode: PlacementMode,
+    /// Decomposition selection: `Auto` lets the tuner search both
+    /// lowerings; a fixed choice restricts its candidate space — the
+    /// fixed-decomposition baselines the `decomp` bench gates against.
+    pub decomp: DecompChoice,
+    /// Execute each batch for real on the stage-graph engines (hashes and
+    /// stage profiles come back); otherwise service is purely modeled.
+    pub execute_real: bool,
+    /// Chaos on the serving path (implies real execution).
+    pub chaos: Option<ServeChaos>,
+    /// Workload data seed: fixes the synthetic band/potential content of
+    /// every batch problem, so served results are bit-comparable to direct
+    /// engine runs of the same configuration.
+    pub seed: u64,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        ServeConfig {
+            admission: AdmissionConfig::default(),
+            batch: BatchConfig::default(),
+            tuner: TunerConfig::default(),
+            mode: PlacementMode::Auto,
+            decomp: DecompChoice::Auto,
+            execute_real: false,
+            chaos: None,
+            seed: 42,
+        }
+    }
+}
 
 /// Serve-level fault profiles, all pure in `(seed, shard)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +222,7 @@ impl Default for FleetFaults {
     }
 }
 
-/// Fleet configuration.
+/// Fleet configuration. A one-shard fleet is the single-node server.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
     /// Number of shard nodes.
@@ -155,6 +277,18 @@ pub struct FleetJob {
     pub deadline_met: bool,
 }
 
+/// One started batch, as the journal records it: what ran, and where.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetBatch {
+    /// Fleet-unique batch id.
+    pub id: u64,
+    /// The assembled batch: geometry class, band count, and the members
+    /// in band order.
+    pub batch: Batch,
+    /// The placement it started under.
+    pub placement: Placement,
+}
+
 /// The full outcome of one fleet run.
 #[derive(Debug)]
 pub struct FleetReport {
@@ -164,15 +298,28 @@ pub struct FleetReport {
     pub jobs: Vec<FleetJob>,
     /// Shed requests with the rejection kind, arrival order.
     pub shed: Vec<(Request, String)>,
+    /// Every started batch, in id order.
+    pub batches: Vec<FleetBatch>,
     /// Counters: `fleet.accepted|batches|shard_down|suppressed`,
     /// `fleet.heartbeat.ok|miss`, `fleet.breaker.<state>`,
     /// `fleet.failover.jobs`, `fleet.degrade.<level>`,
     /// `fleet.corruption.detected|recomputed`, `served.tenant.<id>`,
-    /// `shed.<kind>`, `shed.tenant.<id>`.
+    /// `shed.<kind>`, `shed.tenant.<id>`. Real executions add
+    /// `fleet.exec.batch`, `recovery.retries|rollbacks|evictions` and
+    /// `escalations`; like [`FleetReport::stage_seconds`] these count the
+    /// executions this process ran, so a resumed run counts only its own.
     pub counters: CounterSet,
+    /// Queued requests summed over the shards, sampled at every arrival.
+    pub depth: DepthSeries,
     /// Breaker / down / degradation transitions over virtual time (lane =
     /// shard index; the ladder uses lane `shards`).
     pub timeline: StateTimeline,
+    /// Per-stage busy seconds summed over the real executions this process
+    /// ran (stage id → seconds), from the `trace::stage` spans.
+    pub stage_seconds: BTreeMap<u32, f64>,
+    /// The tuner's explainable dump for every workload key a started
+    /// batch was placed for.
+    pub why: String,
     /// The full journal of the run.
     pub journal: Journal,
     /// The conservation audit of the journal.
@@ -261,9 +408,27 @@ struct ShardState {
     down: bool,
 }
 
+/// The phases of an event, in run order. A tick event runs all nine; any
+/// other event runs completions, arrivals and dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    Completions,
+    Heartbeats,
+    Deaths,
+    Failover,
+    Autoscale,
+    Arrivals,
+    Steal,
+    Dispatch,
+    Degrade,
+}
+
+/// One phase's body, run at an event's virtual time.
+type PhaseFn = fn(&mut Fleet, f64) -> Result<(), ServeError>;
+
 /// An assembled batch plus the placement it started under.
 struct BatchInfo {
-    batch: crate::batch::Batch,
+    batch: Batch,
     placement: Option<Placement>,
 }
 
@@ -305,10 +470,13 @@ pub struct Fleet {
     /// transitions are recorded here and materialized into the report's
     /// [`CounterSet`] / [`StateTimeline`] views at the end of the run.
     log: EventLog,
-    /// batch id → job id → result hash; filled by `apply(Completed)`
-    /// during replay (journaled completions never re-execute) or lazily by
-    /// one pure re-execution per batch at first need.
+    /// batch id → job id → result hash; filled by the real execution at
+    /// dispatch, by `apply(Completed)` during replay (journaled completions
+    /// never re-execute), or by one pure re-execution of a batch a replayed
+    /// prefix started but did not finish.
     hash_cache: BTreeMap<u64, BTreeMap<u64, u64>>,
+    /// Per-stage busy seconds of the real executions this process ran.
+    stage_seconds: BTreeMap<u32, f64>,
     /// Batches with a journaled `CorruptionDetected` record — the guard
     /// that keeps the live path from re-emitting one on resume. Separate
     /// from `corruption_r`: a crash cut can land between a batch's X and R
@@ -321,6 +489,10 @@ pub struct Fleet {
     pending_failover: VecDeque<(u32, u64)>,
     next_batch: u64,
     arrival_cursor: usize,
+    /// Virtual time of the current event (of the last applied record
+    /// during replay): where a resume re-enters the loop.
+    now: f64,
+    /// The tick of `now`: the last tick at or before it.
     tick: u64,
     /// Heartbeat cursor: the tick the last heartbeat belongs to and the
     /// shard index the next one goes to — resume re-enters the heartbeat
@@ -421,12 +593,14 @@ impl Fleet {
             shed: Vec::new(),
             log: EventLog::new(),
             hash_cache: BTreeMap::new(),
+            stage_seconds: BTreeMap::new(),
             corruption_x: BTreeSet::new(),
             corruption_r: BTreeSet::new(),
             batch_info: BTreeMap::new(),
             pending_failover: VecDeque::new(),
             next_batch: 0,
             arrival_cursor: 0,
+            now: 0.0,
             tick: 0,
             hb_tick: None,
             hb_from: 0,
@@ -434,27 +608,6 @@ impl Fleet {
             makespan: 0.0,
             cfg,
         })
-    }
-
-    /// The journal so far (a prefix of it is what [`resume_fleet`] takes).
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
-    /// The first tick whose time is at or after `t_s` — the tick a record
-    /// stamped `t_s` was emitted in. Exact for tick-aligned stamps and for
-    /// completion times that fall between ticks, despite float noise in
-    /// the division (the correction loops pin the boundary bit-exactly
-    /// against the loop's own `tick * TICK_S` products).
-    fn tick_of(&self, t_s: f64) -> u64 {
-        let mut k = (t_s / TICK_S).ceil() as u64;
-        while k > 0 && (k - 1) as f64 * TICK_S >= t_s {
-            k -= 1;
-        }
-        while (k as f64) * TICK_S < t_s {
-            k += 1;
-        }
-        k
     }
 
     fn alive_at(&self, shard: usize, t_s: f64) -> bool {
@@ -465,6 +618,22 @@ impl Fleet {
     /// ring member that queues arrivals but executes nothing yet.
     fn warming(&self, shard: usize) -> bool {
         self.tick < self.warm_until[shard]
+    }
+
+    /// Whether batches execute for real (hashes, recovery, stage spans).
+    fn real(&self) -> bool {
+        self.cfg.serve.execute_real || self.cfg.serve.chaos.is_some()
+    }
+
+    /// Whether `batch` is the eviction demo's batch.
+    fn evicts(&self, batch: u64) -> bool {
+        self.cfg.serve.chaos.and_then(|c| c.evict_batch).is_some_and(|b| b as u64 == batch)
+    }
+
+    /// Samples the fleet's queue depth at virtual time `t_s`.
+    fn push_depth(&mut self, t_s: f64) {
+        let depth: usize = self.shards.iter().map(|s| s.admission.depth()).sum();
+        self.log.push_gauge("queue.depth", t_s, depth as u64);
     }
 
     fn decide(&mut self, class: GeometryClass, nbnd: usize) -> Placement {
@@ -526,6 +695,8 @@ impl Fleet {
     /// [`ServeError::Journal`] when the record contradicts the state it is
     /// applied to — a corrupt or desynced journal.
     fn apply(&mut self, rec: &Record) -> Result<(), ServeError> {
+        self.now = rec.t_s();
+        self.tick = tick_at(self.now);
         match rec {
             Record::Accepted { req, key, shard } => {
                 let s = self.shard_index(*shard)?;
@@ -555,6 +726,7 @@ impl Fleet {
                 self.shards[s].admission.push_back(*req);
                 self.arrival_cursor += 1;
                 self.log.push_counter("fleet.accepted", 1);
+                self.push_depth(req.arrival_s);
             }
             Record::Shed { req, kind } => {
                 let expect = self.trace.get(self.arrival_cursor).ok_or_else(|| {
@@ -570,8 +742,9 @@ impl Fleet {
                 self.log.push_counter(&format!("shed.tenant.{}", req.tenant), 1);
                 self.shed.push((*req, kind.clone()));
                 self.arrival_cursor += 1;
+                self.push_depth(req.arrival_s);
             }
-            Record::Batched { shard, batch, jobs } => {
+            Record::Batched { shard, batch, jobs, .. } => {
                 let s = self.shard_index(*shard)?;
                 let members = self.shards[s].admission.take_ids(jobs)?;
                 let assembled = crate::batch::assemble(members, &self.cfg.serve.batch)?;
@@ -583,9 +756,10 @@ impl Fleet {
                 self.next_batch = self.next_batch.max(batch + 1);
                 self.log.push_counter("fleet.batches", 1);
             }
-            Record::Started { shard, batch, start_s, service_s, nr, ntg, policy, decomp, epoch } => {
+            Record::Started {
+                shard, batch, start_s, service_s, nr, ntg, policy, decomp, epoch, observed_s,
+            } => {
                 let s = self.shard_index(*shard)?;
-                self.tick = self.tick.max(self.tick_of(*start_s));
                 if *epoch != self.ring.epoch() {
                     return Err(ServeError::Journal(format!(
                         "batch {batch} started at ring epoch {epoch}, but replay \
@@ -602,8 +776,15 @@ impl Fleet {
                 let info = self.batch_info.get_mut(batch).ok_or_else(|| {
                     ServeError::Journal(format!("batch {batch} started but never formed"))
                 })?;
-                info.placement = Some(Placement { nr: *nr, ntg: *ntg, policy, decomp });
+                let placement = Placement { nr: *nr, ntg: *ntg, policy, decomp };
+                info.placement = Some(placement);
                 let remaining = info.batch.members.iter().map(|m| m.request.id).collect();
+                if let Some(measured) = observed_s {
+                    // Close the loop: the tuner learns the recovery-adjusted
+                    // duration of this placement, replay included.
+                    self.tuner
+                        .observe(info.batch.class, info.batch.nbnd, &placement, *measured);
+                }
                 self.shards[s].pending = None;
                 self.shards[s].inflight = Some(Inflight {
                     batch: *batch,
@@ -635,13 +816,8 @@ impl Fleet {
                 self.log.push_counter(&format!("served.tenant.{}", req.tenant), 1);
                 self.makespan = self.makespan.max(*done_s);
                 self.remove_member(*shard, *batch, *job);
-                // Completions fire in a tick's first phase, before any
-                // heartbeat stamps the tick — recover it from `done_s` so a
-                // crash cut after the run's last heartbeat still resumes at
-                // the right tick.
-                self.tick = self.tick.max(self.tick_of(*done_s));
             }
-            Record::Suppressed { shard, batch, job, t_s, hash } => {
+            Record::Suppressed { shard, batch, job, hash, .. } => {
                 if !self.completed.contains(job) {
                     return Err(ServeError::Journal(format!(
                         "job {job} suppressed before any completion"
@@ -666,29 +842,24 @@ impl Fleet {
                 }
                 self.log.push_counter("fleet.suppressed", 1);
                 self.remove_member(*shard, *batch, *job);
-                self.tick = self.tick.max(self.tick_of(*t_s));
             }
             Record::CorruptionDetected { shard, batch, detections, t_s } => {
                 let s = self.shard_index(*shard)?;
-                self.tick = self.tick.max(self.tick_of(*t_s));
                 self.corruption_x.insert(*batch);
                 self.shards[s].corruptions += detections;
                 self.log.push_counter("fleet.corruption.detected", *detections);
-                let tick = self.tick_of(*t_s);
-                if let Some(state) = self.shards[s].breaker.on_corruption(tick) {
+                if let Some(state) = self.shards[s].breaker.on_corruption(self.tick) {
                     self.log.push_state(*t_s, *shard, state);
                     self.log.push_counter(&format!("fleet.breaker.{state}"), 1);
                 }
             }
-            Record::Recomputed { shard, batch, rollbacks, t_s } => {
+            Record::Recomputed { shard, batch, rollbacks, .. } => {
                 self.shard_index(*shard)?;
-                self.tick = self.tick.max(self.tick_of(*t_s));
                 self.corruption_r.insert(*batch);
                 self.log.push_counter("fleet.corruption.recomputed", *rollbacks);
             }
             Record::Heartbeat { shard, tick, t_s, ok } => {
                 let s = self.shard_index(*shard)?;
-                self.tick = *tick;
                 self.hb_tick = Some(*tick);
                 self.hb_from = s + 1;
                 let hb = if *ok { "fleet.heartbeat.ok" } else { "fleet.heartbeat.miss" };
@@ -700,7 +871,6 @@ impl Fleet {
             }
             Record::ShardDown { shard, t_s } => {
                 let s = self.shard_index(*shard)?;
-                self.tick = self.tick.max(self.tick_of(*t_s));
                 self.shards[s].down = true;
                 self.ring.remove(*shard);
                 self.log.push_state(*t_s, *shard, "down");
@@ -744,9 +914,8 @@ impl Fleet {
                 self.pending_failover
                     .extend(drain.into_iter().map(|id| (*shard, id)));
             }
-            Record::Failover { from, to, job, t_s } => {
+            Record::Failover { from, to, job, .. } => {
                 let t = self.shard_index(*to)?;
-                self.tick = self.tick.max(self.tick_of(*t_s));
                 match self.pending_failover.pop_front() {
                     Some(head) if head == (*from, *job) => {}
                     head => {
@@ -762,7 +931,6 @@ impl Fleet {
                 self.log.push_counter("fleet.failover.jobs", 1);
             }
             Record::Degraded { level, t_s } => {
-                self.tick = self.tick.max(self.tick_of(*t_s));
                 let lvl = *DegradeLevel::ALL.get(*level).ok_or_else(|| {
                     ServeError::Journal(format!("degrade level index {level}"))
                 })?;
@@ -778,15 +946,14 @@ impl Fleet {
                         "scale-up of shard {shard}, which is already active or down"
                     )));
                 }
-                self.tick = self.tick.max(self.tick_of(*t_s));
                 self.active[s] = true;
                 self.ring.insert(*shard);
                 // At least one warm tick: the activation tick itself must
                 // count as warm-up, because scale-up (phase 5) lands after
                 // the tick's heartbeat sweep (phase 2) — a shard probed on
                 // its own activation tick would diverge on crash replay.
-                self.warm_until[s] = self.tick_of(*t_s)
-                    + self.cfg.autoscale.map_or(1, |a| a.warmup_ticks.max(1));
+                self.warm_until[s] =
+                    self.tick + self.cfg.autoscale.map_or(1, |a| a.warmup_ticks.max(1));
                 self.scale_t = Some(*t_s);
                 self.log.push_counter("fleet.scale.up", 1);
                 self.log.push_state(*t_s, *shard, "warming");
@@ -806,14 +973,13 @@ impl Fleet {
                         "scale-down of shard {shard} while it still holds work"
                     )));
                 }
-                self.tick = self.tick.max(self.tick_of(*t_s));
                 self.active[s] = false;
                 self.ring.remove(*shard);
                 self.scale_t = Some(*t_s);
                 self.log.push_counter("fleet.scale.down", 1);
                 self.log.push_state(*t_s, *shard, "standby");
             }
-            Record::Stolen { from, to, batch, t_s } => {
+            Record::Stolen { from, to, batch, .. } => {
                 let f = self.shard_index(*from)?;
                 let t = self.shard_index(*to)?;
                 if f == t {
@@ -829,7 +995,6 @@ impl Fleet {
                         "batch {batch} stolen by shard {to}, which cannot take it"
                     )));
                 }
-                self.tick = self.tick.max(self.tick_of(*t_s));
                 self.shards[f].pending = None;
                 self.shards[t].pending = Some(*batch);
                 self.log.push_counter("fleet.steal", 1);
@@ -838,58 +1003,58 @@ impl Fleet {
         Ok(())
     }
 
-    /// The result hash of `job` in `batch` — `None` on modeled runs. Real
-    /// runs hit the cache (filled by replayed `Completed` records, so
-    /// journaled completions never re-execute); a miss re-executes the
-    /// batch once, purely, and caches every member. When the execution
-    /// absorbed corruption, the batch's `CorruptionDetected` / `Recomputed`
-    /// records are journaled here — before its first completion, and only
-    /// once per batch (resume replays them through `apply`, which marks
-    /// the guard sets).
-    fn hash_for(
-        &mut self,
-        shard: u32,
-        batch: u64,
-        job: u64,
-        t_s: f64,
-    ) -> Result<Option<u64>, ServeError> {
-        if !(self.cfg.serve.execute_real || self.cfg.serve.chaos.is_some()) {
-            return Ok(None);
-        }
-        if let Some(h) = self.hash_cache.get(&batch).and_then(|m| m.get(&job)) {
-            return Ok(Some(*h));
-        }
-        let (assembled, placement) = {
-            let info = self.batch_info.get(&batch).ok_or_else(|| {
-                ServeError::Journal(format!("batch {batch} executed but never formed"))
-            })?;
-            let placement = info.placement.ok_or_else(|| {
-                ServeError::Journal(format!("batch {batch} executed before it started"))
-            })?;
-            (info.batch.clone(), placement)
-        };
-        let run = self.backend.execute(&assembled, &placement, batch as usize, false);
-        // Not journaled: on resume the prefix's hashes come from the
-        // journal's Completed records, so this counter is the run's *real*
-        // execution count — the replay-overhead measurement.
-        self.log.push_counter("fleet.exec.batch", 1);
-        if run.detections > 0 && !self.corruption_x.contains(&batch) {
-            self.emit(Record::CorruptionDetected {
-                shard,
-                batch,
-                detections: run.detections,
-                t_s,
-            })?;
-        }
-        if run.detections > 0 && run.rollbacks > 0 && !self.corruption_r.contains(&batch) {
-            self.emit(Record::Recomputed { shard, batch, rollbacks: run.rollbacks, t_s })?;
-        }
+    /// Executes `batch` for real under `placement` — the eviction demo
+    /// when the chaos configuration names the batch — and caches every
+    /// member's result hash. Execution is pure in (batch, placement, batch
+    /// id), so a re-execution reproduces the hashes bit for bit. Not
+    /// journaled: the execution, recovery and stage counters count the
+    /// executions this process ran, which on resume measures the replay
+    /// overhead.
+    fn execute(&mut self, batch: u64, placement: &Placement) -> Result<RealRun, ServeError> {
+        let evict = self.evicts(batch);
+        let info = self.batch_info.get(&batch).ok_or_else(|| {
+            ServeError::Journal(format!("batch {batch} executed but never formed"))
+        })?;
+        let run = self.backend.execute(&info.batch, placement, batch as usize, evict);
         let entry = self.hash_cache.entry(batch).or_default();
-        for m in &assembled.members {
+        for m in &info.batch.members {
             let range = &run.output.bands[m.band_start..m.band_start + m.request.bands];
             entry.insert(m.request.id, band_hash(range));
         }
-        entry.get(&job).copied().map(Some).ok_or_else(|| {
+        self.log.push_counter("fleet.exec.batch", 1);
+        self.log.push_counter("recovery.retries", run.retries);
+        self.log.push_counter("recovery.rollbacks", run.rollbacks);
+        self.log.push_counter("recovery.evictions", run.evictions);
+        if run.escalated {
+            self.log.push_counter("escalations", 1);
+        }
+        for (stage, _, seconds) in stage_profile(&run.output.trace) {
+            *self.stage_seconds.entry(stage).or_insert(0.0) += seconds;
+        }
+        Ok(run)
+    }
+
+    /// The result hash of `job` in `batch` — `None` on modeled runs. Real
+    /// runs hit the cache (filled at dispatch, or by replayed `Completed`
+    /// records, so journaled completions never re-execute); a miss — a
+    /// member of a batch a replayed prefix started but did not finish —
+    /// re-executes the batch once.
+    fn hash_for(&mut self, batch: u64, job: u64) -> Result<Option<u64>, ServeError> {
+        if !self.real() {
+            return Ok(None);
+        }
+        let cached = |f: &Fleet| f.hash_cache.get(&batch).and_then(|m| m.get(&job)).copied();
+        if cached(self).is_none() {
+            let placement = self
+                .batch_info
+                .get(&batch)
+                .and_then(|info| info.placement)
+                .ok_or_else(|| {
+                    ServeError::Journal(format!("batch {batch} completed before it started"))
+                })?;
+            self.execute(batch, &placement)?;
+        }
+        cached(self).map(Some).ok_or_else(|| {
             ServeError::Journal(format!("job {job} is not a member of batch {batch}"))
         })
     }
@@ -905,11 +1070,10 @@ impl Fleet {
         job: u64,
         done_s: f64,
     ) -> Result<(), ServeError> {
+        let hash = self.hash_for(batch, job)?;
         if self.completed.contains(&job) {
-            let hash = self.hash_for(shard, batch, job, done_s)?;
             return self.emit(Record::Suppressed { shard, batch, job, t_s: done_s, hash });
         }
-        let hash = self.hash_for(shard, batch, job, done_s)?;
         self.emit(Record::Completed { shard, batch, job, done_s, hash })
     }
 
@@ -919,12 +1083,10 @@ impl Fleet {
     fn phase_completions(&mut self, t: f64) -> Result<(), ServeError> {
         for s in 0..self.cfg.shards {
             for orphan in [false, true] {
-                let slot = if orphan {
-                    self.shards[s].orphan.clone()
-                } else {
-                    self.shards[s].inflight.clone()
+                let sh = &self.shards[s];
+                let Some(inf) = (if orphan { &sh.orphan } else { &sh.inflight }).clone() else {
+                    continue;
                 };
-                let Some(inf) = slot else { continue };
                 if inf.done_s > t || !self.alive_at(s, inf.done_s) {
                     continue;
                 }
@@ -1045,7 +1207,7 @@ impl Fleet {
     fn phase_autoscale(&mut self, t: f64) -> Result<(), ServeError> {
         let Some(a) = self.cfg.autoscale else { return Ok(()) };
         if let Some(ts) = self.scale_t {
-            if self.tick < self.tick_of(ts) + a.cooldown() {
+            if self.tick < tick_at(ts) + a.cooldown() {
                 return Ok(());
             }
         }
@@ -1149,6 +1311,23 @@ impl Fleet {
         Ok(())
     }
 
+    /// Journals shard `s`'s next batch (band cap halved at `SplitLarge` and
+    /// above) as formed at `t`; `false` when its queue plans none.
+    fn form_batch(&mut self, s: usize, t: f64) -> Result<bool, ServeError> {
+        let mut bc = self.cfg.serve.batch;
+        if self.ladder.level().splits_batches() {
+            bc.max_bands = (bc.max_bands / 2).max(1);
+        }
+        let queue: Vec<Request> = self.shards[s].admission.queued().copied().collect();
+        let jobs: Vec<u64> = plan_batch(queue.iter(), &bc).iter().map(|&p| queue[p].id).collect();
+        if jobs.is_empty() {
+            return Ok(false);
+        }
+        let batch = self.next_batch;
+        self.emit(Record::Batched { shard: s as u32, batch, jobs, t_s: t })?;
+        Ok(true)
+    }
+
     /// Phase 7: idle, warm shards pull whole formed-but-unstarted batches
     /// from busy ones. Two journaled steps per steal — `Batched` on the
     /// victim, then `Stolen` moving it to the thief — so a crash between
@@ -1208,19 +1387,8 @@ impl Fleet {
                     }
                 }
             };
-            if self.shards[victim].pending.is_none() {
-                let mut bc = self.cfg.serve.batch;
-                if self.ladder.level().splits_batches() {
-                    bc.max_bands = (bc.max_bands / 2).max(1);
-                }
-                let queue: Vec<Request> = self.shards[victim].admission.queued().copied().collect();
-                let plan = plan_batch(queue.iter(), &bc);
-                if plan.is_empty() {
-                    continue;
-                }
-                let jobs: Vec<u64> = plan.iter().map(|&p| queue[p].id).collect();
-                let batch = self.next_batch;
-                self.emit(Record::Batched { shard: victim as u32, batch, jobs })?;
+            if self.shards[victim].pending.is_none() && !self.form_batch(victim, t)? {
+                continue;
             }
             let batch = self.shards[victim].pending.ok_or_else(|| {
                 ServeError::Journal(format!("steal lost its formed batch on shard {victim}"))
@@ -1230,62 +1398,73 @@ impl Fleet {
         Ok(())
     }
 
-    /// Phase 8: each idle shard forms its next batch (band cap halved at
-    /// `SplitLarge` and above) and starts it — two journaled steps, so a
-    /// crash between them resumes with the identical member set. Standby
-    /// and warming shards execute nothing.
+    /// Phase 8: each idle shard forms its next batch and starts it — two
+    /// journaled steps, so a crash between them resumes with the identical
+    /// member set. A real run executes here, and any corruption it caught
+    /// is journaled before `Started`. Standby and warming shards execute
+    /// nothing.
     fn phase_dispatch(&mut self, t: f64) -> Result<(), ServeError> {
         for s in 0..self.cfg.shards {
             if self.shards[s].down || !self.active[s] || self.warming(s) {
                 continue;
             }
-            if self.shards[s].pending.is_none() {
-                if self.shards[s].inflight.is_some() || self.shards[s].admission.depth() == 0 {
-                    continue;
-                }
-                let mut bc = self.cfg.serve.batch;
-                if self.ladder.level().splits_batches() {
-                    bc.max_bands = (bc.max_bands / 2).max(1);
-                }
-                let queue: Vec<Request> = self.shards[s].admission.queued().copied().collect();
-                let plan = plan_batch(queue.iter(), &bc);
-                if plan.is_empty() {
-                    continue;
-                }
-                let jobs: Vec<u64> = plan.iter().map(|&p| queue[p].id).collect();
-                let batch = self.next_batch;
-                self.emit(Record::Batched { shard: s as u32, batch, jobs })?;
+            if self.shards[s].pending.is_none()
+                && (self.shards[s].inflight.is_some() || !self.form_batch(s, t)?)
+            {
+                continue;
             }
             if let Some(batch) = self.shards[s].pending {
-                let (class, nbnd) = {
-                    let info = self.batch_info.get(&batch).ok_or_else(|| {
-                        ServeError::Journal(format!("pending batch {batch} has no batch info"))
-                    })?;
-                    (info.batch.class, info.batch.nbnd)
-                };
-                let placement = self.decide(class, nbnd);
-                let base = self.tuner.service_s(class, nbnd, &placement);
-                let service_s = base * self.slow.factor(s as u64);
-                let policy = SchedulerPolicy::ALL
-                    .iter()
-                    .position(|p| *p == placement.policy)
-                    .ok_or_else(|| {
-                        ServeError::Journal("placement policy missing from ALL".into())
-                    })?;
-                self.emit(Record::Started {
-                    shard: s as u32,
-                    batch,
-                    start_s: t,
-                    service_s,
-                    nr: placement.nr,
-                    ntg: placement.ntg,
-                    policy,
-                    decomp: placement.decomp.index(),
-                    epoch: self.ring.epoch(),
-                })?;
+                self.start_batch(s, batch, t)?;
             }
         }
         Ok(())
+    }
+
+    /// Starts shard `s`'s pending `batch` at `t`. A real run executes now,
+    /// so the recovery it absorbs is part of the service the journal
+    /// records; a shard that is dead before the batch could finish runs
+    /// nothing, since the batch never completes there and fails over.
+    fn start_batch(&mut self, s: usize, batch: u64, t: f64) -> Result<(), ServeError> {
+        let (class, nbnd) = {
+            let info = self.batch_info.get(&batch).ok_or_else(|| {
+                ServeError::Journal(format!("pending batch {batch} has no batch info"))
+            })?;
+            (info.batch.class, info.batch.nbnd)
+        };
+        let placement = if self.evicts(batch) { EVICT_PLACEMENT } else { self.decide(class, nbnd) };
+        let base = self.tuner.service_s(class, nbnd, &placement);
+        let factor = self.slow.factor(s as u64);
+        let shard = s as u32;
+        let observed_s = if self.real() && self.alive_at(s, t + base * factor) {
+            let run = self.execute(batch, &placement)?;
+            if run.detections > 0 && !self.corruption_x.contains(&batch) {
+                let detections = run.detections;
+                self.emit(Record::CorruptionDetected { shard, batch, detections, t_s: t })?;
+            }
+            if run.detections > 0 && run.rollbacks > 0 && !self.corruption_r.contains(&batch) {
+                self.emit(Record::Recomputed { shard, batch, rollbacks: run.rollbacks, t_s: t })?;
+            }
+            let iterations = nbnd / placement.config(class, nbnd, 0).layout_ntg();
+            Some(base + self.backend.recovery_overhead_s(&run, base, iterations))
+        } else {
+            None
+        };
+        let policy = SchedulerPolicy::ALL
+            .iter()
+            .position(|p| *p == placement.policy)
+            .ok_or_else(|| ServeError::Journal("placement policy missing from ALL".into()))?;
+        self.emit(Record::Started {
+            shard,
+            batch,
+            start_s: t,
+            service_s: observed_s.unwrap_or(base) * factor,
+            nr: placement.nr,
+            ntg: placement.ntg,
+            policy,
+            decomp: placement.decomp.index(),
+            epoch: self.ring.epoch(),
+            observed_s,
+        })
     }
 
     /// Phase 9: the brown-out ladder moves at most one level per tick on
@@ -1323,69 +1502,143 @@ impl Fleet {
         Ok(())
     }
 
-    /// The live loop: runs the fixed phase order tick by tick until every
-    /// arrival is consumed and no accepted job is open.
+    /// The live loop: runs event after event until every arrival is
+    /// consumed and no accepted job is open. `resume` first finishes the
+    /// event of the last journaled record, from the phase that emitted it:
+    /// every earlier phase of that event had finished, and the cut may
+    /// fall anywhere inside it, even after the completion that emptied
+    /// `open`. Every phase is idempotent over its already-journaled part,
+    /// so nothing is emitted twice.
     ///
     /// # Errors
     /// [`ServeError::Stalled`] past the safety tick bound; any journal /
     /// state inconsistency a phase detects.
     fn run_loop(&mut self, resume: bool) -> Result<(), ServeError> {
-        if resume && !self.journal.is_empty() {
-            // Finish the crash tick before re-checking the exit condition:
-            // the cut may fall after the tick's final completion emptied
-            // `open` but before its heartbeats, and the uninterrupted run
-            // finished that tick. Every phase is idempotent over its
-            // already-journaled part, so nothing is emitted twice.
-            let t = self.tick as f64 * TICK_S;
-            self.run_tick(t)?;
-            self.tick += 1;
+        let mut t = self.trace.first().map_or(0.0, |r| r.arrival_s.min(0.0));
+        if let Some(last) = self.journal.records().last().filter(|_| resume) {
+            let from = self.phase_of(last);
+            t = self.now;
+            self.run_event(t, from)?;
+            t = self.next_event(t);
         }
         while self.arrival_cursor < self.trace.len() || !self.open.is_empty() {
-            if self.tick > MAX_TICKS {
-                return Err(ServeError::Stalled {
-                    tick: self.tick,
-                    open_jobs: self.open.len(),
-                });
-            }
-            let t = self.tick as f64 * TICK_S;
-            self.run_tick(t)?;
-            self.tick += 1;
+            self.run_event(t, Phase::Completions)?;
+            t = self.next_event(t);
         }
         Ok(())
     }
 
-    /// One tick in the fixed phase order. Each phase skips the part of its
-    /// work the journal already records, so re-running a partially
-    /// journaled tick (crash recovery) emits exactly the missing suffix.
-    fn run_tick(&mut self, t: f64) -> Result<(), ServeError> {
-        self.phase_completions(t)?;
-        self.phase_heartbeats(t)?;
-        self.phase_deaths(t)?;
-        self.phase_failover(t)?;
-        self.phase_autoscale(t)?;
-        self.phase_arrivals(t)?;
-        self.phase_steal(t)?;
-        self.phase_dispatch(t)?;
-        self.phase_degrade(t)?;
+    /// The phase that emitted `rec`, judged on the state it left. An
+    /// emergency scale-up comes from failover, and re-running failover
+    /// after an autoscaler's scale-up is a no-op. A shard that holds a
+    /// formed batch while executing another is mid-steal, since dispatch
+    /// forms batches only for idle shards.
+    fn phase_of(&self, rec: &Record) -> Phase {
+        match rec {
+            Record::Completed { .. } | Record::Suppressed { .. } => Phase::Completions,
+            Record::Heartbeat { .. } => Phase::Heartbeats,
+            Record::ShardDown { .. } => Phase::Deaths,
+            Record::Failover { .. } | Record::ScaleUp { .. } => Phase::Failover,
+            Record::ScaleDown { .. } => Phase::Autoscale,
+            Record::Accepted { .. } | Record::Shed { .. } => Phase::Arrivals,
+            Record::Stolen { .. } => Phase::Steal,
+            Record::Batched { shard, .. }
+                if self.shards.get(*shard as usize).is_some_and(|s| s.inflight.is_some()) =>
+            {
+                Phase::Steal
+            }
+            Record::Batched { .. } | Record::CorruptionDetected { .. } => Phase::Dispatch,
+            Record::Recomputed { .. } | Record::Started { .. } => Phase::Dispatch,
+            Record::Degraded { .. } => Phase::Degrade,
+        }
+    }
+
+    /// One event at virtual time `t`, from phase `from` on: completions,
+    /// arrivals and dispatch, plus — on a tick — heartbeats, deaths,
+    /// failover and autoscaling before the arrivals, stealing before the
+    /// dispatch, and the ladder last. Each phase skips the part of its work
+    /// the journal already records, so re-running a partially journaled
+    /// event (crash recovery) emits exactly the missing suffix.
+    fn run_event(&mut self, t: f64, from: Phase) -> Result<(), ServeError> {
+        self.now = t;
+        self.tick = tick_at(t);
+        if self.tick > MAX_TICKS {
+            return Err(ServeError::Stalled {
+                tick: self.tick,
+                open_jobs: self.open.len(),
+            });
+        }
+        let on_tick = t == tick_s(self.tick);
+        let phases: [(Phase, PhaseFn); 9] = [
+            (Phase::Completions, Fleet::phase_completions),
+            (Phase::Heartbeats, Fleet::phase_heartbeats),
+            (Phase::Deaths, Fleet::phase_deaths),
+            (Phase::Failover, Fleet::phase_failover),
+            (Phase::Autoscale, Fleet::phase_autoscale),
+            (Phase::Arrivals, Fleet::phase_arrivals),
+            (Phase::Steal, Fleet::phase_steal),
+            (Phase::Dispatch, Fleet::phase_dispatch),
+            (Phase::Degrade, Fleet::phase_degrade),
+        ];
+        let every_event = |p| matches!(p, Phase::Completions | Phase::Arrivals | Phase::Dispatch);
+        for (phase, run) in phases {
+            if phase >= from && (on_tick || every_event(phase)) {
+                run(self, t)?;
+            }
+        }
         Ok(())
     }
 
-    fn into_report(self) -> Result<FleetReport, ServeError> {
+    /// The virtual time of the event after `t`: the earliest of the next
+    /// tick, the next arrival, and the completion of an in-flight or orphan
+    /// batch on a shard alive to finish it.
+    fn next_event(&self, t: f64) -> f64 {
+        let k = tick_at(t);
+        let mut next = if tick_s(k) > t { tick_s(k) } else { tick_s(k + 1) };
+        if let Some(r) = self.trace.get(self.arrival_cursor) {
+            next = next.min(r.arrival_s);
+        }
+        for (s, sh) in self.shards.iter().enumerate() {
+            for inf in [&sh.inflight, &sh.orphan].into_iter().flatten() {
+                if inf.done_s > t && self.alive_at(s, inf.done_s) {
+                    next = next.min(inf.done_s);
+                }
+            }
+        }
+        next
+    }
+
+    fn into_report(mut self) -> Result<FleetReport, ServeError> {
         let conservation = self.journal.conservation()?;
-        let counters = self
-            .log
-            .counters()
-            .map_err(|e| ServeError::Journal(format!("telemetry log: {e}")))?;
-        let timeline = self
-            .log
-            .state_timeline()
-            .map_err(|e| ServeError::Journal(format!("telemetry log: {e}")))?;
+        let telemetry = |e| ServeError::Journal(format!("telemetry log: {e}"));
+        let counters = self.log.counters().map_err(telemetry)?;
+        let depth = self.log.gauge("queue.depth").map_err(telemetry)?;
+        let timeline = self.log.state_timeline().map_err(telemetry)?;
+        let batches: Vec<FleetBatch> = std::mem::take(&mut self.batch_info)
+            .into_iter()
+            .filter_map(|(id, info)| {
+                let placement = info.placement?;
+                Some(FleetBatch { id, batch: info.batch, placement })
+            })
+            .collect();
+        // Explain every workload key a started batch was placed for.
+        let keys: BTreeSet<(usize, usize)> =
+            batches.iter().map(|b| (b.batch.class.index(), b.batch.nbnd)).collect();
+        let mut why = String::new();
+        for (class, nbnd) in keys {
+            why.push_str(&self.tuner.why(GeometryClass::ALL[class], nbnd));
+            why.push('\n');
+        }
         Ok(FleetReport {
             shards: self.cfg.shards,
             jobs: self.jobs,
             shed: self.shed,
+            batches,
             counters,
+            depth,
             timeline,
+            stage_seconds: self.stage_seconds,
+            why,
             journal: self.journal,
             conservation,
             makespan_s: self.makespan,
@@ -1429,7 +1682,6 @@ pub fn resume_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::PlacementMode;
     use crate::traffic::{generate, LoadProfile, TrafficConfig};
 
     fn trace(seed: u64, rate_hz: f64) -> Vec<Request> {
@@ -1440,6 +1692,22 @@ mod tests {
             tenants: 3,
             profile: LoadProfile::Steady,
         })
+    }
+
+    fn burst(seed: u64, rate_hz: f64, tenants: u32) -> Vec<Request> {
+        let profile = LoadProfile::Burst;
+        generate(&TrafficConfig { seed, rate_hz, duration_s: 1.0, tenants, profile })
+    }
+
+    /// Resumes `full`'s run from each of `cuts` and requires the journal
+    /// and the jobs of the uninterrupted run.
+    fn assert_resumes(full: &FleetReport, reqs: &[Request], cfg: &FleetConfig, cuts: &[usize]) {
+        let (n, want) = (full.journal.len(), full.journal.encode());
+        for &cut in cuts {
+            let resumed = resume_fleet(&full.journal.prefix(cut), reqs, cfg).expect("resume");
+            assert_eq!(resumed.journal.encode(), want, "resume from record {cut}/{n} diverged");
+            assert_eq!(resumed.jobs, full.jobs, "resume from record {cut}/{n} diverged");
+        }
     }
 
     #[test]
@@ -1477,37 +1745,26 @@ mod tests {
 
     #[test]
     fn resume_from_any_crash_point_matches_the_uninterrupted_run() {
-        let reqs = trace(11, 60.0);
+        let reqs = trace(11, 80.0);
         let cfg = FleetConfig {
             faults: FleetFaults { seed: 3, p_death: 0.9, ..Default::default() },
             ..Default::default()
         };
         let full = run_fleet(&reqs, &cfg).expect("fleet");
         let n = full.journal.len();
-        for cut in [0, n / 3, 2 * n / 3, n.saturating_sub(1), n] {
-            let mut prefix = Journal::new();
-            for rec in &full.journal.records()[..cut] {
-                prefix.append(rec.clone());
-            }
-            let resumed = resume_fleet(&prefix, &reqs, &cfg).expect("resume");
-            assert_eq!(
-                resumed.journal.encode(),
-                full.journal.encode(),
-                "resume from record {cut}/{n} diverged"
-            );
-            assert_eq!(resumed.jobs, full.jobs);
-        }
+        // Spread cuts, plus one right after the first `Batched` record.
+        let batched = full
+            .journal
+            .records()
+            .iter()
+            .position(|r| matches!(r, Record::Batched { .. }))
+            .expect("a batch formed");
+        assert_resumes(&full, &reqs, &cfg, &[0, batched + 1, n / 3, 2 * n / 3, n - 1, n]);
     }
 
     #[test]
     fn overload_engages_the_degrade_ladder() {
-        let reqs = generate(&TrafficConfig {
-            seed: 11,
-            rate_hz: 400.0,
-            duration_s: 1.0,
-            tenants: 2,
-            profile: LoadProfile::Burst,
-        });
+        let reqs = burst(11, 800.0, 2);
         let cfg = FleetConfig {
             shards: 1,
             serve: ServeConfig {
@@ -1605,18 +1862,7 @@ mod tests {
         // Resume across the X/R records stays byte-identical: the guard
         // sets are rebuilt by replay, never double-emitted.
         let n = full.journal.len();
-        for cut in [n / 3, n / 2, 2 * n / 3] {
-            let mut prefix = Journal::new();
-            for rec in &full.journal.records()[..cut] {
-                prefix.append(rec.clone());
-            }
-            let resumed = resume_fleet(&prefix, &reqs, &cfg).expect("resume");
-            assert_eq!(
-                resumed.journal.encode(),
-                full.journal.encode(),
-                "resume from record {cut}/{n} diverged under corruption"
-            );
-        }
+        assert_resumes(&full, &reqs, &cfg, &[n / 3, n / 2, 2 * n / 3]);
     }
 
     #[test]
@@ -1676,13 +1922,7 @@ mod tests {
 
     #[test]
     fn autoscaler_grows_under_load_and_shrinks_back() {
-        let reqs = generate(&TrafficConfig {
-            seed: 7,
-            rate_hz: 200.0,
-            duration_s: 1.0,
-            tenants: 4,
-            profile: LoadProfile::Burst,
-        });
+        let reqs = burst(7, 800.0, 4);
         let cfg = autoscale_cfg(4, 1);
         let r = run_fleet(&reqs, &cfg).expect("fleet");
         assert!(r.counters.get("fleet.scale.up") >= 1, "the burst must trigger a scale-up");
@@ -1698,39 +1938,33 @@ mod tests {
 
     #[test]
     fn elastic_resume_is_bit_identical_across_scale_records() {
-        let reqs = generate(&TrafficConfig {
-            seed: 11,
-            rate_hz: 150.0,
-            duration_s: 1.0,
-            tenants: 3,
-            profile: LoadProfile::Burst,
-        });
-        let cfg = autoscale_cfg(3, 1);
-        let full = run_fleet(&reqs, &cfg).expect("fleet");
-        assert!(full.counters.get("fleet.scale.up") >= 1);
-        // Cut directly before and after every scale record, plus spread
-        // points: the elastic run must resume byte-identically from all.
-        let mut cuts: Vec<usize> = full
-            .journal
-            .records()
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r, Record::ScaleUp { .. } | Record::ScaleDown { .. }))
-            .flat_map(|(i, _)| [i, i + 1])
-            .collect();
-        let n = full.journal.len();
-        cuts.extend([0, n / 2, n]);
-        for cut in cuts {
-            let mut prefix = Journal::new();
-            for rec in &full.journal.records()[..cut] {
-                prefix.append(rec.clone());
+        // The second fleet also steals, under slow nodes: a cut between a
+        // steal's `Batched` and `Stolen` records must not re-run the tick's
+        // autoscaler, which would see the queue the steal already shortened.
+        let stealing = FleetConfig {
+            steal: true,
+            faults: FleetFaults { seed: 101, p_slow: 0.6, slow_max: 40.0, ..Default::default() },
+            ..autoscale_cfg(4, 1)
+        };
+        for (reqs, cfg) in [(burst(11, 600.0, 3), autoscale_cfg(3, 1)), (burst(7919, 200.0, 2), stealing)]
+        {
+            let full = run_fleet(&reqs, &cfg).expect("fleet");
+            assert!(full.counters.get("fleet.scale.up") >= 1);
+            assert!(!cfg.steal || full.counters.get("fleet.steal") >= 1, "the fleet must steal");
+            // Cut directly before and after every scale record, just before
+            // every steal's second record, plus spread points: the elastic
+            // run must resume byte-identically from all.
+            let mut cuts: Vec<usize> = Vec::new();
+            for (i, r) in full.journal.records().iter().enumerate() {
+                match r {
+                    Record::ScaleUp { .. } | Record::ScaleDown { .. } => cuts.extend([i, i + 1]),
+                    Record::Stolen { .. } => cuts.push(i),
+                    _ => {}
+                }
             }
-            let resumed = resume_fleet(&prefix, &reqs, &cfg).expect("resume");
-            assert_eq!(
-                resumed.journal.encode(),
-                full.journal.encode(),
-                "resume from record {cut}/{n} diverged across a scale record"
-            );
+            let n = full.journal.len();
+            cuts.extend([0, n / 2, n]);
+            assert_resumes(&full, &reqs, &cfg, &cuts);
         }
     }
 
@@ -1738,13 +1972,7 @@ mod tests {
     fn work_stealing_moves_batches_and_stays_deterministic() {
         // A 40x-slow shard builds a multi-tick backlog while another
         // drains to idle — exactly the asymmetry stealing exists for.
-        let reqs = generate(&TrafficConfig {
-            seed: 7,
-            rate_hz: 200.0,
-            duration_s: 1.0,
-            tenants: 2,
-            profile: LoadProfile::Burst,
-        });
+        let reqs = burst(7, 200.0, 2);
         let cfg = FleetConfig {
             steal: true,
             faults: FleetFaults { seed: 7, p_slow: 0.6, slow_max: 40.0, ..Default::default() },
@@ -1759,13 +1987,107 @@ mod tests {
         assert_eq!(r.journal.encode(), again.journal.encode());
         // Resume across the steal records: byte-identical.
         let n = r.journal.len();
-        for cut in [n / 4, n / 2, 3 * n / 4] {
-            let mut prefix = Journal::new();
-            for rec in &r.journal.records()[..cut] {
-                prefix.append(rec.clone());
+        assert_resumes(&r, &reqs, &cfg, &[n / 4, n / 2, 3 * n / 4]);
+    }
+
+    #[test]
+    fn multi_shard_fleet_evicts_on_request_and_resumes_across_the_eviction() {
+        let reqs: Vec<Request> = trace(7, 40.0).into_iter().take(12).collect();
+        let cfg = FleetConfig {
+            serve: ServeConfig {
+                execute_real: true,
+                chaos: Some(ServeChaos { seed: 5, evict_batch: Some(0), corrupt_per_mille: 0 }),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let full = run_fleet(&reqs, &cfg).expect("fleet");
+        let records = full.journal.records();
+        let started = records
+            .iter()
+            .position(|r| matches!(r, Record::Started { batch: 0, .. }))
+            .expect("batch 0 started");
+        let Record::Started { service_s, .. } = &records[started] else { unreachable!() };
+        let b0 = &full.batches[0];
+        assert_eq!(b0.placement, EVICT_PLACEMENT, "batch 0 runs on the 7x1 serial slab layout");
+        let (class, nbnd) = (b0.batch.class, b0.batch.nbnd);
+        let base = Tuner::new(cfg.serve.tuner).service_s(class, nbnd, &b0.placement);
+        assert!(*service_s > base, "the eviction's recovery is part of the service time");
+        assert_eq!(full.counters.get("recovery.evictions"), 1);
+        assert!(full.conservation.open.is_empty());
+        // Every job's hash matches a direct engine run of its journaled
+        // placement, the evicted batch included.
+        let mut direct: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        for b in &full.batches {
+            let problem = crate::request::class_problem(
+                b.batch.class,
+                b.placement.config(b.batch.class, b.batch.nbnd, cfg.serve.seed),
+            );
+            let out = fftx_core::run_policy(&problem, b.placement.policy);
+            for m in &b.batch.members {
+                let h = band_hash(&out.bands[m.band_start..m.band_start + m.request.bands]);
+                direct.insert((b.id, m.request.id), h);
             }
-            let resumed = resume_fleet(&prefix, &reqs, &cfg).expect("resume");
-            assert_eq!(resumed.journal.encode(), r.journal.encode());
+        }
+        for j in &full.jobs {
+            let want = direct.get(&(j.batch, j.request.id)).copied();
+            assert_eq!(j.hash, want, "job {}", j.request.id);
+        }
+        // Resume across the eviction: just before batch 0 starts, just
+        // after, and after its first completion.
+        let completed = records
+            .iter()
+            .position(|r| matches!(r, Record::Completed { batch: 0, .. }))
+            .expect("batch 0 completed");
+        assert_resumes(&full, &reqs, &cfg, &[started, started + 1, completed + 1]);
+    }
+
+    #[test]
+    fn overload_sheds_with_typed_reasons() {
+        // A tiny queue under a hot burst must shed, with typed reasons.
+        let reqs = burst(11, 400.0, 2);
+        let cfg = FleetConfig {
+            shards: 1,
+            serve: ServeConfig {
+                admission: crate::admission::AdmissionConfig {
+                    queue_cap: 4,
+                    tenant_share: 0.5,
+                    shed_late: true,
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let r = run_fleet(&reqs, &cfg).expect("fleet");
+        assert!(!r.shed.is_empty());
+        assert!(r.shed_rate() > 0.0);
+        assert_eq!(r.counters.sum_prefix("shed.tenant."), r.shed.len() as u64);
+        assert!(r.depth.max() <= 4);
+        let kinds = ["queue_full", "tenant_share", "deadline", "degraded", "no_shard"];
+        assert!(r.shed.iter().all(|(_, kind)| kinds.contains(&kind.as_str())));
+    }
+
+    #[test]
+    fn unordered_trace_is_a_typed_error() {
+        let mut reqs = trace(7, 40.0);
+        reqs.swap(0, 1);
+        // Guard against two identical arrival times making the swap a no-op.
+        if reqs[0].arrival_s == reqs[1].arrival_s {
+            reqs[0].arrival_s += 1.0;
+        }
+        let err = run_fleet(&reqs, &FleetConfig::default()).expect_err("unordered");
+        assert!(matches!(err, ServeError::UnorderedTrace { .. }));
+    }
+
+    #[test]
+    fn deadlines_partition_completions() {
+        let r = run_fleet(&trace(7, 40.0), &FleetConfig::default()).expect("fleet");
+        for j in &r.jobs {
+            assert_eq!(j.deadline_met, j.latency_s <= j.request.deadline.budget_s());
+        }
+        let mut q = r.latency();
+        if q.len() >= 2 {
+            assert!(q.p50() <= q.p99());
         }
     }
 

@@ -203,11 +203,6 @@ impl Tuner {
         }
     }
 
-    /// The node slice the tuner prices placements for.
-    pub fn node(&self) -> &KnlConfig {
-        &self.node
-    }
-
     /// Closed-form screening cost of one candidate (memoised).
     fn quick_s(&mut self, class: GeometryClass, nbnd: usize, p: &Placement) -> f64 {
         let key = ckey(class, nbnd, p);

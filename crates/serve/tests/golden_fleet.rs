@@ -12,11 +12,11 @@
 //!   out of its floor, loses nothing, still hash-matches the direct
 //!   engine, and recovers bit-identically from a mid-run crash.
 
-use fftx_core::{run_policy, Decomposition, SchedulerPolicy};
+use fftx_core::run_policy;
 use fftx_serve::{
-    assemble, band_hash, class_problem, generate, resume_fleet, run_fleet, AutoscaleConfig,
-    FleetConfig, FleetFaults, FleetReport, GeometryClass, Journal, LoadProfile, Placement, Record,
-    Request, ServeChaos, ServeConfig, TrafficConfig,
+    band_hash, class_problem, generate, resume_fleet, run_fleet, AutoscaleConfig, FleetConfig,
+    FleetFaults, FleetReport, GeometryClass, LoadProfile, Request, ServeChaos,
+    ServeConfig, TrafficConfig,
 };
 use std::collections::BTreeMap;
 
@@ -54,52 +54,18 @@ fn real_cfg(faults: FleetFaults) -> FleetConfig {
     }
 }
 
-/// Direct-engine hash of every `(batch, job)` a fleet run formed, batch by
-/// batch, reconstructed purely from the journal — the serving layer must
-/// add no numerics on top of these.
+/// Direct-engine hash of every `(batch, job)` a fleet run started, from
+/// the report's journal-derived batch view — the serving layer must add no
+/// numerics on top of these.
 fn direct_hashes(report: &FleetReport, cfg: &FleetConfig) -> BTreeMap<(u64, u64), u64> {
-    let mut reqs: BTreeMap<u64, Request> = BTreeMap::new();
-    let mut batches: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut placements: BTreeMap<u64, Placement> = BTreeMap::new();
-    for rec in report.journal.records() {
-        match rec {
-            Record::Accepted { req, .. } => {
-                reqs.insert(req.id, *req);
-            }
-            Record::Batched { batch, jobs, .. } => {
-                batches.insert(*batch, jobs.clone());
-            }
-            Record::Started {
-                batch, nr, ntg, policy, decomp, ..
-            } => {
-                placements.insert(
-                    *batch,
-                    Placement {
-                        nr: *nr,
-                        ntg: *ntg,
-                        policy: SchedulerPolicy::ALL[*policy],
-                        decomp: Decomposition::ALL[*decomp],
-                    },
-                );
-            }
-            _ => {}
-        }
-    }
     let mut out = BTreeMap::new();
-    for (batch, ids) in &batches {
-        // Batches formed but never dispatched (their shard died first)
-        // have no placement; their members complete elsewhere.
-        let Some(p) = placements.get(batch) else { continue };
-        let members: Vec<Request> = ids.iter().map(|id| reqs[id]).collect();
-        let assembled = assemble(members, &cfg.serve.batch).expect("journaled batch assembles");
-        let problem = class_problem(
-            assembled.class,
-            p.config(assembled.class, assembled.nbnd, cfg.serve.seed),
-        );
+    for b in &report.batches {
+        let (class, nbnd, p) = (b.batch.class, b.batch.nbnd, b.placement);
+        let problem = class_problem(class, p.config(class, nbnd, cfg.serve.seed));
         let direct = run_policy(&problem, p.policy);
-        for m in &assembled.members {
+        for m in &b.batch.members {
             let h = band_hash(&direct.bands[m.band_start..m.band_start + m.request.bands]);
-            out.insert((*batch, m.request.id), h);
+            out.insert((b.id, m.request.id), h);
         }
     }
     out
@@ -155,11 +121,7 @@ fn fleet_replay_reproduces_real_hashes_from_the_journal() {
     assert!(full.counters.get("fleet.shard_down") >= 1, "a shard must die");
 
     // Crash at the journal's midpoint and recover.
-    let cut = full.journal.len() / 2;
-    let mut prefix = Journal::new();
-    for rec in &full.journal.records()[..cut] {
-        prefix.append(rec.clone());
-    }
+    let prefix = full.journal.prefix(full.journal.len() / 2);
     let resumed = resume_fleet(&prefix, &requests, &cfg).expect("resume");
 
     // Byte-identical journal, direct-matching hashes — and the prefix's
@@ -230,11 +192,7 @@ fn autoscaled_fleet_under_chaos_and_node_death_stays_golden() {
 
     // Crash at the midpoint — inside the scale/steal window — and the
     // recovered journal is byte-identical without re-executing the prefix.
-    let cut = report.journal.len() / 2;
-    let mut prefix = Journal::new();
-    for rec in &report.journal.records()[..cut] {
-        prefix.append(rec.clone());
-    }
+    let prefix = report.journal.prefix(report.journal.len() / 2);
     let resumed = resume_fleet(&prefix, &requests, &cfg).expect("resume");
     assert_eq!(resumed.journal.encode(), report.journal.encode());
     assert_hashes_match(&resumed, &cfg);

@@ -1,4 +1,5 @@
-//! End-to-end golden guarantees of the serving subsystem:
+//! End-to-end golden guarantees of the single-node serving path (a
+//! one-shard fleet):
 //!
 //! * a served request's result bands hash-match a direct `run_policy` run
 //!   of the identical configuration (the serving layer adds no numerics),
@@ -7,10 +8,16 @@
 //! * the eviction demo re-plans a dying rank's work and still matches.
 
 use fftx_serve::{
-    band_hash, class_problem, generate, run_serve, DeadlineClass, GeometryClass, LoadProfile,
-    PlacementMode, Request, ServeChaos, ServeConfig, TrafficConfig,
+    band_hash, class_problem, generate, run_fleet, DeadlineClass, FleetConfig, FleetReport,
+    GeometryClass, LoadProfile, PlacementMode, Request, ServeChaos, ServeConfig, TrafficConfig,
 };
 use fftx_core::{run_policy, DecompChoice, Decomposition};
+
+/// Serves `requests` on one shard under `cfg`.
+fn serve(requests: &[Request], cfg: ServeConfig) -> FleetReport {
+    run_fleet(requests, &FleetConfig { shards: 1, serve: cfg, ..Default::default() })
+        .expect("serve")
+}
 
 fn trace(n: usize) -> Vec<fftx_serve::Request> {
     generate(&TrafficConfig {
@@ -26,19 +33,14 @@ fn trace(n: usize) -> Vec<fftx_serve::Request> {
 }
 
 /// Direct-engine hashes of every job in a report, batch by batch.
-fn direct_hashes(report: &fftx_serve::ServeReport, seed: u64) -> Vec<(u64, u64)> {
+fn direct_hashes(report: &FleetReport, seed: u64) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
-    for batch in &report.batches {
-        let p = batch.placement;
-        let problem = class_problem(batch.class, p.config(batch.class, batch.nbnd, seed));
-        let direct = run_policy(&problem, p.policy);
-        let mut start = 0;
-        for j in report.jobs.iter().filter(|j| j.batch == batch.index) {
-            out.push((
-                j.request.id,
-                band_hash(&direct.bands[start..start + j.request.bands]),
-            ));
-            start += j.request.bands;
+    for b in &report.batches {
+        let (class, nbnd, p) = (b.batch.class, b.batch.nbnd, b.placement);
+        let direct = run_policy(&class_problem(class, p.config(class, nbnd, seed)), p.policy);
+        for m in &b.batch.members {
+            let range = &direct.bands[m.band_start..m.band_start + m.request.bands];
+            out.push((m.request.id, band_hash(range)));
         }
     }
     out.sort_unstable();
@@ -57,7 +59,7 @@ fn served_results_match_direct_engine_runs() {
             execute_real: true,
             ..Default::default()
         };
-        let report = run_serve(&trace(10), &cfg).expect("serve");
+        let report = serve(&trace(10), cfg);
         assert!(!report.jobs.is_empty());
         let expect = direct_hashes(&report, cfg.seed);
         let mut got: Vec<(u64, u64)> = report
@@ -73,17 +75,16 @@ fn served_results_match_direct_engine_runs() {
 #[test]
 fn chaos_serving_completes_all_accepted_jobs_bit_identically() {
     let requests = trace(12);
-    let clean = run_serve(
+    let clean = serve(
         &requests,
-        &ServeConfig {
+        ServeConfig {
             execute_real: true,
             ..Default::default()
         },
-    )
-    .expect("serve");
-    let chaotic = run_serve(
+    );
+    let chaotic = serve(
         &requests,
-        &ServeConfig {
+        ServeConfig {
             chaos: Some(ServeChaos {
                 seed: 0xFF7C,
                 evict_batch: None,
@@ -91,10 +92,9 @@ fn chaos_serving_completes_all_accepted_jobs_bit_identically() {
             }),
             ..Default::default()
         },
-    )
-    .expect("serve");
+    );
     // Zero lost accepted jobs: both runs complete the same request set.
-    let ids = |r: &fftx_serve::ServeReport| {
+    let ids = |r: &FleetReport| {
         let mut v: Vec<u64> = r.jobs.iter().map(|j| j.request.id).collect();
         v.sort_unstable();
         v
@@ -134,12 +134,12 @@ fn prime_grid_serving_is_decomposition_invariant() {
             execute_real: true,
             ..Default::default()
         };
-        run_serve(&requests, &cfg).expect("serve")
+        serve(&requests, cfg)
     };
     let slab = run(DecompChoice::Slab);
     let pencil = run(DecompChoice::Pencil);
     let auto = run(DecompChoice::Auto);
-    let hashes = |r: &fftx_serve::ServeReport| {
+    let hashes = |r: &FleetReport| {
         let mut v: Vec<(u64, u64)> = r
             .jobs
             .iter()
@@ -163,9 +163,9 @@ fn prime_grid_serving_is_decomposition_invariant() {
 #[test]
 fn eviction_on_the_serving_path_matches_direct_hashes() {
     let requests = trace(6);
-    let report = run_serve(
+    let report = serve(
         &requests,
-        &ServeConfig {
+        ServeConfig {
             chaos: Some(ServeChaos {
                 seed: 9,
                 evict_batch: Some(0),
@@ -173,11 +173,15 @@ fn eviction_on_the_serving_path_matches_direct_hashes() {
             }),
             ..Default::default()
         },
-    )
-    .expect("serve");
+    );
     let b0 = &report.batches[0];
     assert_eq!((b0.placement.nr, b0.placement.ntg), (7, 1));
-    assert_eq!(b0.recovery.2, 1, "the rank death must be absorbed by eviction");
+    assert_eq!(
+        report.counters.get("recovery.evictions"),
+        1,
+        "the rank death must be absorbed by eviction"
+    );
+    assert_eq!(report.counters.get("escalations"), 0, "no clean re-run needed");
     // The evicted batch's results still match a direct (fault-free) run of
     // the same 7×1 configuration.
     let expect = direct_hashes(&report, 42);

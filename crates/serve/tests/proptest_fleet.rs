@@ -16,7 +16,7 @@
 
 use fftx_serve::{
     generate, load_bound, resume_fleet, run_fleet, AutoscaleConfig, FleetConfig, FleetFaults,
-    HashRing, Journal, LoadProfile, RingConfig, TrafficConfig,
+    HashRing, LoadProfile, RingConfig, TrafficConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -50,19 +50,11 @@ fn elastic_cfg(shards: usize, min: usize, fault_seed: u64) -> FleetConfig {
 fn trace(seed: u64, tenants: u32) -> Vec<fftx_serve::Request> {
     generate(&TrafficConfig {
         seed,
-        rate_hz: 200.0,
+        rate_hz: 800.0,
         duration_s: 1.0,
         tenants,
         profile: LoadProfile::Burst,
     })
-}
-
-fn prefix_of(journal: &Journal, cut: usize) -> Journal {
-    let mut p = Journal::new();
-    for rec in &journal.records()[..cut] {
-        p.append(rec.clone());
-    }
-    p
 }
 
 proptest! {
@@ -166,7 +158,7 @@ proptest! {
         let full = run_fleet(&reqs, &cfg).expect("fleet");
         let cut = ((full.journal.len() as f64) * cut_frac) as usize;
         let resumed =
-            resume_fleet(&prefix_of(&full.journal, cut), &reqs, &cfg).expect("resume");
+            resume_fleet(&full.journal.prefix(cut), &reqs, &cfg).expect("resume");
         prop_assert_eq!(
             resumed.journal.encode(),
             full.journal.encode(),

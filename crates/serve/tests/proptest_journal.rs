@@ -13,7 +13,7 @@
 
 use fftx_core::SchedulerPolicy;
 use fftx_serve::{
-    generate, resume_fleet, run_fleet, FleetConfig, FleetFaults, Journal, LoadProfile,
+    generate, resume_fleet, run_fleet, FleetConfig, FleetFaults, LoadProfile,
     PlacementMode, ServeChaos, ServeConfig, TrafficConfig,
 };
 use proptest::prelude::*;
@@ -44,14 +44,6 @@ fn trace(seed: u64) -> Vec<fftx_serve::Request> {
     })
 }
 
-fn prefix_of(journal: &Journal, cut: usize) -> Journal {
-    let mut p = Journal::new();
-    for rec in &journal.records()[..cut] {
-        p.append(rec.clone());
-    }
-    p
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -67,7 +59,7 @@ proptest! {
         let full = run_fleet(&reqs, &cfg).expect("uninterrupted fleet");
         let cut = ((full.journal.len() as f64) * cut_frac) as usize;
         let resumed =
-            resume_fleet(&prefix_of(&full.journal, cut), &reqs, &cfg).expect("resume");
+            resume_fleet(&full.journal.prefix(cut), &reqs, &cfg).expect("resume");
         prop_assert_eq!(
             resumed.journal.encode(),
             full.journal.encode(),
@@ -153,7 +145,7 @@ proptest! {
         // Bit-identical resume from a random crash point.
         let cut = ((full.journal.len() as f64) * cut_frac) as usize;
         let resumed =
-            resume_fleet(&prefix_of(&full.journal, cut), &reqs, &cfg).expect("resume");
+            resume_fleet(&full.journal.prefix(cut), &reqs, &cfg).expect("resume");
         prop_assert_eq!(resumed.journal.encode(), full.journal.encode());
         prop_assert_eq!(resumed.jobs, full.jobs);
     }

@@ -7,8 +7,8 @@
 
 use fftx_core::{DecompChoice, Decomposition};
 use fftx_serve::{
-    generate, plan_batch, run_serve, BatchConfig, GeometryClass, LoadProfile, ServeConfig,
-    TrafficConfig, Tuner, TunerConfig,
+    generate, plan_batch, run_fleet, BatchConfig, FleetConfig, FleetReport, GeometryClass,
+    LoadProfile, Request, ServeConfig, TrafficConfig, Tuner, TunerConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -23,6 +23,11 @@ fn traffic(seed: u64, profile: LoadProfile) -> TrafficConfig {
     }
 }
 
+/// Serves `queue` on one shard under `cfg`.
+fn serve(queue: &[Request], cfg: ServeConfig) -> FleetReport {
+    run_fleet(queue, &FleetConfig { shards: 1, serve: cfg, ..Default::default() }).expect("serve")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -35,8 +40,8 @@ proptest! {
             let b = plan_batch(&queue, &cfg);
             prop_assert_eq!(&a, &b);
             // And the full serving run replays identically.
-            let ra = run_serve(&queue, &ServeConfig::default()).expect("serve");
-            let rb = run_serve(&queue, &ServeConfig::default()).expect("serve");
+            let ra = serve(&queue, ServeConfig::default());
+            let rb = serve(&queue, ServeConfig::default());
             prop_assert_eq!(ra.jobs, rb.jobs);
             prop_assert_eq!(ra.batches, rb.batches);
             prop_assert_eq!(ra.shed, rb.shed);
@@ -61,7 +66,7 @@ proptest! {
     #[test]
     fn per_tenant_order_is_preserved(seed in 1u64..100_000) {
         let queue = generate(&traffic(seed, LoadProfile::Burst));
-        let report = run_serve(&queue, &ServeConfig::default()).expect("serve");
+        let report = serve(&queue, ServeConfig::default());
         // Within a tenant, completions must happen in submission (id)
         // order: a later request never overtakes an earlier one.
         let mut last_id: BTreeMap<u32, u64> = BTreeMap::new();
@@ -130,15 +135,11 @@ proptest! {
             .take(8)
             .collect();
         let run = |decomp| {
-            run_serve(
-                &queue,
-                &ServeConfig { decomp, execute_real: true, ..Default::default() },
-            )
-            .expect("serve")
+            serve(&queue, ServeConfig { decomp, execute_real: true, ..Default::default() })
         };
         let slab = run(DecompChoice::Slab);
         let pencil = run(DecompChoice::Pencil);
-        let hashes = |r: &fftx_serve::ServeReport| {
+        let hashes = |r: &FleetReport| {
             let mut v: Vec<(u64, Option<u64>)> =
                 r.jobs.iter().map(|j| (j.request.id, j.hash)).collect();
             v.sort_unstable();

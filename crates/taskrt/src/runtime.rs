@@ -663,6 +663,20 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
+    fn backoff_is_bounded_exponential() {
+        let p = RetryPolicy {
+            base_backoff: Duration::from_micros(50),
+            max_backoff: Duration::from_micros(300),
+            ..RetryPolicy::default()
+        };
+        assert_eq!(p.backoff(0), Duration::from_micros(50));
+        assert_eq!(p.backoff(1), Duration::from_micros(100));
+        assert_eq!(p.backoff(2), Duration::from_micros(200));
+        assert_eq!(p.backoff(3), Duration::from_micros(300), "capped");
+        assert_eq!(p.backoff(40), Duration::from_micros(300), "no overflow");
+    }
+
+    #[test]
     fn runs_independent_tasks() {
         let rt = Runtime::new(4);
         let counter = Arc::new(AtomicUsize::new(0));

@@ -3,15 +3,15 @@
 //! Generates a deterministic synthetic request trace (Poisson arrivals
 //! under a steady / burst / diurnal profile), serves it through the
 //! `fftx-serve` subsystem (admission control → batch coalescing →
-//! auto-tuned placement → stage-graph execution), and prints the
-//! per-tenant / per-deadline outcome plus, on request, the tuner's
-//! explainable placement dump.
+//! auto-tuned placement → stage-graph execution) on one shard, or on a
+//! supervised fleet of N with `--fleet N`, and prints the outcome plus, on
+//! request, the tuner's explainable placement dump.
 
 use fftxlib_repro::core::{load_env, valid_decomps, DecompChoice};
 use fftxlib_repro::serve::{
-    plan_capacity, resume_fleet, run_fleet, run_serve, AutoscaleConfig, FleetConfig, FleetFaults,
-    FleetReport, Journal, LoadProfile, PlacementMode, PlanConfig, PlanReport, ServeChaos,
-    ServeConfig, ServeReport, TrafficConfig,
+    plan_capacity, resume_fleet, run_fleet, AutoscaleConfig, FleetConfig, FleetFaults,
+    FleetReport, LoadProfile, PlacementMode, PlanConfig, PlanReport, ServeChaos,
+    ServeConfig, TrafficConfig,
 };
 use std::process::ExitCode;
 
@@ -45,9 +45,10 @@ const USAGE: &str = "usage: fftx-serve [options]
                    kill rank 1 mid-run (eviction demo)
   --corrupt N      with --chaos: inject N-per-mille seeded bit flips per
                    batch; results are ABFT-verified, never delivered corrupt
-  --fleet N        serve through N supervised shard nodes: durable job
-                   journal, heartbeat circuit breakers, node-death failover,
-                   and the graceful-degradation ladder
+  --fleet N        serve through N supervised shard nodes (default: one
+                   shard) with the fault, failover and scaling options below;
+                   every run keeps the durable job journal, heartbeat circuit
+                   breakers and the graceful-degradation ladder
   --fault-seed S   with --fleet: fault-injection seed        (default 7)
   --p-death P      with --fleet: per-shard death probability (default 0)
   --p-slow P       with --fleet: per-shard slow-node probability (default 0)
@@ -244,77 +245,30 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn print_report(report: &ServeReport, traffic: &TrafficConfig) {
-    println!("fftx-serve — multi-tenant FFT job serving");
+/// Prints the outcome of a serving run; `faults` is the fault profile of a
+/// `--fleet` run.
+fn print_report(
+    report: &FleetReport,
+    serve: &ServeConfig,
+    traffic: &TrafficConfig,
+    faults: Option<&FleetFaults>,
+) {
+    match faults {
+        Some(_) => println!("fftx-serve — durable fleet serving ({} shards)", report.shards),
+        None => println!("fftx-serve — multi-tenant FFT job serving"),
+    }
     println!(
         "  traffic : {} req/s x {:.1}s ({}), {} tenants, seed {}",
         traffic.rate_hz, traffic.duration_s, traffic.profile.name(), traffic.tenants, traffic.seed
     );
-    println!("  mode    : {}", report.mode.name());
-    println!("  decomp  : {}", report.decomp.name());
-    println!(
-        "  offered {} | served {} | shed {} ({:.1} %)",
-        report.offered(),
-        report.jobs.len(),
-        report.shed.len(),
-        report.shed_rate() * 100.0
-    );
-    let mut lat = report.latency();
-    if !lat.is_empty() {
+    println!("  mode    : {}", serve.mode.name());
+    println!("  decomp  : {}", serve.decomp.name());
+    if let Some(f) = faults {
         println!(
-            "  latency : p50 {:.4}s  p99 {:.4}s  mean {:.4}s  max {:.4}s",
-            lat.p50(),
-            lat.p99(),
-            lat.mean(),
-            lat.max()
+            "  faults  : seed {} | p_death {} | p_slow {} (max {}x) | p_partition {}",
+            f.seed, f.p_death, f.p_slow, f.slow_max, f.p_partition
         );
     }
-    println!(
-        "  goodput : {:.2} deadline-met jobs/s over a {:.3}s makespan",
-        report.goodput_hz(),
-        report.makespan_s
-    );
-    println!(
-        "  queue   : max depth {}, time-weighted mean {:.2}",
-        report.depth.max(),
-        report.depth.time_weighted_mean()
-    );
-    println!(
-        "  batches : {} dispatched, {:.2} requests coalesced per batch",
-        report.batches.len(),
-        report.jobs.len() as f64 / report.batches.len().max(1) as f64
-    );
-    let (r, b, e) = report.batches.iter().fold((0, 0, 0), |acc, x| {
-        (acc.0 + x.recovery.0, acc.1 + x.recovery.1, acc.2 + x.recovery.2)
-    });
-    if r + b + e > 0 || report.counters.get("escalations") > 0 {
-        println!(
-            "  recovery: {r} task retries, {b} rollbacks, {e} evictions, {} escalations — zero lost jobs",
-            report.counters.get("escalations")
-        );
-    }
-    println!("\ncounters:");
-    for (key, n) in report.counters.iter() {
-        println!("  {key:<24} {n}");
-    }
-    if !report.stage_seconds.is_empty() {
-        println!("\nper-stage busy seconds (real executions):");
-        for (stage, seconds) in &report.stage_seconds {
-            println!("  stage {stage:<3} {seconds:.6}s");
-        }
-    }
-}
-
-fn print_fleet_report(report: &FleetReport, traffic: &TrafficConfig, faults: &FleetFaults) {
-    println!("fftx-serve — durable fleet serving ({} shards)", report.shards);
-    println!(
-        "  traffic : {} req/s x {:.1}s ({}), {} tenants, seed {}",
-        traffic.rate_hz, traffic.duration_s, traffic.profile.name(), traffic.tenants, traffic.seed
-    );
-    println!(
-        "  faults  : seed {} | p_death {} | p_slow {} (max {}x) | p_partition {}",
-        faults.seed, faults.p_death, faults.p_slow, faults.slow_max, faults.p_partition
-    );
     let c = &report.conservation;
     println!(
         "  offered {} | served {} | shed {} ({:.1} %)",
@@ -346,8 +300,25 @@ fn print_fleet_report(report: &FleetReport, traffic: &TrafficConfig, faults: &Fl
         report.goodput_hz(),
         report.makespan_s
     );
-    let deaths = report.counters.get("fleet.shard_down");
-    let moved = report.counters.get("fleet.failover.jobs");
+    println!(
+        "  queue   : max depth {}, time-weighted mean {:.2}",
+        report.depth.max(),
+        report.depth.time_weighted_mean()
+    );
+    println!(
+        "  batches : {} dispatched, {:.2} requests coalesced per batch",
+        report.batches.len(),
+        report.jobs.len() as f64 / report.batches.len().max(1) as f64
+    );
+    let n = |key: &str| report.counters.get(key);
+    let (r, b) = (n("recovery.retries"), n("recovery.rollbacks"));
+    let (e, esc) = (n("recovery.evictions"), n("escalations"));
+    if r + b + e + esc > 0 {
+        println!(
+            "  recovery: {r} task retries, {b} rollbacks, {e} evictions, {esc} escalations — zero lost jobs"
+        );
+    }
+    let (deaths, moved) = (n("fleet.shard_down"), n("fleet.failover.jobs"));
     if deaths > 0 {
         let mut fl = report.failover_latencies();
         print!("  failover: {deaths} shards declared dead, {moved} jobs re-routed");
@@ -361,6 +332,12 @@ fn print_fleet_report(report: &FleetReport, traffic: &TrafficConfig, faults: &Fl
     for (key, n) in report.counters.iter() {
         println!("  {key:<24} {n}");
     }
+    if !report.stage_seconds.is_empty() {
+        println!("\nper-stage busy seconds (real executions):");
+        for (stage, seconds) in &report.stage_seconds {
+            println!("  stage {stage:<3} {seconds:.6}s");
+        }
+    }
 }
 
 /// The `--replay-check` demo: cut the finished run's journal at its
@@ -372,11 +349,8 @@ fn replay_check(
     cfg: &FleetConfig,
 ) -> Result<(), String> {
     let cut = report.journal.len() / 2;
-    let mut prefix = Journal::new();
-    for rec in &report.journal.records()[..cut] {
-        prefix.append(rec.clone());
-    }
-    let resumed = resume_fleet(&prefix, requests, cfg).map_err(|e| format!("{e}"))?;
+    let resumed =
+        resume_fleet(&report.journal.prefix(cut), requests, cfg).map_err(|e| format!("{e}"))?;
     if resumed.journal.encode() == report.journal.encode() {
         println!(
             "\nreplay-check: crash at record {cut}/{} → resumed journal byte-identical",
@@ -454,7 +428,8 @@ fn run_plan_mode(args: &Args, k_max: usize) -> ExitCode {
     }
 }
 
-fn run_fleet_mode(args: &Args, shards: usize) -> ExitCode {
+/// Serves the trace on `shards` shards (one without `--fleet`).
+fn serve_trace(args: &Args, shards: usize) -> ExitCode {
     let cfg = FleetConfig {
         shards,
         serve: args.serve,
@@ -472,7 +447,11 @@ fn run_fleet_mode(args: &Args, shards: usize) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    print_fleet_report(&report, &args.traffic, &args.faults);
+    let faults = args.fleet.map(|_| &args.faults);
+    print_report(&report, &args.serve, &args.traffic, faults);
+    if args.why {
+        println!("\n{}", report.why);
+    }
     if args.replay_check {
         if let Err(e) = replay_check(&report, &requests, &cfg) {
             eprintln!("error: {e}");
@@ -496,20 +475,5 @@ fn main() -> ExitCode {
     if let Some(k_max) = args.plan {
         return run_plan_mode(&args, k_max);
     }
-    if let Some(shards) = args.fleet {
-        return run_fleet_mode(&args, shards);
-    }
-    let requests = fftxlib_repro::serve::generate(&args.traffic);
-    let report = match run_serve(&requests, &args.serve) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    print_report(&report, &args.traffic);
-    if args.why {
-        println!("\n{}", report.why);
-    }
-    ExitCode::SUCCESS
+    serve_trace(&args, args.fleet.unwrap_or(1))
 }
