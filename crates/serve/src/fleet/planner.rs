@@ -17,8 +17,10 @@
 //!    feeds the capacity constraint in [`fftx_knlsim::capacity`]:
 //!    [`required_rate`] reallocates work across timesteps through the
 //!    backlog recurrence, and a one-shard calibration run prices the
-//!    per-shard service rate, giving the smallest shard count that can
-//!    drain the horizon ([`fleet_floor`]).
+//!    per-shard service rate as the bands it served per second of
+//!    journaled service (busy time, not makespan: a shard that keeps up
+//!    with the trace idles between arrivals), giving the smallest shard
+//!    count that can drain the horizon ([`fleet_floor`]).
 //! 3. **Recommendation** — the smallest candidate `k` at or above the
 //!    analytic floor whose simulated profile sheds nothing across every
 //!    iteration (falling back to the least-shedding candidate), plus a
@@ -30,6 +32,7 @@
 //! [`fleet_floor`]: fftx_knlsim::capacity::fleet_floor
 
 use crate::error::ServeError;
+use crate::journal::Record;
 use crate::supervisor::{run_fleet, FleetConfig};
 use crate::traffic::{generate, TrafficConfig};
 use fftx_fault::mix64;
@@ -144,7 +147,8 @@ pub struct PlanReport {
     pub required_rate: f64,
     /// The no-queueing service rate (bands/s) of the worst window.
     pub peak_rate: f64,
-    /// Calibrated per-shard service rate (bands/s) from the one-shard run.
+    /// Calibrated per-shard service rate from the one-shard run: bands
+    /// served per busy second (the summed `Started` service times).
     pub shard_rate: f64,
     /// Analytic fleet floor: `ceil(required_rate / shard_rate)`.
     pub analytic_floor: usize,
@@ -161,20 +165,15 @@ struct RunStats {
     shed_rate: f64,
     shed: usize,
     p99_s: f64,
-    bands_done: usize,
-    makespan_s: f64,
 }
 
 fn simulate(reqs: &[crate::request::Request], cfg: &FleetConfig) -> Result<RunStats, ServeError> {
     let r = run_fleet(reqs, cfg)?;
-    let bands_done: usize = r.jobs.iter().map(|j| j.request.bands).sum();
     Ok(RunStats {
         goodput_hz: r.goodput_hz(),
         shed_rate: r.shed_rate(),
         shed: r.shed.len(),
         p99_s: r.latency().quantile(0.99),
-        bands_done,
-        makespan_s: r.makespan_s,
     })
 }
 
@@ -268,12 +267,13 @@ pub fn plan_capacity(cfg: &PlanConfig) -> Result<PlanReport, ServeError> {
     }
     let required_rate = capacity::required_rate(&load_profile, cfg.window_s);
     let peak_rate = capacity::peak_rate(&load_profile, cfg.window_s);
-    let calib = simulate(&traces[0], &static_fleet(&cfg.fleet, 1))?;
-    let shard_rate = if calib.makespan_s > 0.0 {
-        calib.bands_done as f64 / calib.makespan_s
-    } else {
-        0.0
-    };
+    let calib = run_fleet(&traces[0], &static_fleet(&cfg.fleet, 1))?;
+    let bands: usize = calib.jobs.iter().map(|j| j.request.bands).sum();
+    let busy_s: f64 = calib.journal.records().iter().map(|rec| match rec {
+        Record::Started { service_s, .. } => *service_s,
+        _ => 0.0,
+    }).sum();
+    let shard_rate = if busy_s > 0.0 { bands as f64 / busy_s } else { 0.0 };
     let analytic_floor = capacity::fleet_floor(required_rate, shard_rate)
         .clamp(cfg.k_min, cfg.k_max);
 
@@ -366,11 +366,13 @@ mod tests {
         assert!(plan.recommended >= cfg.k_min && plan.recommended <= cfg.k_max);
         assert!(plan.required_rate > 0.0, "offered work must need capacity");
         assert!(plan.peak_rate >= plan.required_rate, "peak bounds required");
-        assert!(plan.shard_rate > 0.0, "calibration must price a shard");
+        // A light trace: busy time prices a shard far above the demand.
+        assert!(plan.shard_rate > 4.0 * plan.required_rate, "calibration must price busy time");
         assert!(!plan.load_profile.is_empty());
         let e = plan.envelope;
         assert!(e.min >= 1 && e.min <= e.max && e.max <= cfg.k_max);
         assert!(e.down_at < e.up_at, "envelope must keep the hysteresis gap");
+        assert!(e.up_at < 0.90, "a mostly idle shard must not read saturated");
     }
 
     #[test]

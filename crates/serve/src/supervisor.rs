@@ -492,8 +492,6 @@ pub struct Fleet {
     /// Virtual time of the current event (of the last applied record
     /// during replay): where a resume re-enters the loop.
     now: f64,
-    /// The tick of `now`: the last tick at or before it.
-    tick: u64,
     /// Heartbeat cursor: the tick the last heartbeat belongs to and the
     /// shard index the next one goes to — resume re-enters the heartbeat
     /// sweep exactly where the crash left it.
@@ -601,7 +599,6 @@ impl Fleet {
             next_batch: 0,
             arrival_cursor: 0,
             now: 0.0,
-            tick: 0,
             hb_tick: None,
             hb_from: 0,
             degrade_t: None,
@@ -617,7 +614,7 @@ impl Fleet {
     /// Whether `shard` is still in its post-scale-up warm-up window: a
     /// ring member that queues arrivals but executes nothing yet.
     fn warming(&self, shard: usize) -> bool {
-        self.tick < self.warm_until[shard]
+        tick_at(self.now) < self.warm_until[shard]
     }
 
     /// Whether batches execute for real (hashes, recovery, stage spans).
@@ -696,7 +693,6 @@ impl Fleet {
     /// applied to — a corrupt or desynced journal.
     fn apply(&mut self, rec: &Record) -> Result<(), ServeError> {
         self.now = rec.t_s();
-        self.tick = tick_at(self.now);
         match rec {
             Record::Accepted { req, key, shard } => {
                 let s = self.shard_index(*shard)?;
@@ -848,7 +844,7 @@ impl Fleet {
                 self.corruption_x.insert(*batch);
                 self.shards[s].corruptions += detections;
                 self.log.push_counter("fleet.corruption.detected", *detections);
-                if let Some(state) = self.shards[s].breaker.on_corruption(self.tick) {
+                if let Some(state) = self.shards[s].breaker.on_corruption(tick_at(self.now)) {
                     self.log.push_state(*t_s, *shard, state);
                     self.log.push_counter(&format!("fleet.breaker.{state}"), 1);
                 }
@@ -953,7 +949,7 @@ impl Fleet {
                 // the tick's heartbeat sweep (phase 2) — a shard probed on
                 // its own activation tick would diverge on crash replay.
                 self.warm_until[s] =
-                    self.tick + self.cfg.autoscale.map_or(1, |a| a.warmup_ticks.max(1));
+                    tick_at(self.now) + self.cfg.autoscale.map_or(1, |a| a.warmup_ticks.max(1));
                 self.scale_t = Some(*t_s);
                 self.log.push_counter("fleet.scale.up", 1);
                 self.log.push_state(*t_s, *shard, "warming");
@@ -1104,13 +1100,14 @@ impl Fleet {
     /// tick, keeping the sweep identical on crash replay). The journaled
     /// cursor (`hb_tick`, `hb_from`) re-enters a half-finished sweep.
     fn phase_heartbeats(&mut self, t: f64) -> Result<(), ServeError> {
-        let start = if self.hb_tick == Some(self.tick) { self.hb_from } else { 0 };
+        let tick = tick_at(t);
+        let start = if self.hb_tick == Some(tick) { self.hb_from } else { 0 };
         for s in start..self.cfg.shards {
             if self.shards[s].down || !self.active[s] || self.warming(s) {
                 continue;
             }
             let ok = self.alive_at(s, t) && !self.partition.cut_at(s as u64, t, self.cfg.horizon_s);
-            self.emit(Record::Heartbeat { shard: s as u32, tick: self.tick, t_s: t, ok })?;
+            self.emit(Record::Heartbeat { shard: s as u32, tick, t_s: t, ok })?;
         }
         Ok(())
     }
@@ -1207,7 +1204,7 @@ impl Fleet {
     fn phase_autoscale(&mut self, t: f64) -> Result<(), ServeError> {
         let Some(a) = self.cfg.autoscale else { return Ok(()) };
         if let Some(ts) = self.scale_t {
-            if self.tick < tick_at(ts) + a.cooldown() {
+            if tick_at(t) < tick_at(ts) + a.cooldown() {
                 return Ok(());
             }
         }
@@ -1422,8 +1419,10 @@ impl Fleet {
 
     /// Starts shard `s`'s pending `batch` at `t`. A real run executes now,
     /// so the recovery it absorbs is part of the service the journal
-    /// records; a shard that is dead before the batch could finish runs
-    /// nothing, since the batch never completes there and fails over.
+    /// records. The liveness check prices the modeled service only, since
+    /// the recovery overhead is known after the run: a shard dead before
+    /// that runs nothing, and one that dies inside the overhead runs and
+    /// counts the batch, which then never completes there and fails over.
     fn start_batch(&mut self, s: usize, batch: u64, t: f64) -> Result<(), ServeError> {
         let (class, nbnd) = {
             let info = self.batch_info.get(&batch).ok_or_else(|| {
@@ -1561,14 +1560,14 @@ impl Fleet {
     /// event (crash recovery) emits exactly the missing suffix.
     fn run_event(&mut self, t: f64, from: Phase) -> Result<(), ServeError> {
         self.now = t;
-        self.tick = tick_at(t);
-        if self.tick > MAX_TICKS {
+        let tick = tick_at(t);
+        if tick > MAX_TICKS {
             return Err(ServeError::Stalled {
-                tick: self.tick,
+                tick,
                 open_jobs: self.open.len(),
             });
         }
-        let on_tick = t == tick_s(self.tick);
+        let on_tick = t == tick_s(tick);
         let phases: [(Phase, PhaseFn); 9] = [
             (Phase::Completions, Fleet::phase_completions),
             (Phase::Heartbeats, Fleet::phase_heartbeats),
