@@ -48,15 +48,6 @@ impl Recorder {
         out
     }
 
-    /// Adds `n` to counter `key` in the trace log — the hook the recovery
-    /// and integrity layers use to publish retry/rollback/detection tallies
-    /// into the same columnar store the execution records land in.
-    pub fn counter(&self, key: &str, n: u64) {
-        if let Some(sink) = &self.sink {
-            sink.counter(key, n);
-        }
-    }
-
     /// Runs `f`, recording it as a span of stage-graph node `stage` on band
     /// `band`. The span covers everything inside `f` — the stage's compute
     /// bursts and any communication — so per-stage histograms see the
@@ -101,16 +92,6 @@ mod tests {
         let rec = Recorder::new(None, WallClock::new(), 0);
         assert_eq!(rec.compute(StateClass::Pack, 0.0, || 42), 42);
         assert_eq!(rec.stage(3, 1, || 42), 42);
-        rec.counter("noop", 1); // no sink: silently dropped
-    }
-
-    #[test]
-    fn counters_accumulate_in_the_log() {
-        let sink = TraceSink::new();
-        let rec = Recorder::new(Some(sink.clone()), WallClock::new(), 0);
-        rec.counter("recovery.retries", 2);
-        rec.counter("recovery.retries", 3);
-        assert_eq!(sink.counter_total("recovery.retries"), 5);
     }
 
     #[test]

@@ -152,7 +152,6 @@ pub fn run_retry(
         retries += n;
         plain.push((shares, span));
     }
-    sink.counter("recovery.retries", retries);
     let out = finish_run(&problem.layout, sink, plain);
     let stats = RecoveryStats {
         task_retries: retries,
@@ -203,8 +202,6 @@ pub fn run_rollback(
         ckpt_bytes += bytes;
         plain.push((shares, span));
     }
-    sink.counter("recovery.rollbacks", rollbacks);
-    sink.counter("recovery.checkpoint_bytes", ckpt_bytes);
     let out = finish_run(&problem.layout, sink, plain);
     let stats = RecoveryStats {
         batch_rollbacks: rollbacks,
@@ -327,8 +324,6 @@ pub fn run_eviction(
     assert_eq!(outcomes.len(), p - 1, "every survivor reports an outcome");
     outcomes.sort_by_key(|o| o.shrunk_rank);
     let ckpt_bytes = outcomes.iter().map(|o| o.ckpt_bytes).sum();
-    sink.counter("recovery.evictions", 1);
-    sink.counter("recovery.checkpoint_bytes", ckpt_bytes);
     // The FFT phase spans every rank, the victim's too.
     let survivors = outcomes.into_iter().map(|o| (o.shares, fft_phase_s)).collect();
     let out = finish_run(&new_l, sink, survivors);

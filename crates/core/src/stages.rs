@@ -1162,7 +1162,8 @@ pub fn run_policy_chaotic(
 }
 
 /// Reassembles bands from per-rank shares, in rank order of layout `l`,
-/// and closes the trace.
+/// and closes the trace. The shares are moved into the assembly, not
+/// copied.
 pub(crate) fn finish_run(
     l: &TaskGroupLayout,
     sink: TraceSink,
@@ -1173,10 +1174,13 @@ pub(crate) fn finish_run(
         .map(|(_, t)| *t)
         .fold(0.0_f64, f64::max);
     let nbnd = results.first().map_or(0, |(s, _)| s.len());
+    let mut ranks: Vec<_> = results.into_iter().map(|(s, _)| s.into_iter()).collect();
     let bands = (0..nbnd)
-        .map(|b| {
-            let shares: Vec<Vec<Complex64>> =
-                results.iter().map(|(s, _)| s[b].clone()).collect();
+        .map(|_| {
+            let shares: Vec<Vec<Complex64>> = ranks
+                .iter_mut()
+                .map(|s| s.next().expect("every rank holds a share of every band"))
+                .collect();
             assemble_shares(&l.set, &l.dist, &shares)
         })
         .collect();

@@ -532,11 +532,6 @@ pub fn run_verified(
         stats.checkpoint_bytes += ckpt_bytes;
         plain.push((shares, span));
     }
-    sink.counter("integrity.parseval_checks", stats.parseval_checks);
-    sink.counter("integrity.detected_batches", stats.detected_batches);
-    sink.counter("integrity.recomputed_legs", stats.recomputed_legs);
-    sink.counter("integrity.repaired_legs", stats.repaired_legs);
-    sink.counter("recovery.rollbacks", stats.batch_rollbacks);
     Ok((finish_run(&problem.layout, sink, plain), stats))
 }
 

@@ -94,7 +94,7 @@ impl Runtime {
     /// nodes whose slots never conflict run concurrently.
     pub fn spawn_graph(&self, graph: TaskGraph) {
         for n in graph.nodes {
-            self.spawn_boxed(&n.label, n.priority, &n.deps, n.body);
+            self.spawn_boxed(n.label, n.priority, &n.deps, n.body);
         }
     }
 }

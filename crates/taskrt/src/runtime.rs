@@ -301,7 +301,12 @@ impl Runtime {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.submit(label, priority, deps, TaskBody::Once(Box::new(body)))
+        self.submit(
+            label.to_string(),
+            priority,
+            deps,
+            TaskBody::Once(Box::new(body)),
+        )
     }
 
     /// Submits a **retryable** task: `body` must be idempotent over its
@@ -323,7 +328,7 @@ impl Runtime {
         F: Fn() + Send + Sync + 'static,
     {
         self.submit(
-            label,
+            label.to_string(),
             priority,
             deps,
             TaskBody::Retryable {
@@ -338,11 +343,11 @@ impl Runtime {
         self.inner.retries.load(Ordering::Relaxed)
     }
 
-    /// [`Runtime::spawn_prio`] for an already-boxed body (the graph
-    /// submission path, which stores heterogeneous bodies).
+    /// [`Runtime::spawn_prio`] for an already-boxed body and an owned label
+    /// (the graph submission path, which stores heterogeneous bodies).
     pub(crate) fn spawn_boxed(
         &self,
-        label: &str,
+        label: String,
         priority: Option<u64>,
         deps: &[Dep],
         body: Box<dyn FnOnce() + Send + 'static>,
@@ -350,7 +355,10 @@ impl Runtime {
         self.submit(label, priority, deps, TaskBody::Once(body))
     }
 
-    fn submit(&self, label: &str, priority: Option<u64>, deps: &[Dep], body: TaskBody) {
+    /// Enters a task into the graph. `label` is moved into the task and,
+    /// when it finishes, into its trace record; it is cloned only to name
+    /// the task in a failure.
+    fn submit(&self, label: String, priority: Option<u64>, deps: &[Dep], body: TaskBody) {
         let t_created = self.inner.clock.now();
         let mut sched = self.inner.sched.lock();
         assert!(!sched.shutdown, "Runtime: spawn after shutdown");
@@ -404,7 +412,7 @@ impl Runtime {
         sched.tasks.insert(
             id,
             TaskState {
-                label: label.to_string(),
+                label,
                 priority,
                 body: Some(body),
                 pending,
@@ -559,7 +567,7 @@ where
 fn worker_loop(inner: &Inner, worker_idx: usize) {
     set_current_thread(worker_idx);
     loop {
-        let (id, body, label, t_created) = {
+        let (id, body) = {
             let mut sched = inner.sched.lock();
             loop {
                 if let Some(Reverse((_prio, id))) = sched.ready.pop() {
@@ -572,7 +580,7 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
                         // drains and nothing deadlocks.
                         body = TaskBody::Once(Box::new(|| {}));
                     }
-                    break (id, body, t.label.clone(), t.t_created);
+                    break (id, body);
                 }
                 if sched.shutdown {
                     return;
@@ -606,17 +614,6 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
         };
         let t_end = inner.clock.now();
 
-        if let Some(sink) = &inner.trace {
-            sink.task(TaskRecord {
-                lane: Lane::new(inner.rank, worker_idx),
-                task_id: id,
-                label,
-                t_created,
-                t_start,
-                t_end,
-            });
-        }
-
         let mut sched = inner.sched.lock();
         let task = sched.tasks.remove(&id).expect("task exists");
         if let Err(p) = result {
@@ -628,7 +625,7 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
                 }
                 sched.failure = Some(TaskError::Failed {
                     label: task.label.clone(),
-                    chain: task.pred_labels.clone(),
+                    chain: task.pred_labels,
                     message,
                 });
             }
@@ -652,6 +649,18 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
         }
         if done {
             inner.cv_done.notify_all();
+        }
+        // Off the successors' critical path. The record still lands before
+        // shutdown returns, since shutdown joins this worker.
+        if let Some(sink) = &inner.trace {
+            sink.task(TaskRecord {
+                lane: Lane::new(inner.rank, worker_idx),
+                task_id: id,
+                label: task.label,
+                t_created: task.t_created,
+                t_start,
+                t_end,
+            });
         }
     }
 }

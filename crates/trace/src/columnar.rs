@@ -1,14 +1,15 @@
-//! The columnar event log — the single storage layer of the telemetry
-//! stack.
+//! The columnar event log — the encode/decode/query format of the
+//! telemetry stack.
 //!
-//! Every record the reproduction emits — compute bursts, MPI calls, task
-//! lifecycles, stage-graph spans, serving counters, queue-depth gauges and
-//! fleet state transitions — lands in one [`EventLog`]: an append-only set
-//! of typed column streams with one shared string dictionary. The legacy
-//! row types ([`crate::trace::Trace`], [`crate::metrics::CounterSet`],
+//! A finished execution trace ([`crate::trace::Trace`]) becomes an
+//! [`EventLog`] through [`EventLog::from_trace`]; the serving supervisor
+//! appends its counters, queue-depth gauges and fleet state transitions to
+//! a log of its own. A log is an append-only set of typed column streams
+//! with one shared string dictionary, and the row types
+//! ([`crate::trace::Trace`], [`crate::metrics::CounterSet`],
 //! [`crate::metrics::DepthSeries`], [`crate::metrics::StateTimeline`]) are
-//! *materialized views* over this log, so the recording path has exactly
-//! one store and the analysis/exporter path has exactly one source.
+//! *materialized views* over it, so the analysis/exporter path has exactly
+//! one source.
 //!
 //! The on-disk form is a self-describing binary: a header carrying the
 //! dictionary and the per-stream column schemas (name + type tag), then the
@@ -174,7 +175,7 @@ pub(crate) const STREAM_GAUGE: usize = 5;
 /// See [`STREAM_COMPUTE`].
 pub const STREAM_STATE: usize = 6;
 
-/// The single columnar store every telemetry producer records into.
+/// The columnar event log: typed column streams over one string dictionary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLog {
     dict: Vec<String>,

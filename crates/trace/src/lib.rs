@@ -6,13 +6,15 @@
 //!
 //! * [`event`] — record types: compute bursts with instruction/cycle
 //!   counters, MPI calls with communicator/byte info, task lifecycles;
-//! * [`columnar`] — the single columnar [`EventLog`] store behind every
-//!   producer (self-describing binary encoding);
+//! * [`columnar`] — the columnar [`EventLog`]: the encode/decode/query
+//!   format of a finished trace (self-describing binary encoding), and the
+//!   serving supervisor's own log;
 //! * [`query`] — offline aggregation over the log (per-stage and
 //!   per-class rollups, group-bys, weighted time windows, the CSV
 //!   summary);
 //! * [`trace`] — the trace container and the thread-safe [`TraceSink`],
-//!   the one collector every producer records through;
+//!   the collector the execution engines record through, one buffer per
+//!   recording thread;
 //! * [`pop`] — the multiplicative efficiency model of Tables I and II;
 //! * [`timeline`] — ASCII/CSV timelines (Fig. 3, Fig. 7 left);
 //! * [`histogram`] — IPC × duration histograms (Fig. 7 right);

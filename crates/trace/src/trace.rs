@@ -1,17 +1,19 @@
 //! Trace container and the thread-safe collector the execution engines
 //! record into (the Extrae role).
 //!
-//! Since the columnar refactor the collector stores one [`EventLog`] —
-//! [`Trace`] is a *materialized view* extracted at [`TraceSink::finish`] /
-//! [`TraceSink::snapshot`] time, so execution records, serving counters,
-//! gauges and state transitions all share a single storage layer.
+//! Like Extrae, the collector buffers each thread's records privately and
+//! merges them after the run: [`TraceSink`] keeps one typed record buffer
+//! per recording thread, so recording is a `Vec` push under a lock no other
+//! thread of a kernel call takes, and [`TraceSink::finish`] concatenates
+//! and sorts the buffers into a [`Trace`]. The columnar
+//! [`crate::columnar::EventLog`] is the encode/decode/query format, built
+//! from a finished trace by [`crate::columnar::EventLog::from_trace`].
 
-use crate::columnar::EventLog;
 use crate::event::{CommRecord, ComputeRecord, Lane, StateClass, TaskRecord};
-use crate::metrics::{CounterSet, StateTimeline};
+use crate::lane_ctx::thread_slot;
 use crate::stage::StageRecord;
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A complete trace of one execution.
@@ -138,10 +140,10 @@ impl Trace {
 
     /// Merges another trace into this one (used to combine per-rank traces).
     pub fn merge(&mut self, other: Trace) {
-        self.compute.extend(other.compute);
-        self.comm.extend(other.comm);
-        self.tasks.extend(other.tasks);
-        self.stages.extend(other.stages);
+        append(&mut self.compute, other.compute);
+        append(&mut self.comm, other.comm);
+        append(&mut self.tasks, other.tasks);
+        append(&mut self.stages, other.stages);
     }
 
     /// Sorts all record streams by start time (stable order for rendering).
@@ -154,20 +156,41 @@ impl Trace {
     }
 }
 
-/// Thread-safe trace collector shared by every rank/worker thread, backed
-/// by one columnar [`EventLog`].
-#[derive(Clone, Default)]
-pub struct TraceSink {
-    inner: Arc<Mutex<EventLog>>,
+/// Appends `src` to `dst`, taking `src`'s buffer whole when `dst` is empty.
+fn append<T>(dst: &mut Vec<T>, src: Vec<T>) {
+    if dst.is_empty() {
+        *dst = src;
+    } else {
+        dst.extend(src);
+    }
 }
 
-/// Materializes the execution-trace view of an in-memory log. The log was
-/// built through the typed push API (valid class/op codes, interned labels
-/// by construction), so the conversion cannot fail; an empty trace is
-/// returned defensively if that invariant is ever broken.
-fn materialize(log: &EventLog) -> Trace {
-    debug_assert!(log.to_trace().is_ok(), "in-memory log must materialize");
-    log.to_trace().unwrap_or_default()
+/// Record buffers of a [`TraceSink`]. The threads of one kernel call (its
+/// rank threads and runtime workers) take consecutive recording slots, so
+/// they share a shard only if more than this many threads start recording
+/// meanwhile; threads that share a shard still record correctly.
+const SHARDS: usize = 64;
+
+/// The record buffers of the threads whose slot maps here, aligned to its
+/// own cache lines so neighbouring shards' locks never share one.
+#[derive(Default)]
+#[repr(align(128))]
+struct Shard(Mutex<Trace>);
+
+/// Thread-safe trace collector shared by every rank/worker thread: one
+/// typed record buffer per recording thread (chosen by the thread's
+/// recording slot), merged by [`TraceSink::finish`].
+#[derive(Clone)]
+pub struct TraceSink {
+    shards: Arc<[Shard; SHARDS]>,
+}
+
+impl Default for TraceSink {
+    fn default() -> Self {
+        TraceSink {
+            shards: Arc::new(std::array::from_fn(|_| Shard::default())),
+        }
+    }
 }
 
 impl TraceSink {
@@ -176,121 +199,54 @@ impl TraceSink {
         Self::default()
     }
 
-    /// Records a compute burst.
+    /// The calling thread's record buffer, locked.
     ///
     /// Poison-tolerant: a panicking (and possibly later retried) task must
-    /// not cascade-kill tracing, so a poisoned sink recovers its inner
-    /// state instead of propagating the panic.
+    /// not cascade-kill tracing. Every update is a single push, which
+    /// leaves the buffer valid, so a poisoned buffer is recovered as is.
+    fn buffer(&self) -> MutexGuard<'_, Trace> {
+        self.shards[thread_slot() % SHARDS]
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records a compute burst.
     pub fn compute(&self, rec: ComputeRecord) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_compute(&rec);
+        self.buffer().compute.push(rec);
     }
 
-    /// Records a communication operation (poison-tolerant, see
-    /// [`TraceSink::compute`]).
+    /// Records a communication operation.
     pub fn comm(&self, rec: CommRecord) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_comm(&rec);
+        self.buffer().comm.push(rec);
     }
 
-    /// Records a task lifecycle event (poison-tolerant, see
-    /// [`TraceSink::compute`]).
+    /// Records a task lifecycle event.
     pub fn task(&self, rec: TaskRecord) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_task(&rec);
+        self.buffer().tasks.push(rec);
     }
 
-    /// Records a stage-graph node span (poison-tolerant, see
-    /// [`TraceSink::compute`]).
+    /// Records a stage-graph node span.
     pub fn stage(&self, rec: StageRecord) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_stage(&rec);
+        self.buffer().stages.push(rec);
     }
 
-    /// Adds `n` to counter `key` (poison-tolerant, see
-    /// [`TraceSink::compute`]).
-    pub fn counter(&self, key: &str, n: u64) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_counter(key, n);
-    }
-
-    /// Records a gauge observation (poison-tolerant).
-    pub fn gauge(&self, series: &str, t: f64, value: u64) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_gauge(series, t, value);
-    }
-
-    /// Records a state transition of integer lane `lane` (poison-tolerant).
-    pub fn state(&self, t: f64, lane: u32, state: &str) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_state(t, lane, state);
-    }
-
-    /// Running total of counter `key`, served from the log's append-time
-    /// index (O(log k), no materialization).
-    pub fn counter_total(&self, key: &str) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counter_total(key)
-    }
-
-    /// Extracts the accumulated trace, sorted by time.
+    /// Takes every record out of the sink: the buffers are moved, not
+    /// copied, concatenated in shard order and sorted by start time
+    /// ([`Trace::sort`], stable, so one thread's records with equal start
+    /// times stay in the order they were recorded).
+    ///
+    /// This empties the sink for every handle, clones included (a `World`
+    /// keeps one). Finish only after every recording thread has been
+    /// joined: `World::run` and `Runtime` shutdown join theirs first.
     pub fn finish(self) -> Trace {
-        let log = match Arc::try_unwrap(self.inner) {
-            Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
-            Err(arc) => arc
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
-        };
-        let mut t = materialize(&log);
+        let mut t = Trace::default();
+        for shard in self.shards.iter() {
+            let mut buf = shard.0.lock().unwrap_or_else(PoisonError::into_inner);
+            t.merge(std::mem::take(&mut *buf));
+        }
         t.sort();
         t
-    }
-
-    /// Clones the current contents without consuming the sink.
-    pub fn snapshot(&self) -> Trace {
-        let mut t = materialize(
-            &self
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        t.sort();
-        t
-    }
-
-    /// Materializes the counter view (sorted labels).
-    pub fn counters(&self) -> CounterSet {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counters()
-            .unwrap_or_default()
-    }
-
-    /// Materializes the state-transition view.
-    pub fn state_timeline(&self) -> StateTimeline {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .state_timeline()
-            .unwrap_or_default()
     }
 }
 
@@ -383,44 +339,122 @@ mod tests {
 
     #[test]
     fn sink_collects_from_threads() {
+        // N threads, started together, each record M records of every kind
+        // with start times in pairs (0, 0, 1, 1, ...), each into a buffer of
+        // its own: finish returns exactly those records, every stream sorted
+        // by start time, and one thread's equal-time records in the order it
+        // pushed them.
+        const N: usize = 6;
+        const M: usize = 200;
         let sink = TraceSink::new();
+        let start = std::sync::Barrier::new(N);
         std::thread::scope(|s| {
-            for rank in 0..4 {
-                let sink = sink.clone();
+            for rank in 0..N {
+                let (sink, start) = (sink.clone(), &start);
                 s.spawn(move || {
-                    sink.compute(burst(rank, 0.0, 1.0, StateClass::FftXy, 1.0, 1.0));
+                    start.wait();
+                    let lane = Lane::new(rank, 0);
+                    for j in 0..M {
+                        let t = (j / 2) as f64;
+                        sink.compute(burst(rank, t, t + 1.0, StateClass::FftXy, j as f64, 1.0));
+                        sink.comm(CommRecord {
+                            lane,
+                            op: CommOp::Alltoall,
+                            comm_id: 1,
+                            comm_size: N,
+                            bytes: j,
+                            t_start: t,
+                            t_end: t + 1.0,
+                        });
+                        sink.task(TaskRecord {
+                            lane,
+                            task_id: j as u64,
+                            label: format!("t{rank}.{j}"),
+                            t_created: t,
+                            t_start: t,
+                            t_end: t + 1.0,
+                        });
+                        sink.stage(StageRecord {
+                            lane,
+                            stage: 0,
+                            band: j as u32,
+                            t_start: t,
+                            t_end: t + 1.0,
+                        });
+                    }
                 });
             }
         });
+        // Threads that start recording together never share a buffer.
+        for shard in sink.shards.iter() {
+            let buf = shard.0.lock().unwrap();
+            let threads: BTreeSet<usize> = buf.compute.iter().map(|r| r.lane.rank).collect();
+            assert!(threads.len() <= 1, "threads {threads:?} share a buffer");
+        }
         let t = sink.finish();
-        assert_eq!(t.compute.len(), 4);
-        assert_eq!(t.lanes().len(), 4);
+        let seq: Vec<usize> = (0..M).collect();
+        fn check<R>(stream: &[R], key: impl Fn(&R) -> (f64, usize, usize), seq: &[usize]) {
+            assert_eq!(stream.len(), N * M);
+            assert!(stream.windows(2).all(|w| key(&w[0]).0 <= key(&w[1]).0));
+            for rank in 0..N {
+                let mine: Vec<usize> = stream
+                    .iter()
+                    .map(&key)
+                    .filter(|k| k.1 == rank)
+                    .map(|k| k.2)
+                    .collect();
+                assert_eq!(mine, seq, "rank {rank}: records lost or reordered");
+            }
+        }
+        check(
+            &t.compute,
+            |r| (r.t_start, r.lane.rank, r.instructions as usize),
+            &seq,
+        );
+        check(&t.comm, |r| (r.t_start, r.lane.rank, r.bytes), &seq);
+        check(
+            &t.tasks,
+            |r| (r.t_start, r.lane.rank, r.task_id as usize),
+            &seq,
+        );
+        check(
+            &t.stages,
+            |r| (r.t_start, r.lane.rank, r.band as usize),
+            &seq,
+        );
+        let labelled = |r: &TaskRecord| r.label == format!("t{}.{}", r.lane.rank, r.task_id);
+        assert!(t.tasks.iter().all(labelled));
+        assert_eq!(t.lanes().len(), N);
     }
 
     #[test]
-    fn snapshot_does_not_consume() {
+    fn finish_empties_the_sink_for_every_handle() {
         let sink = TraceSink::new();
+        let other = sink.clone();
         sink.compute(burst(0, 0.0, 1.0, StateClass::Vofr, 1.0, 2.0));
-        let snap = sink.snapshot();
-        assert_eq!(snap.compute.len(), 1);
-        sink.compute(burst(0, 1.0, 2.0, StateClass::Vofr, 1.0, 2.0));
-        assert_eq!(sink.finish().compute.len(), 2);
+        assert_eq!(sink.finish().compute.len(), 1);
+        assert!(other.finish().compute.is_empty());
     }
 
     #[test]
     fn sink_survives_poisoning() {
-        // A panic while the sink lock is held poisons the mutex; the sink
-        // must keep recording and still hand out the full trace.
+        // A panic while a buffer's lock is held poisons it. The thread that
+        // panicked (a task about to be retried) must keep recording into
+        // that buffer, and finish must still hand out the full trace.
         let sink = TraceSink::new();
         sink.compute(burst(0, 0.0, 1.0, StateClass::FftZ, 1.0, 1.0));
-        let poisoner = sink.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.inner.lock().unwrap();
-            panic!("poison the sink");
+        let worker = sink.clone();
+        std::thread::spawn(move || {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _guard = worker.buffer();
+                panic!("poison the buffer");
+            }));
+            assert!(panicked.is_err());
+            assert!(worker.shards[thread_slot() % SHARDS].0.is_poisoned());
+            worker.compute(burst(1, 1.0, 2.0, StateClass::FftZ, 1.0, 1.0));
         })
-        .join();
-        sink.compute(burst(0, 1.0, 2.0, StateClass::FftZ, 1.0, 1.0));
-        assert_eq!(sink.snapshot().compute.len(), 2);
+        .join()
+        .expect("recording into a poisoned buffer does not panic");
         assert_eq!(sink.finish().compute.len(), 2);
     }
 
