@@ -6,8 +6,8 @@
 use fftx_bench::{results_dir, CheckKind, GateOp, Harness};
 use fftx_core::{run_modeled, FftxConfig, SchedulerPolicy};
 use fftx_trace::{
-    communicator_summary, render_timeline, timeline_csv, CommOp, EventLog, StateClass,
-    TimelineOptions,
+    communicator_summary, phase_profile, render_timeline, timeline_csv, CommOp, EventLog,
+    StateClass, TimelineOptions,
 };
 
 fn main() {
@@ -56,17 +56,9 @@ fn main() {
     // Phase IPC table (the zoomed IPC timeline of the paper).
     println!("Per-phase IPC (duration-weighted means, model):");
     let mut ipc_rows = String::from("phase,mean_ipc,total_seconds\n");
-    for class in StateClass::ALL {
-        let t: f64 = trace
-            .compute
-            .iter()
-            .filter(|r| r.class == class)
-            .map(|r| r.duration())
-            .sum();
-        if t > 0.0 {
-            println!("  {:<9} IPC {:.2}  ({:.3}s total)", class.name(), trace.mean_ipc(class), t);
-            ipc_rows.push_str(&format!("{},{:.4},{:.6}\n", class.name(), trace.mean_ipc(class), t));
-        }
+    for (class, t, _, ipc) in phase_profile(trace) {
+        println!("  {:<9} IPC {ipc:.2}  ({t:.3}s total)", class.name());
+        ipc_rows.push_str(&format!("{},{ipc:.4},{t:.6}\n", class.name()));
     }
     println!();
 
@@ -92,7 +84,7 @@ fn main() {
     std::fs::write(&bin_path, &bytes).expect("write fig3_trace.bin");
     println!("[written] {} ({} bytes)", bin_path.display(), bytes.len());
     let decoded = EventLog::decode(&bytes).expect("decode fig3_trace.bin");
-    let summary = fftx_trace::query::summary_csv(&decoded).expect("summary of decoded log");
+    let summary = fftx_trace::query::summary_csv(decoded.trace());
     h.artifact("fig3_trace_summary.csv", &summary, CheckKind::Byte);
 
     // Shape checks: phase IPC ordering and communicator families.

@@ -1,7 +1,7 @@
 //! Golden telemetry-path test: every exporter must produce byte-identical
 //! output whether it reads the live `Trace` or a trace that took the full
 //! columnar round trip (`EventLog::from_trace` → `encode` → `decode` →
-//! `to_trace`). This is the contract that lets the bench bins, the paraver
+//! `trace`). This is the contract that lets the bench bins, the paraver
 //! exporter and the POP metrics all become thin queries over one log
 //! without perturbing a single committed artifact.
 
@@ -16,7 +16,7 @@ fn round_trip(trace: &Trace) -> Trace {
     let bytes = log.encode();
     let decoded = EventLog::decode(&bytes).expect("decode");
     assert_eq!(decoded, log, "wire round trip must be lossless");
-    decoded.to_trace().expect("to_trace")
+    decoded.trace().clone()
 }
 
 #[test]
@@ -63,7 +63,7 @@ fn query_summary_matches_trace_totals() {
     let run = run_modeled(FftxConfig::paper(8, SchedulerPolicy::TaskPerStep));
     let log = EventLog::from_trace(&run.trace);
     let decoded = EventLog::decode(&log.encode()).expect("decode");
-    let summary = fftx_trace::query::summary_csv(&decoded).expect("summary");
+    let summary = fftx_trace::query::summary_csv(decoded.trace());
     // The summary must report exactly the stream sizes of the live trace.
     assert!(summary.contains(&format!("stream,compute,{},", run.trace.compute.len())));
     assert!(summary.contains(&format!("stream,comm,{},", run.trace.comm.len())));

@@ -2,7 +2,7 @@
 //! the distributed pipeline must reproduce the serial dense-grid reference
 //! for every R×T shape.
 
-use fftx_core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
+use fftx_core::{run_policy, Decomposition, FftxConfig, Problem, SchedulerPolicy};
 use fftx_fft::max_dist;
 use fftx_pw::apply_vloc;
 use fftx_trace::CommOp;
@@ -121,5 +121,30 @@ fn idempotent_across_runs() {
     let b = run_policy(&problem, SchedulerPolicy::Serial);
     for (x, y) in a.bands.iter().zip(&b.bands) {
         assert_eq!(x, y, "runs must be bit-identical");
+    }
+}
+
+#[test]
+fn pencil_runs_record_the_same_communication() {
+    // Under pencil the two scatter families split into rows and columns
+    // concurrently. A new communicator's id must not depend on which split
+    // completes first, so every run records the same multiset of
+    // (rank, op, communicator, size, bytes).
+    let cfg = FftxConfig::small(4, 2, SchedulerPolicy::Serial).with_decomp(Decomposition::Pencil);
+    let problem = Problem::new(cfg);
+    let records = || {
+        let out = run_policy(&problem, SchedulerPolicy::Serial);
+        let mut r: Vec<_> = out
+            .trace
+            .comm
+            .iter()
+            .map(|c| (c.lane.rank, c.op.code(), c.comm_id, c.comm_size, c.bytes))
+            .collect();
+        r.sort_unstable();
+        r
+    };
+    let first = records();
+    for run in 1..20 {
+        assert!(records() == first, "run {run} recorded other communication");
     }
 }

@@ -75,7 +75,7 @@ use crate::request::{band_hash, GeometryClass, RejectReason, Request};
 use crate::tuner::{Placement, Tuner, TunerConfig};
 use fftx_core::{DecompChoice, Decomposition, SchedulerPolicy};
 use fftx_fault::{mix64, NodeDeath, Partition, SlowNode};
-use fftx_trace::{stage_profile, CounterSet, DepthSeries, EventLog, Quantiles, StateTimeline};
+use fftx_trace::{stage_profile, CounterSet, DepthSeries, Quantiles, StateTimeline};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Safety bound on supervisor ticks before the loop reports
@@ -309,7 +309,8 @@ pub struct FleetReport {
     /// `escalations`; like [`FleetReport::stage_seconds`] these count the
     /// executions this process ran, so a resumed run counts only its own.
     pub counters: CounterSet,
-    /// Queued requests summed over the shards, sampled at every arrival.
+    /// Queued requests summed over the shards, sampled after every record
+    /// that changes the queued count.
     pub depth: DepthSeries,
     /// Breaker / down / degradation transitions over virtual time (lane =
     /// shard index; the ladder uses lane `shards`).
@@ -466,10 +467,13 @@ pub struct Fleet {
     open: BTreeSet<u64>,
     jobs: Vec<FleetJob>,
     shed: Vec<(Request, String)>,
-    /// The one telemetry store of the supervisor: counters and shard-state
-    /// transitions are recorded here and materialized into the report's
-    /// [`CounterSet`] / [`StateTimeline`] views at the end of the run.
-    log: EventLog,
+    /// The report's telemetry, recorded as records are applied: the
+    /// counters, the queue-depth series (see [`Fleet::push_depth`]) and
+    /// the breaker, down, scaling and ladder transitions in journal order,
+    /// which [`Fleet::apply`] keeps in time order.
+    counters: CounterSet,
+    depth: DepthSeries,
+    timeline: StateTimeline,
     /// batch id → job id → result hash; filled by the real execution at
     /// dispatch, by `apply(Completed)` during replay (journaled completions
     /// never re-execute), or by one pure re-execution of a batch a replayed
@@ -492,6 +496,9 @@ pub struct Fleet {
     /// Virtual time of the current event (of the last applied record
     /// during replay): where a resume re-enters the loop.
     now: f64,
+    /// Virtual time of the last applied record: a record may not precede
+    /// it.
+    applied_t: Option<f64>,
     /// Heartbeat cursor: the tick the last heartbeat belongs to and the
     /// shard index the next one goes to — resume re-enters the heartbeat
     /// sweep exactly where the crash left it.
@@ -589,7 +596,9 @@ impl Fleet {
             open: BTreeSet::new(),
             jobs: Vec::new(),
             shed: Vec::new(),
-            log: EventLog::new(),
+            counters: CounterSet::new(),
+            depth: DepthSeries::new(),
+            timeline: StateTimeline::new(),
             hash_cache: BTreeMap::new(),
             stage_seconds: BTreeMap::new(),
             corruption_x: BTreeSet::new(),
@@ -599,6 +608,7 @@ impl Fleet {
             next_batch: 0,
             arrival_cursor: 0,
             now: 0.0,
+            applied_t: None,
             hb_tick: None,
             hb_from: 0,
             degrade_t: None,
@@ -633,7 +643,7 @@ impl Fleet {
     /// resume rebuilds it bit for bit.
     fn push_depth(&mut self) {
         let depth: usize = self.shards.iter().map(|s| s.admission.depth()).sum();
-        self.log.push_gauge("queue.depth", self.now, depth as u64);
+        self.depth.record(self.now, depth);
     }
 
     fn decide(&mut self, class: GeometryClass, nbnd: usize) -> Placement {
@@ -693,9 +703,20 @@ impl Fleet {
     ///
     /// # Errors
     /// [`ServeError::Journal`] when the record contradicts the state it is
-    /// applied to — a corrupt or desynced journal.
+    /// applied to — a corrupt or desynced journal, or a record earlier
+    /// than the one applied before it.
     fn apply(&mut self, rec: &Record) -> Result<(), ServeError> {
-        self.now = rec.t_s();
+        let t = rec.t_s();
+        // A NaN time is as out of order as an earlier one.
+        let reversed = |last: &f64| t.partial_cmp(last).is_none_or(|o| o.is_lt());
+        if let Some(last) = self.applied_t.filter(reversed) {
+            return Err(ServeError::Journal(format!(
+                "record at t={t} s follows one at t={last} s: {}",
+                rec.encode()
+            )));
+        }
+        self.applied_t = Some(t);
+        self.now = t;
         match rec {
             Record::Accepted { req, key, shard } => {
                 let s = self.shard_index(*shard)?;
@@ -724,7 +745,7 @@ impl Fleet {
                 self.open.insert(req.id);
                 self.shards[s].admission.push_back(*req);
                 self.arrival_cursor += 1;
-                self.log.push_counter("fleet.accepted", 1);
+                self.counters.add("fleet.accepted", 1);
                 self.push_depth();
             }
             Record::Shed { req, kind } => {
@@ -737,8 +758,8 @@ impl Fleet {
                         expect.id, req.id
                     )));
                 }
-                self.log.push_counter(&format!("shed.{kind}"), 1);
-                self.log.push_counter(&format!("shed.tenant.{}", req.tenant), 1);
+                self.counters.add(&format!("shed.{kind}"), 1);
+                self.counters.add(&format!("shed.tenant.{}", req.tenant), 1);
                 self.shed.push((*req, kind.clone()));
                 self.arrival_cursor += 1;
                 self.push_depth();
@@ -753,7 +774,7 @@ impl Fleet {
                 );
                 self.shards[s].pending = Some(*batch);
                 self.next_batch = self.next_batch.max(batch + 1);
-                self.log.push_counter("fleet.batches", 1);
+                self.counters.add("fleet.batches", 1);
                 self.push_depth();
             }
             Record::Started {
@@ -813,7 +834,8 @@ impl Fleet {
                     hash: *hash,
                     deadline_met: latency_s <= req.deadline.budget_s(),
                 });
-                self.log.push_counter(&format!("served.tenant.{}", req.tenant), 1);
+                self.counters
+                    .add(&format!("served.tenant.{}", req.tenant), 1);
                 self.makespan = self.makespan.max(*done_s);
                 self.remove_member(*shard, *batch, *job);
             }
@@ -840,41 +862,41 @@ impl Fleet {
                         }
                     }
                 }
-                self.log.push_counter("fleet.suppressed", 1);
+                self.counters.add("fleet.suppressed", 1);
                 self.remove_member(*shard, *batch, *job);
             }
             Record::CorruptionDetected { shard, batch, detections, t_s } => {
                 let s = self.shard_index(*shard)?;
                 self.corruption_x.insert(*batch);
                 self.shards[s].corruptions += detections;
-                self.log.push_counter("fleet.corruption.detected", *detections);
+                self.counters.add("fleet.corruption.detected", *detections);
                 if let Some(state) = self.shards[s].breaker.on_corruption(tick_at(self.now)) {
-                    self.log.push_state(*t_s, *shard, state);
-                    self.log.push_counter(&format!("fleet.breaker.{state}"), 1);
+                    self.timeline.record(*t_s, *shard, state);
+                    self.counters.add(&format!("fleet.breaker.{state}"), 1);
                 }
             }
             Record::Recomputed { shard, batch, rollbacks, .. } => {
                 self.shard_index(*shard)?;
                 self.corruption_r.insert(*batch);
-                self.log.push_counter("fleet.corruption.recomputed", *rollbacks);
+                self.counters.add("fleet.corruption.recomputed", *rollbacks);
             }
             Record::Heartbeat { shard, tick, t_s, ok } => {
                 let s = self.shard_index(*shard)?;
                 self.hb_tick = Some(*tick);
                 self.hb_from = s + 1;
                 let hb = if *ok { "fleet.heartbeat.ok" } else { "fleet.heartbeat.miss" };
-                self.log.push_counter(hb, 1);
+                self.counters.add(hb, 1);
                 if let Some(state) = self.shards[s].breaker.on_heartbeat(*ok, *tick) {
-                    self.log.push_state(*t_s, *shard, state);
-                    self.log.push_counter(&format!("fleet.breaker.{state}"), 1);
+                    self.timeline.record(*t_s, *shard, state);
+                    self.counters.add(&format!("fleet.breaker.{state}"), 1);
                 }
             }
             Record::ShardDown { shard, t_s } => {
                 let s = self.shard_index(*shard)?;
                 self.shards[s].down = true;
                 self.ring.remove(*shard);
-                self.log.push_state(*t_s, *shard, "down");
-                self.log.push_counter("fleet.shard_down", 1);
+                self.timeline.record(*t_s, *shard, "down");
+                self.counters.add("fleet.shard_down", 1);
                 // Drain everything the shard still owes: its queue, a
                 // batch formed but not started, and the executing batch.
                 let mut drain: Vec<u64> = self.shards[s]
@@ -929,7 +951,7 @@ impl Fleet {
                     ServeError::Journal(format!("job {job} failed over but never accepted"))
                 })?;
                 self.shards[t].admission.restore_front(req);
-                self.log.push_counter("fleet.failover.jobs", 1);
+                self.counters.add("fleet.failover.jobs", 1);
                 self.push_depth();
             }
             Record::Degraded { level, t_s } => {
@@ -938,8 +960,10 @@ impl Fleet {
                 })?;
                 self.ladder.set_level(lvl);
                 self.degrade_t = Some(*t_s);
-                self.log.push_counter(&format!("fleet.degrade.{}", lvl.name()), 1);
-                self.log.push_state(*t_s, self.cfg.shards as u32, lvl.name());
+                self.counters
+                    .add(&format!("fleet.degrade.{}", lvl.name()), 1);
+                self.timeline
+                    .record(*t_s, self.cfg.shards as u32, lvl.name());
             }
             Record::ScaleUp { shard, t_s } => {
                 let s = self.shard_index(*shard)?;
@@ -957,8 +981,8 @@ impl Fleet {
                 self.warm_until[s] =
                     tick_at(self.now) + self.cfg.autoscale.map_or(1, |a| a.warmup_ticks.max(1));
                 self.scale_t = Some(*t_s);
-                self.log.push_counter("fleet.scale.up", 1);
-                self.log.push_state(*t_s, *shard, "warming");
+                self.counters.add("fleet.scale.up", 1);
+                self.timeline.record(*t_s, *shard, "warming");
             }
             Record::ScaleDown { shard, t_s } => {
                 let s = self.shard_index(*shard)?;
@@ -978,8 +1002,8 @@ impl Fleet {
                 self.active[s] = false;
                 self.ring.remove(*shard);
                 self.scale_t = Some(*t_s);
-                self.log.push_counter("fleet.scale.down", 1);
-                self.log.push_state(*t_s, *shard, "standby");
+                self.counters.add("fleet.scale.down", 1);
+                self.timeline.record(*t_s, *shard, "standby");
             }
             Record::Stolen { from, to, batch, .. } => {
                 let f = self.shard_index(*from)?;
@@ -999,7 +1023,7 @@ impl Fleet {
                 }
                 self.shards[f].pending = None;
                 self.shards[t].pending = Some(*batch);
-                self.log.push_counter("fleet.steal", 1);
+                self.counters.add("fleet.steal", 1);
             }
         }
         Ok(())
@@ -1023,12 +1047,12 @@ impl Fleet {
             let range = &run.output.bands[m.band_start..m.band_start + m.request.bands];
             entry.insert(m.request.id, band_hash(range));
         }
-        self.log.push_counter("fleet.exec.batch", 1);
-        self.log.push_counter("recovery.retries", run.retries);
-        self.log.push_counter("recovery.rollbacks", run.rollbacks);
-        self.log.push_counter("recovery.evictions", run.evictions);
+        self.counters.add("fleet.exec.batch", 1);
+        self.counters.add("recovery.retries", run.retries);
+        self.counters.add("recovery.rollbacks", run.rollbacks);
+        self.counters.add("recovery.evictions", run.evictions);
         if run.escalated {
-            self.log.push_counter("escalations", 1);
+            self.counters.add("escalations", 1);
         }
         for (stage, _, seconds) in stage_profile(&run.output.trace) {
             *self.stage_seconds.entry(stage).or_insert(0.0) += seconds;
@@ -1495,7 +1519,7 @@ impl Fleet {
                 .sum();
             depth as f64 / (admitting.len() * self.cfg.serve.admission.queue_cap) as f64
         };
-        let started = self.log.counter_total("fleet.batches");
+        let started = self.counters.get("fleet.batches");
         let corruption = if started == 0 {
             0.0
         } else {
@@ -1615,10 +1639,6 @@ impl Fleet {
 
     fn into_report(mut self) -> Result<FleetReport, ServeError> {
         let conservation = self.journal.conservation()?;
-        let telemetry = |e| ServeError::Journal(format!("telemetry log: {e}"));
-        let counters = self.log.counters().map_err(telemetry)?;
-        let depth = self.log.gauge("queue.depth").map_err(telemetry)?;
-        let timeline = self.log.state_timeline().map_err(telemetry)?;
         let batches: Vec<FleetBatch> = std::mem::take(&mut self.batch_info)
             .into_iter()
             .filter_map(|(id, info)| {
@@ -1639,9 +1659,9 @@ impl Fleet {
             jobs: self.jobs,
             shed: self.shed,
             batches,
-            counters,
-            depth,
-            timeline,
+            counters: self.counters,
+            depth: self.depth,
+            timeline: self.timeline,
             stage_seconds: self.stage_seconds,
             why,
             journal: self.journal,
@@ -1794,6 +1814,28 @@ mod tests {
             .position(|r| matches!(r, Record::Batched { .. }))
             .expect("a batch formed");
         assert_resumes(&full, &reqs, &cfg, &[0, batched + 1, n / 3, 2 * n / 3, n - 1, n]);
+    }
+
+    #[test]
+    fn time_reversed_record_is_a_journal_error() {
+        // A prefix ending in a `Batched` record stamped before the record
+        // ahead of it: the resume reports a corrupt journal instead of
+        // panicking in the queue-depth series.
+        let reqs = trace(7, 40.0);
+        let cfg = FleetConfig::default();
+        let full = run_fleet(&reqs, &cfg).expect("fleet");
+        let records = full.journal.records();
+        let k = (1..records.len())
+            .find(|&k| matches!(records[k], Record::Batched { .. }))
+            .expect("a batch formed");
+        let mut rec = records[k].clone();
+        if let Record::Batched { t_s, .. } = &mut rec {
+            *t_s = records[k - 1].t_s() - 1e-3;
+        }
+        let mut prefix = full.journal.prefix(k);
+        prefix.append(rec);
+        let err = resume_fleet(&prefix, &reqs, &cfg).expect_err("time-reversed journal");
+        assert!(matches!(err, ServeError::Journal(_)), "{err:?}");
     }
 
     #[test]

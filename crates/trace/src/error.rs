@@ -1,16 +1,16 @@
-//! Typed errors for the trace crate — decoding a columnar log and schema
-//! lookups are fallible and must not panic the analysis pipeline.
+//! Typed errors for the trace crate — decoding a columnar log is fallible
+//! and must not panic the analysis pipeline.
 
 use std::fmt;
 
-/// Error type for columnar-log encoding/decoding and query lookups.
+/// Error type for decoding a columnar log.
 #[derive(Debug)]
 pub enum TraceError {
     /// The byte stream is not a valid columnar log (bad magic, truncated
     /// varint, out-of-range dictionary id, …).
     Decode(String),
-    /// A query referenced a stream or column the log does not carry, or the
-    /// column has the wrong type.
+    /// The log's header names a stream or column, or gives a column a
+    /// type, that the fixed schema does not.
     Schema(String),
 }
 

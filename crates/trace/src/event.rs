@@ -54,7 +54,7 @@ impl StateClass {
         }
     }
 
-    /// Stable numeric code used by the columnar event log.
+    /// Stable numeric code used by the columnar wire format.
     pub fn code(self) -> u32 {
         match self {
             StateClass::PsiPrep => 0,
@@ -132,7 +132,7 @@ impl CommOp {
         CommOp::SendRecv,
     ];
 
-    /// Stable numeric code used by the columnar event log.
+    /// Stable numeric code used by the columnar wire format.
     pub fn code(self) -> u32 {
         match self {
             CommOp::Alltoall => 0,

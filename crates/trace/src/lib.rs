@@ -6,20 +6,19 @@
 //!
 //! * [`event`] — record types: compute bursts with instruction/cycle
 //!   counters, MPI calls with communicator/byte info, task lifecycles;
-//! * [`columnar`] — the columnar [`EventLog`]: the encode/decode/query
-//!   format of a finished trace (self-describing binary encoding), and the
-//!   serving supervisor's own log;
-//! * [`query`] — offline aggregation over the log (per-stage and
-//!   per-class rollups, group-bys, weighted time windows, the CSV
-//!   summary);
-//! * [`trace`] — the trace container and the thread-safe [`TraceSink`],
-//!   the collector the execution engines record through, one buffer per
-//!   recording thread;
+//! * [`trace`] — the run's one [`Trace`] and the thread-safe
+//!   [`TraceSink`], the collector the execution engines record through,
+//!   one buffer per recording thread;
+//! * [`columnar`] — [`EventLog`], the trace's self-describing columnar
+//!   wire format (encode, and a decode that validates every byte);
+//! * [`query`] — offline aggregation over a trace (weighted time windows,
+//!   the CSV summary of a decoded log);
 //! * [`pop`] — the multiplicative efficiency model of Tables I and II;
 //! * [`timeline`] — ASCII/CSV timelines (Fig. 3, Fig. 7 left);
 //! * [`histogram`] — IPC × duration histograms (Fig. 7 right);
 //! * [`metrics`] — service-level metrics for the job-serving subsystem
-//!   (exact latency quantiles, queue-depth series, labelled counters);
+//!   (exact latency quantiles, queue-depth series, labelled counters,
+//!   state timelines), which the fleet supervisor records into directly;
 //! * [`table`] — paper-style table and bar-chart rendering;
 //! * [`paraver`] — export to the actual Paraver `.prv`/`.pcf`/`.row` format
 //!   so traces open in the BSC tool the paper used.

@@ -10,7 +10,6 @@
 //! set (serving traces are small enough), not from a sketch.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// An exact quantile estimator over an explicit sample set.
 #[derive(Debug, Clone, Default)]
@@ -109,16 +108,6 @@ impl DepthSeries {
         self.points.push((t, depth));
     }
 
-    /// Number of recorded points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Largest recorded value (0 for an empty series).
     pub fn max(&self) -> usize {
         self.points.iter().map(|&(_, d)| d).max().unwrap_or(0)
@@ -163,11 +152,6 @@ impl CounterSet {
         *self.counts.entry(key.to_string()).or_insert(0) += n;
     }
 
-    /// Increments the counter `key` by one.
-    pub fn inc(&mut self, key: &str) {
-        self.add(key, 1);
-    }
-
     /// Current value of `key` (0 when never touched).
     pub fn get(&self, key: &str) -> u64 {
         self.counts.get(key).copied().unwrap_or(0)
@@ -185,15 +169,6 @@ impl CounterSet {
     /// All `(label, value)` pairs in label order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counts.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// CSV rendering (`counter,value` rows in label order).
-    pub fn csv(&self) -> String {
-        let mut out = String::from("counter,value\n");
-        for (k, v) in self.iter() {
-            let _ = writeln!(out, "{k},{v}");
-        }
-        out
     }
 }
 
@@ -222,34 +197,6 @@ impl StateTimeline {
         self.events.push((t, lane, state.to_string()));
     }
 
-    /// Number of recorded transitions.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// All transitions, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u32, &str)> + '_ {
-        self.events.iter().map(|(t, l, s)| (*t, *l, s.as_str()))
-    }
-
-    /// Transitions of one lane, oldest first.
-    pub fn lane(&self, lane: u32) -> impl Iterator<Item = (f64, &str)> + '_ {
-        self.events
-            .iter()
-            .filter(move |&&(_, l, _)| l == lane)
-            .map(|(t, _, s)| (*t, s.as_str()))
-    }
-
-    /// How many transitions entered `state` (across all lanes).
-    pub fn count(&self, state: &str) -> usize {
-        self.events.iter().filter(|(_, _, s)| s == state).count()
-    }
-
     /// The state of `lane` at the end of the timeline, if it ever
     /// transitioned.
     pub fn last_state(&self, lane: u32) -> Option<&str> {
@@ -258,15 +205,6 @@ impl StateTimeline {
             .rev()
             .find(|&&(_, l, _)| l == lane)
             .map(|(_, _, s)| s.as_str())
-    }
-
-    /// CSV rendering (`t_s,lane,state` rows in time order).
-    pub fn csv(&self) -> String {
-        let mut out = String::from("t_s,lane,state\n");
-        for (t, lane, state) in &self.events {
-            let _ = writeln!(out, "{t:.6},{lane},{state}");
-        }
-        out
     }
 }
 
@@ -277,19 +215,14 @@ mod tests {
     #[test]
     fn state_timeline_records_and_queries() {
         let mut tl = StateTimeline::new();
-        assert!(tl.is_empty());
+        assert_eq!(tl.last_state(0), None);
         tl.record(0.0, 0, "closed");
         tl.record(0.5, 1, "open");
         tl.record(0.7, 1, "half_open");
         tl.record(0.9, 1, "closed");
-        assert_eq!(tl.len(), 4);
-        assert_eq!(tl.count("closed"), 2);
+        assert_eq!(tl.last_state(0), Some("closed"));
         assert_eq!(tl.last_state(1), Some("closed"));
         assert_eq!(tl.last_state(7), None);
-        assert_eq!(tl.lane(1).count(), 3);
-        let csv = tl.csv();
-        assert!(csv.starts_with("t_s,lane,state"));
-        assert_eq!(csv.lines().count(), 5);
     }
 
     #[test]
@@ -356,18 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_render() {
+    fn counters_accumulate() {
         let mut c = CounterSet::new();
-        c.inc("tenant0.accepted");
+        c.add("tenant0.accepted", 1);
         c.add("tenant0.accepted", 2);
-        c.inc("tenant1.shed");
+        c.add("tenant1.shed", 1);
         assert_eq!(c.get("tenant0.accepted"), 3);
         assert_eq!(c.get("missing"), 0);
         assert_eq!(c.sum_prefix("tenant"), 4);
         assert_eq!(c.sum_prefix("tenant1"), 1);
-        let csv = c.csv();
-        assert!(csv.starts_with("counter,value\n"));
-        assert!(csv.contains("tenant0.accepted,3"));
         // Deterministic label order.
         let labels: Vec<&str> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(labels, vec!["tenant0.accepted", "tenant1.shed"]);

@@ -161,11 +161,18 @@ impl StageHistogram {
 
 /// Per-stage time rollup of one trace: `(stage id, span count, total
 /// seconds)` ascending by stage id — the POP-style profile over the stage
-/// graph instead of over state classes. Implemented as a columnar query
-/// ([`crate::query::stage_rollup`]) over the log form of the trace.
+/// graph instead of over state classes. A span that ends before it starts
+/// counts zero seconds.
 pub fn stage_profile(trace: &Trace) -> Vec<(u32, usize, f64)> {
-    crate::query::stage_rollup(&crate::columnar::EventLog::from_trace(trace))
-        .unwrap_or_default()
+    let mut acc: BTreeMap<u32, (usize, f64)> = BTreeMap::new();
+    for r in &trace.stages {
+        let e = acc.entry(r.stage).or_insert((0, 0.0));
+        e.0 += 1;
+        e.1 += r.duration().max(0.0);
+    }
+    acc.into_iter()
+        .map(|(stage, (n, secs))| (stage, n, secs))
+        .collect()
 }
 
 #[cfg(test)]
@@ -216,10 +223,10 @@ mod tests {
         t.stages.push(span(2, 0, 0.0, 1.0));
         t.stages.push(span(2, 1, 1.0, 1.5));
         t.stages.push(span(0, 0, 0.0, 0.25));
+        // A span that ends before it starts counts zero seconds.
+        t.stages.push(span(0, 1, 1.0, 0.5));
         let p = stage_profile(&t);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p[0].0, 0);
-        assert_eq!(p[1], (2, 2, 1.5));
+        assert_eq!(p, vec![(0, 2, 0.25), (2, 2, 1.5)]);
     }
 
     #[test]

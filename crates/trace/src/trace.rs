@@ -5,9 +5,9 @@
 //! merges them after the run: [`TraceSink`] keeps one typed record buffer
 //! per recording thread, so recording is a `Vec` push under a lock no other
 //! thread of a kernel call takes, and [`TraceSink::finish`] concatenates
-//! and sorts the buffers into a [`Trace`]. The columnar
-//! [`crate::columnar::EventLog`] is the encode/decode/query format, built
-//! from a finished trace by [`crate::columnar::EventLog::from_trace`].
+//! and sorts the buffers into a [`Trace`]. A run has this one trace: every
+//! exporter and query reads it, and [`crate::columnar::EventLog`] is its
+//! binary wire format.
 
 use crate::event::{CommRecord, ComputeRecord, Lane, StateClass, TaskRecord};
 use crate::lane_ctx::thread_slot;
@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A complete trace of one execution.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Trace {
     /// Compute bursts.
     pub compute: Vec<ComputeRecord>,

@@ -1,99 +1,80 @@
-//! Round-trip properties of the columnar event log:
+//! Round-trip properties of the columnar wire format of a [`Trace`]:
 //!
-//! * `decode(encode_chunked(log, c)) == log` for any event mix and any
+//! * `decode(encode_chunked(log, c)) == log` for any record mix and any
 //!   chunk size, including chunk sizes that straddle row counts (1, 2, 3,
-//!   the default 512),
+//!   7, 511, the default 512, 513);
 //! * the encoding is canonical: re-encoding a decoded log reproduces the
-//!   bytes exactly,
-//! * the string dictionary survives arbitrary growth (every task label /
-//!   counter key distinct) and the derived counter index is rebuilt to the
-//!   same totals,
-//! * a log round-tripped through `Trace` (the row-structured view) yields
-//!   the same downstream event streams.
+//!   bytes exactly;
+//! * the label dictionary survives arbitrary growth (every task label
+//!   distinct);
+//!
+//! and the totality of `decode`: random bytes, truncated encodings and
+//! encodings with mutated bytes each decode to a log or a typed error,
+//! never a panic, and a log decoded from any bytes encodes canonically.
 
 use fftx_trace::columnar::EventLog;
-use fftx_trace::{CommOp, CommRecord, ComputeRecord, Lane, StageRecord, StateClass, TaskRecord};
+use fftx_trace::{
+    CommOp, CommRecord, ComputeRecord, Lane, StageRecord, StateClass, TaskRecord, Trace,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-/// One abstract event, drawn from every stream the log knows.
-#[derive(Clone, Debug)]
-enum Ev {
-    Compute(u8, u8, u8, f64, f64),
-    Comm(u8, u8, u8, u64, u16, u32, f64),
-    Task(u8, u8, u64, u32, f64),
-    Stage(u8, u8, u8, u8, f64),
-    Counter(u32, u64),
-    Gauge(u8, f64, u64),
-    State(f64, u8, u8),
-}
-
-fn apply(log: &mut EventLog, ev: &Ev) {
-    match *ev {
-        Ev::Compute(rank, thread, class, t, dur) => log.push_compute(&ComputeRecord {
-            lane: Lane::new(rank as usize, thread as usize),
-            class: StateClass::from_code(class as u32 % 8).unwrap(),
-            t_start: t,
-            t_end: t + dur.abs(),
-            instructions: dur * 1.0e9,
-            cycles: dur * 1.4e9,
-        }),
-        Ev::Comm(rank, thread, op, comm_id, comm_size, bytes, t) => log.push_comm(&CommRecord {
-            lane: Lane::new(rank as usize, thread as usize),
-            op: CommOp::from_code(op as u32 % 7).unwrap(),
-            comm_id,
-            comm_size: comm_size as usize,
-            bytes: bytes as usize,
-            t_start: t,
-            t_end: t + 1.5e-4,
-        }),
-        Ev::Task(rank, thread, id, label, t) => log.push_task(&TaskRecord {
-            lane: Lane::new(rank as usize, thread as usize),
-            task_id: id,
-            label: format!("task-{label}"),
-            t_created: t,
-            t_start: t + 1e-6,
-            t_end: t + 2e-6,
-        }),
-        Ev::Stage(rank, thread, stage, band, t) => log.push_stage(&StageRecord {
-            lane: Lane::new(rank as usize, thread as usize),
-            stage: stage as u32,
-            band: band as u32,
-            t_start: t,
-            t_end: t + 3e-5,
-        }),
-        Ev::Counter(key, n) => log.push_counter(&format!("counter.key{key}"), n),
-        Ev::Gauge(series, t, v) => log.push_gauge(&format!("g{series}"), t, v),
-        Ev::State(t, lane, s) => log.push_state(t, lane as u32, &format!("s{s}")),
-    }
-}
-
-fn ev_strategy() -> impl Strategy<Value = Ev> {
-    (
-        0u8..7,
-        0u8..8,
-        0u8..8,
+/// A trace of fewer than `max` records, drawn from every stream.
+fn trace_strategy(max: usize) -> impl Strategy<Value = Trace> {
+    let record = (
+        0u8..4,
+        0usize..8,
+        0usize..8,
         0u32..10_000,
         0u64..u64::MAX / 2,
         0.0f64..100.0,
         0.0f64..0.5,
-    )
-        .prop_map(|(kind, a, b, big, huge, t, dur)| match kind {
-            0 => Ev::Compute(a, b, (big % 8) as u8, t, dur),
-            1 => Ev::Comm(a, b, (big % 7) as u8, huge, (big % 512) as u16, big, t),
-            2 => Ev::Task(a, b, huge, big, t),
-            3 => Ev::Stage(a, b, (big % 64) as u8, (big % 128) as u8, t),
-            4 => Ev::Counter(big, huge % 1_000_000),
-            5 => Ev::Gauge(a, t, huge % 4096),
-            _ => Ev::State(t, a, b),
-        })
+    );
+    proptest::collection::vec(record, 0..max).prop_map(|records| {
+        let mut t = Trace::default();
+        for (kind, rank, thread, big, huge, t_start, dur) in records {
+            let lane = Lane::new(rank, thread);
+            match kind {
+                0 => t.compute.push(ComputeRecord {
+                    lane,
+                    class: StateClass::ALL[big as usize % 8],
+                    t_start,
+                    t_end: t_start + dur,
+                    instructions: dur * 1.0e9,
+                    cycles: dur * 1.4e9,
+                }),
+                1 => t.comm.push(CommRecord {
+                    lane,
+                    op: CommOp::ALL[big as usize % 7],
+                    comm_id: huge,
+                    comm_size: big as usize % 512,
+                    bytes: big as usize,
+                    t_start,
+                    t_end: t_start + 1.5e-4,
+                }),
+                2 => t.tasks.push(task(lane, huge, big, t_start)),
+                _ => t.stages.push(StageRecord {
+                    lane,
+                    stage: big % 64,
+                    band: big % 128,
+                    t_start,
+                    t_end: t_start + 3e-5,
+                }),
+            }
+        }
+        t
+    })
 }
 
-fn build(events: &[Ev]) -> EventLog {
-    let mut log = EventLog::new();
-    for ev in events {
-        apply(&mut log, ev);
+fn task(lane: Lane, task_id: u64, label: u32, t_created: f64) -> TaskRecord {
+    TaskRecord {
+        lane,
+        task_id,
+        label: format!("task-{label}"),
+        t_created,
+        t_start: t_created + 1e-6,
+        t_end: t_created + 2e-6,
     }
-    log
 }
 
 proptest! {
@@ -101,11 +82,11 @@ proptest! {
 
     #[test]
     fn encode_decode_round_trips_any_event_mix(
-        events in proptest::collection::vec(ev_strategy(), 0..200),
-        chunk_sel in 0usize..4,
+        trace in trace_strategy(200),
+        chunk_sel in 0usize..7,
     ) {
-        let log = build(&events);
-        let chunk = [1usize, 2, 3, 512][chunk_sel];
+        let log = EventLog::from_trace(&trace);
+        let chunk = [1usize, 2, 3, 7, 511, 512, 513][chunk_sel];
         let bytes = log.encode_chunked(chunk);
         let decoded = EventLog::decode(&bytes).expect("decode");
         prop_assert_eq!(&decoded, &log);
@@ -114,67 +95,64 @@ proptest! {
     }
 
     #[test]
-    fn chunk_size_does_not_change_the_decoded_log(
-        events in proptest::collection::vec(ev_strategy(), 1..150),
-    ) {
-        let log = build(&events);
-        let via_default = EventLog::decode(&log.encode()).expect("default");
-        for chunk in [1usize, 2, 3, 7, 511, 512, 513] {
-            let via_chunk = EventLog::decode(&log.encode_chunked(chunk)).expect("chunked");
-            prop_assert_eq!(&via_chunk, &via_default);
-        }
-    }
-
-    #[test]
-    fn counter_index_is_rebuilt_from_the_wire(
-        keys in proptest::collection::vec((0u32..40, 1u64..1000), 1..120),
-    ) {
-        let mut log = EventLog::new();
-        let mut expect = std::collections::BTreeMap::new();
-        for &(k, n) in &keys {
-            let key = format!("counter.key{k}");
-            *expect.entry(key.clone()).or_insert(0u64) += n;
-            log.push_counter(&key, n);
-        }
-        let decoded = EventLog::decode(&log.encode_chunked(3)).expect("decode");
-        for (key, total) in &expect {
-            prop_assert_eq!(decoded.counter_total(key), *total);
-        }
-        prop_assert_eq!(decoded.counter_prefix_total("counter."),
-            expect.values().sum::<u64>());
-    }
-
-    #[test]
     fn dictionary_growth_survives_round_trip(
-        n in 1usize..400,
+        n in 1u32..400,
     ) {
-        // Every label distinct: the dictionary grows one entry per push.
-        let mut log = EventLog::new();
-        for i in 0..n {
-            log.push_state(i as f64, 0, &format!("unique-state-{i}"));
-        }
+        // Every label distinct: the dictionary grows one entry per task.
+        let tasks = (0..n).map(|i| task(Lane::new(0, 0), i.into(), i, i.into())).collect();
+        let log = EventLog::from_trace(&Trace { tasks, ..Trace::default() });
         let decoded = EventLog::decode(&log.encode_chunked(2)).expect("decode");
-        prop_assert_eq!(decoded.dict_len(), log.dict_len());
         prop_assert_eq!(&decoded, &log);
+        prop_assert_eq!(decoded.trace().tasks.len(), n as usize);
     }
 
     #[test]
-    fn trace_view_round_trips_event_streams(
-        events in proptest::collection::vec(ev_strategy(), 0..120),
+    fn random_bytes_never_panic(
+        body in proptest::collection::vec(any::<u8>(), 0..512),
+        framed in any::<bool>(),
     ) {
-        // Keep only streams Trace models (compute/comm/task/stage).
-        let events: Vec<Ev> = events
-            .into_iter()
-            .filter(|e| matches!(e, Ev::Compute(..) | Ev::Comm(..) | Ev::Task(..) | Ev::Stage(..)))
-            .collect();
-        let log = build(&events);
-        let trace = log.to_trace().expect("to_trace");
-        let back = EventLog::from_trace(&trace);
-        let t2 = back.to_trace().expect("to_trace again");
-        prop_assert_eq!(trace.compute.len(), t2.compute.len());
-        prop_assert_eq!(&trace.compute, &t2.compute);
-        prop_assert_eq!(&trace.comm, &t2.comm);
-        prop_assert_eq!(&trace.tasks, &t2.tasks);
-        prop_assert_eq!(&trace.stages, &t2.stages);
+        // Framed inputs carry a valid magic and version, so the decoder
+        // reads on into the header.
+        let mut bytes = if framed { b"FXCL\x02".to_vec() } else { Vec::new() };
+        bytes.extend_from_slice(&body);
+        check_total(&bytes)?;
     }
+
+    #[test]
+    fn truncated_encodings_are_errors(
+        trace in trace_strategy(60),
+        chunk_sel in 0usize..3,
+        cut in any::<usize>(),
+    ) {
+        let bytes = EventLog::from_trace(&trace).encode_chunked([1usize, 3, 512][chunk_sel]);
+        let cut = cut % bytes.len();
+        prop_assert!(EventLog::decode(&bytes[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+    }
+
+    #[test]
+    fn mutated_encodings_never_panic(
+        trace in trace_strategy(60),
+        chunk_sel in 0usize..3,
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut bytes = EventLog::from_trace(&trace).encode_chunked([1usize, 3, 512][chunk_sel]);
+        for (at, b) in edits {
+            let i = at % bytes.len();
+            bytes[i] = b;
+        }
+        check_total(&bytes)?;
+    }
+}
+
+/// `decode` returns a value or a typed error (a panic fails the property
+/// by itself), and a decoded log re-encodes to bytes that decode back to
+/// the same bytes. Bytes, not logs, are compared: a mutation can make a
+/// NaN, which no log equals.
+fn check_total(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(log) = EventLog::decode(bytes) {
+        let canonical = log.encode();
+        let again = EventLog::decode(&canonical).expect("a canonical encoding decodes");
+        prop_assert_eq!(again.encode(), canonical);
+    }
+    Ok(())
 }

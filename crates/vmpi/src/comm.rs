@@ -37,7 +37,6 @@ use fftx_fault::MessagePlan;
 use fftx_trace::{current_thread, CommOp, CommRecord, Lane};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -904,38 +903,46 @@ impl Communicator {
 
     /// Splits the communicator: ranks passing the same `color` form a new
     /// communicator, ordered by `(key, old index)` — `MPI_Comm_split`.
+    ///
+    /// The new communicator's id is a hash of this communicator's id, the
+    /// split's sequence number on it and the colour. Every member issues
+    /// its splits in the same order, so all members of a colour agree on
+    /// the id, and it does not depend on when concurrent splits of other
+    /// communicators complete. The hash lands in `1..=2^62`: never the
+    /// world's 0, never a [`Communicator::shrink`] id (bit 63 set).
     pub fn split(&self, color: u64, key: usize) -> Communicator {
         let size = self.size();
-        let shared = Arc::clone(&self.shared);
         let ranks = Arc::clone(&self.ranks);
-        let (new_id, members, my_index) = self.collective(
-            CollKind::Split,
-            0,
-            (color, key),
-            move |contribs: Vec<(u64, usize)>| {
-                // Group indices by color.
-                let mut colors: Vec<u64> = contribs.iter().map(|c| c.0).collect();
-                colors.sort_unstable();
-                colors.dedup();
-                // Allocate one fresh id per color, deterministically ordered.
-                let base = shared
-                    .next_comm_id
-                    .fetch_add(colors.len() as u64, Ordering::Relaxed);
-                let mut results: Vec<Option<(u64, Vec<usize>, usize)>> = vec![None; size];
-                for (ci, &col) in colors.iter().enumerate() {
-                    let mut group: Vec<usize> = (0..size).filter(|&i| contribs[i].0 == col).collect();
-                    group.sort_by_key(|&i| (contribs[i].1, i));
-                    let world_members: Vec<usize> = group.iter().map(|&i| ranks[i]).collect();
-                    for (pos, &i) in group.iter().enumerate() {
-                        results[i] = Some((base + ci as u64, world_members.clone(), pos));
+        // The post hook reads the split's sequence number on `self`.
+        let mut seq = 0;
+        let (members, my_index) = self
+            .try_collective_tampered(
+                CollKind::Split,
+                0,
+                (color, key),
+                |_, s| seq = s,
+                move |contribs: Vec<(u64, usize)>| {
+                    let mut colors: Vec<u64> = contribs.iter().map(|c| c.0).collect();
+                    colors.sort_unstable();
+                    colors.dedup();
+                    let mut results = vec![(Vec::new(), 0); size];
+                    for col in colors {
+                        let mut group: Vec<usize> =
+                            (0..size).filter(|&i| contribs[i].0 == col).collect();
+                        group.sort_by_key(|&i| (contribs[i].1, i));
+                        let world_members: Vec<usize> = group.iter().map(|&i| ranks[i]).collect();
+                        for (pos, &i) in group.iter().enumerate() {
+                            results[i] = (world_members.clone(), pos);
+                        }
                     }
-                }
-                results.into_iter().map(|r| r.expect("all grouped")).collect()
-            },
-        );
+                    results
+                },
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+        let h = mix64(mix64(mix64(self.id ^ 0x2C1B_3C6D_9F8E_4A57) ^ seq) ^ color);
         Communicator {
             shared: Arc::clone(&self.shared),
-            id: new_id,
+            id: 1 + (h >> 2),
             ranks: Arc::new(members),
             index: my_index,
             seq: Arc::new(Mutex::new(HashMap::new())),
@@ -992,8 +999,8 @@ impl Communicator {
     /// exactly what a watchdog-agreement protocol would establish; see
     /// DESIGN.md §11. The new communicator id is derived deterministically
     /// from `(old id, dead set, epoch)` in a high-bit namespace disjoint
-    /// from the counter-allocated `split`/`dup` ids, so every survivor
-    /// lands in the same fresh matching space.
+    /// from the `split`/`dup` ids, so every survivor lands in the same
+    /// fresh matching space.
     ///
     /// # Panics
     /// Panics when the caller itself is listed dead or no rank survives.
@@ -1036,21 +1043,10 @@ impl Communicator {
     }
 
     /// Duplicates the communicator into a fresh communication context
-    /// (`MPI_Comm_dup`): same group, independent matching space.
+    /// (`MPI_Comm_dup`): same group, independent matching space — a
+    /// [`Communicator::split`] with one colour.
     pub fn dup(&self) -> Communicator {
-        let size = self.size();
-        let shared = Arc::clone(&self.shared);
-        let new_id = self.collective(CollKind::Dup, 0, (), move |_c: Vec<()>| {
-            let id = shared.next_comm_id.fetch_add(1, Ordering::Relaxed);
-            vec![id; size]
-        });
-        Communicator {
-            shared: Arc::clone(&self.shared),
-            id: new_id,
-            ranks: Arc::clone(&self.ranks),
-            index: self.index,
-            seq: Arc::new(Mutex::new(HashMap::new())),
-        }
+        self.split(0, self.index)
     }
 }
 
@@ -1127,7 +1123,7 @@ fn verify_uniform_chunks<T: Checksum>(
     Ok(())
 }
 
-/// splitmix64 finalizer — derives deterministic shrunk-communicator ids.
+/// splitmix64 finalizer — derives deterministic split and shrink ids.
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

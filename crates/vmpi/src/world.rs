@@ -29,7 +29,7 @@ use fftx_trace::{TraceSink, WallClock};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,7 +73,6 @@ pub(crate) enum CollKind {
     Alltoall,
     Alltoallv,
     Split,
-    Dup,
 }
 
 /// Matching key for collectives: every rank of `comm_id` calling the same
@@ -141,7 +140,6 @@ pub(crate) struct WorldShared {
     pub mail_cv: Condvar,
     pub collectives: Mutex<HashMap<CollKey, CollSlot>>,
     pub coll_cv: Condvar,
-    pub next_comm_id: AtomicU64,
     pub trace: Option<TraceSink>,
     pub clock: WallClock,
     pub timeout: Duration,
@@ -314,7 +312,6 @@ impl World {
             mail_cv: Condvar::new(),
             collectives: Mutex::new(HashMap::new()),
             coll_cv: Condvar::new(),
-            next_comm_id: AtomicU64::new(1),
             trace: self.trace.clone(),
             clock: WallClock::new(),
             timeout: self.timeout,

@@ -295,6 +295,32 @@ fn split_groups_are_independent() {
 }
 
 #[test]
+fn sibling_split_ids_do_not_depend_on_completion_order() {
+    // Two siblings (even and odd world ranks) each split once more. The
+    // sibling named `first` finishes its split before the other starts
+    // (a token from each of its ranks releases the partner rank), so the
+    // children complete in opposite orders in the two runs.
+    let child_ids = |first: usize| {
+        world(4).run(move |comm| {
+            let me = comm.rank();
+            let sibling = comm.split((me % 2) as u64, me);
+            if me % 2 != first {
+                comm.recv::<u8>(me ^ 1, 0);
+            }
+            let child = sibling.split(0, sibling.rank());
+            if me % 2 == first {
+                comm.send(me ^ 1, 0, vec![1u8]);
+            }
+            child.id()
+        })
+    };
+    let ids = child_ids(0);
+    assert_eq!(ids, child_ids(1));
+    assert_eq!((ids[0], ids[1]), (ids[2], ids[3]));
+    assert_ne!(ids[0], ids[1], "the two children share an id");
+}
+
+#[test]
 fn dup_creates_independent_context() {
     let out = world(3).run(|comm| {
         let dup = comm.dup();

@@ -252,7 +252,7 @@ fn main() -> ExitCode {
             }
         };
         match EventLog::decode(&bytes)
-            .and_then(|log| fftxlib_repro::trace::query::summary_csv(&log))
+            .map(|log| fftxlib_repro::trace::query::summary_csv(log.trace()))
         {
             Ok(summary) => {
                 print!("{summary}");
