@@ -229,6 +229,14 @@ fn scenarios() -> Vec<(String, u64)> {
         out.push((format!("prime41/clean/{}/4x1", mode.label()), hp));
     }
 
+    // A 20³ grid (n = 20 = 4·5): the only scenarios whose transforms run
+    // the radix-5 butterfly. The 14³ grids above use radices 2 and 7.
+    for mode in modes {
+        let problem = Problem::with_grid(FftxConfig::small(2, 2, mode), FftGrid::new(20, 20, 20));
+        let (run, _) = run_policy_chaotic(&problem, mode, None);
+        out.push((format!("radix5/clean/{}/2x2", mode.label()), hash_bands(&run.bands)));
+    }
+
     out
 }
 

@@ -319,6 +319,9 @@ impl MixedRadixPlan {
                 4 => {
                     butterfly4(gather, dir.sign(), &mut dst[k..], m);
                 }
+                5 => {
+                    butterfly5(gather, roots, &mut dst[k..], m);
+                }
                 7 => {
                     butterfly7(gather, dir.sign(), &mut dst[k..], m);
                 }
@@ -369,6 +372,24 @@ fn butterfly4<L: Lane>(v: &[L], sign: f64, out: &mut [L], m: usize) {
     out[m] = t1.add(t3);
     out[2 * m] = t0.sub(t2);
     out[3 * m] = t1.sub(t3);
+}
+
+/// Radix-5 butterfly writing outputs at `out[0]`, `out[m]`, …, `out[4m]`:
+/// the generic loop at a fixed radix, in the same op order.
+#[inline(never)]
+fn butterfly5<L: Lane>(v: &[L], roots: &[Complex64], out: &mut [L], m: usize) {
+    for q in 0..5 {
+        let mut acc = L::ZERO;
+        let mut t = 0;
+        for &g in &v[..5] {
+            acc = acc.add(g.mul(roots[t]));
+            t += q;
+            if t >= 5 {
+                t -= 5;
+            }
+        }
+        out[q * m] = acc;
+    }
 }
 
 /// Radix-7 butterfly writing outputs at `out[0]`, `out[m]`, …, `out[6m]`,
