@@ -1,5 +1,6 @@
 //! Real-engine FFT benchmark: correctness and throughput of the native
-//! kernels that every modeled run ultimately prices, and two in-run races:
+//! kernels that every modeled run ultimately prices, and three in-run
+//! races:
 //!
 //! * the lane-batched `cft_2xy_buf`/`cft_1z` against the per-column loop
 //!   they replace, on fixed shapes of the 60³ and 14³ grids (60×60×30
@@ -9,13 +10,18 @@
 //!   `cft_2xy_buf`, on the true rank shapes of the two wall-clock benchmark
 //!   workloads as `Problem::new` lays them out: `dense-slab` has one task
 //!   group, so a rank owns all 60 planes and 621 sticks; `sparse-async`
-//!   ranks own 7 planes and 14 or 15 sticks.
+//!   ranks own 7 planes and 14 or 15 sticks;
+//! * the exchange's chunk checksum `checksum_slice` against a
+//!   `copy_from_slice` of the same 37,260-value chunk (one `dense-slab`
+//!   scatter), since every alltoall hashes each chunk at pack and again at
+//!   unpack.
 //!
 //! Emits `BENCH_fft.json` — the throughput numbers are wall-clock
 //! (volatile, the artifact is structure-checked); the gates sit on
 //! accuracy, on bitwise identity of each raced pair, on the in-run
-//! lane/per-column time ratio of the 60×60×30 xy batch, and on the in-run
-//! stick-aware/whole-plane time ratio of the `dense-slab` rank.
+//! lane/per-column time ratio of the 60×60×30 xy batch, on the in-run
+//! stick-aware/whole-plane time ratio of the `dense-slab` rank, and on the
+//! in-run checksum/memcpy time ratio.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
 use fftx_core::{ExecPlan, FftxConfig, Problem, SchedulerPolicy};
@@ -24,6 +30,7 @@ use fftx_fft::{
     c64, cft_1z, cft_2xy_buf, cft_2xy_sticks, max_dist, naive_dft, scale_in_place, Complex64,
     Direction, Fft, Fft3,
 };
+use fftx_vmpi::checksum_slice;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -310,9 +317,9 @@ fn main() {
     let mut rows = String::from("transform,shape,seconds,mflops\n");
 
     // --- Correctness: every fast path vs the O(n^2) oracle. Sizes cover
-    // the radix kernels (4, 2, 3 and the generic 5; 14 is a radix-7 leaf,
-    // 98 = 2·7·7 a twiddled radix-7 level above one), the mixed-radix path
-    // and Bluestein (prime 127).
+    // the closed-form radices (4, 2, 3 and 5; 125 = 5·5·5 runs twiddled
+    // radix-5 levels; 14 is a radix-7 leaf, 98 = 2·7·7 a twiddled radix-7
+    // level above one), the mixed-radix path and Bluestein (prime 127).
     let mut max_err = 0.0f64;
     for &n in &[8usize, 14, 60, 90, 98, 125, 127, 128, 243] {
         let x = signal(n);
@@ -456,6 +463,31 @@ fn main() {
         ));
     }
 
+    // --- The exchange checksum against a memcpy of the same chunk: every
+    // alltoall hashes each chunk at pack and again at unpack. 37,260
+    // values is one dense-slab scatter chunk (621 sticks x 60 planes).
+    let chunk = signal(37_260);
+    let mut copy = vec![Complex64::ZERO; chunk.len()];
+    let (checksum_s, memcpy_s) = race(
+        15,
+        20,
+        || {
+            black_box(checksum_slice(black_box(&chunk[..])));
+        },
+        || {
+            copy.copy_from_slice(black_box(&chunk[..]));
+            black_box(&mut copy);
+        },
+    );
+    let per_value_ns = |s: f64| s / chunk.len() as f64 * 1e9;
+    let checksum_ratio = checksum_s / memcpy_s;
+    println!(
+        "\nchecksum_slice {} values: {:.3} ns/value | copy_from_slice {:.3} ns/value | ratio {checksum_ratio:.3}",
+        chunk.len(),
+        per_value_ns(checksum_s),
+        per_value_ns(memcpy_s),
+    );
+
     h.artifact("fft.csv", &rows, CheckKind::Structure);
     h.metric_f64("max_norm_err_vs_naive", max_err, 18)
         .metric_f64("roundtrip_err_1d", rt_err, 18)
@@ -492,6 +524,9 @@ fn main() {
             .metric_f64(&format!("cft_2xy_sticks_{key}_time_ratio"), r.ratio(), 3);
     }
     h.metric_bool("sticks_bitwise_equal", sticks.iter().all(|r| r.bitwise));
+    h.metric_f64("checksum_ns_per_value", per_value_ns(checksum_s), 3)
+        .metric_f64("memcpy_ns_per_value", per_value_ns(memcpy_s), 3)
+        .metric_f64("checksum_memcpy_time_ratio", checksum_ratio, 3);
     h.gate(
         "fast 1-D transforms match the naive DFT oracle",
         "max_norm_err_vs_naive",
@@ -533,6 +568,12 @@ fn main() {
         "cft_2xy_sticks_dense_slab_time_ratio",
         GateOp::Le,
         0.9,
+    )
+    .gate(
+        "checksum_slice takes at most 4x a memcpy of the same dense-slab scatter chunk",
+        "checksum_memcpy_time_ratio",
+        GateOp::Le,
+        4.0,
     );
     std::process::exit(h.finish());
 }

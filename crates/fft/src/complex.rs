@@ -245,21 +245,15 @@ impl fmt::Display for Complex64 {
 }
 
 /// Lets `Complex64` buffers travel through the checksummed alltoall family
-/// of `fftx-vmpi`. The element is 128 bits, so the 64-bit wire image folds
-/// the two halves through a splitmix finalizer with distinct salts — a
-/// single-bit flip in either component (or a re/im swap) changes the image
-/// with overwhelming probability.
+/// of `fftx-vmpi`. The element is 128 bits, so the 64-bit wire image is
+/// `re·K ⊕ im` for an odd `K`: a bijection in either component with the
+/// other fixed, so a change confined to one component always changes the
+/// image (and so the chunk checksum), and a re/im swap changes it with
+/// overwhelming probability.
 impl fftx_vmpi::Checksum for Complex64 {
+    #[inline]
     fn image(&self) -> u64 {
-        #[inline]
-        fn mix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        mix(self.re.to_bits() ^ 0xA076_1D64_78BD_642F)
-            .wrapping_add(mix(self.im.to_bits() ^ 0xE703_7ED1_A0B4_28DB))
+        self.re.to_bits().wrapping_mul(0xA076_1D64_78BD_642F) ^ self.im.to_bits()
     }
 
     fn flip_bit(&mut self, bit: u32) {
@@ -388,6 +382,31 @@ mod tests {
     fn display_formats_sign() {
         assert_eq!(format!("{}", c64(1.0, 2.0)), "1+2i");
         assert_eq!(format!("{}", c64(1.0, -2.0)), "1-2i");
+    }
+
+    #[test]
+    fn any_single_bit_flip_changes_the_chunk_checksum() {
+        use fftx_vmpi::{checksum_slice, Checksum};
+        // Lengths 0 to 9 cover all four lanes of the fold and every
+        // remainder; bits 0–63 strike the real part, 64–127 the imaginary.
+        for len in 0..10 {
+            let base: Vec<_> = (0..len)
+                .map(|i| c64(i as f64 * 0.37 - 1.0, (i as f64 * 0.21).cos()))
+                .collect();
+            let sum = checksum_slice(&base);
+            for i in 0..len {
+                for bit in 0..128 {
+                    let mut mutated = base.clone();
+                    mutated[i].flip_bit(bit);
+                    assert_ne!(checksum_slice(&mutated), sum, "bit {bit} of {i} in {len}");
+                }
+                for j in i + 1..len {
+                    let mut swapped = base.clone();
+                    swapped.swap(i, j);
+                    assert_ne!(checksum_slice(&swapped), sum, "swap {i}<->{j} of {len}");
+                }
+            }
+        }
     }
 
     #[test]

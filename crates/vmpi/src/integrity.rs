@@ -12,11 +12,14 @@
 //! and both checksums, *before* the corrupted data reaches the caller's
 //! receive buffer.
 //!
-//! The hash is an FNV/splitmix-style fold over each element's canonical
-//! 64-bit image. It is not cryptographic and does not need to be: the
-//! adversary is a bit flip, not an attacker, and any single-bit change of
-//! the image changes the fold with overwhelming probability (the tests pin
-//! single-bit sensitivity explicitly).
+//! The hash is a four-lane multiply-rotate fold over each element's
+//! canonical 64-bit image: element `i` goes into lane `i mod 4`, and a
+//! splitmix finalizer combines the lanes. It is not cryptographic and does
+//! not need to be: the adversary is a bit flip, not an attacker. Every step
+//! is a bijection in the value that changed, so any change to one
+//! element's image (a single flipped bit, say) always changes the
+//! checksum; the tests pin that for every bit of every element of chunks
+//! of 0 to 9 elements.
 
 /// An element that can travel through a checksummed exchange: it exposes a
 /// canonical 64-bit image for hashing, and a bit-flip primitive so the
@@ -70,7 +73,7 @@ impl Checksum for f32 {
     }
 }
 
-/// splitmix64 finalizer — the per-element mixing step of the chunk fold.
+/// splitmix64 finalizer: combines the four lanes of the chunk fold.
 #[inline]
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -79,16 +82,51 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The chunk checksum: a positional fold of each element's image. Position
-/// matters (a swap of two unequal elements changes the sum) and every
-/// single-bit change of any image changes the result with overwhelming
-/// probability.
+/// Seeds of the four fold lanes; the chunk length is mixed into lane 0's.
+const LANE_SEED: [u64; 4] = [
+    0x1620_43B8_D6F0_5E91,
+    0x6A09_E667_F3BC_C908,
+    0xBB67_AE85_84CA_A73B,
+    0x3C6E_F372_FE94_F82B,
+];
+
+/// Odd per-lane multipliers, so each fold step is a bijection.
+const LANE_K: [u64; 4] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0xD6E8_FEB8_6659_FD93,
+];
+
+/// One fold step of a lane: xor the image in, multiply by the lane's odd
+/// constant, rotate.
+#[inline(always)]
+fn fold(acc: u64, image: u64, k: u64) -> u64 {
+    (acc ^ image).wrapping_mul(k).rotate_left(29)
+}
+
+/// The chunk checksum: element `i` folds into lane `i mod 4`, and the four
+/// lanes are combined through the splitmix finalizer. The four chains are
+/// independent, so they overlap in the pipeline.
+///
+/// Each step is a bijection in the value that changed (xor, multiply by an
+/// odd constant, rotate, finalizer), so a change to one element's image
+/// always changes the checksum. Position matters: a swap of two unequal
+/// elements changes it with overwhelming probability.
 pub fn checksum_slice<T: Checksum>(chunk: &[T]) -> u64 {
-    let mut acc = 0x1620_43B8_D6F0_5E91u64 ^ chunk.len() as u64;
-    for x in chunk {
-        acc = mix(acc ^ x.image());
+    let mut acc = LANE_SEED;
+    acc[0] ^= chunk.len() as u64;
+    let mut quads = chunk.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, x) in quad.iter().enumerate() {
+            acc[lane] = fold(acc[lane], x.image(), LANE_K[lane]);
+        }
     }
-    acc
+    for (lane, x) in quads.remainder().iter().enumerate() {
+        acc[lane] = fold(acc[lane], x.image(), LANE_K[lane]);
+    }
+    let [a0, a1, a2, a3] = acc;
+    mix(a0 ^ mix(a1 ^ mix(a2 ^ mix(a3))))
 }
 
 #[cfg(test)]
@@ -111,19 +149,42 @@ mod tests {
         );
     }
 
+    /// `len` distinct values of assorted magnitudes and signs.
+    fn chunk(len: usize) -> Vec<f64> {
+        (0..len).map(|i| (i as f64 - 3.5) * 1.37e-3 + (i % 3) as f64).collect()
+    }
+
     #[test]
     fn any_single_bit_flip_changes_the_checksum() {
-        let base = vec![0.5f64, -3.25, 1e-300, 7.0];
-        let sum = checksum_slice(&base);
-        for i in 0..base.len() {
-            for bit in 0..64 {
-                let mut mutated = base.clone();
-                mutated[i].flip_bit(bit);
-                assert_ne!(
-                    checksum_slice(&mutated),
-                    sum,
-                    "flip of bit {bit} in element {i} must change the checksum"
-                );
+        // Lengths 0 to 9 cover all four lanes and every remainder.
+        for len in 0..10 {
+            let base = chunk(len);
+            let sum = checksum_slice(&base);
+            for i in 0..len {
+                for bit in 0..64 {
+                    let mut mutated = base.clone();
+                    mutated[i].flip_bit(bit);
+                    assert_ne!(
+                        checksum_slice(&mutated),
+                        sum,
+                        "flip of bit {bit} in element {i} of {len} must change the checksum"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_two_unequal_elements_changes_the_checksum() {
+        for len in 2..10 {
+            let base = chunk(len);
+            let sum = checksum_slice(&base);
+            for i in 0..len {
+                for j in i + 1..len {
+                    let mut swapped = base.clone();
+                    swapped.swap(i, j);
+                    assert_ne!(checksum_slice(&swapped), sum, "swap {i}<->{j} of {len}");
+                }
             }
         }
     }
