@@ -229,12 +229,9 @@ fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-fn parse_u64(tok: Option<&str>, line: usize) -> Result<u64, ServeError> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| ServeError::Journal(format!("line {line}: bad integer field")))
-}
-
-fn parse_usize(tok: Option<&str>, line: usize) -> Result<usize, ServeError> {
+/// An unsigned integer field of the record's own width, so a value `encode`
+/// never writes (a shard of 2^32, say) is an error, not a wrapped value.
+fn parse_int<T: std::str::FromStr>(tok: Option<&str>, line: usize) -> Result<T, ServeError> {
     tok.and_then(|t| t.parse().ok())
         .ok_or_else(|| ServeError::Journal(format!("line {line}: bad integer field")))
 }
@@ -283,14 +280,14 @@ fn decode_req<'a>(
     toks: &mut impl Iterator<Item = &'a str>,
     line: usize,
 ) -> Result<Request, ServeError> {
-    let id = parse_u64(toks.next(), line)?;
-    let tenant = parse_u64(toks.next(), line)? as u32;
-    let class_idx = parse_usize(toks.next(), line)?;
+    let id = parse_int(toks.next(), line)?;
+    let tenant = parse_int(toks.next(), line)?;
+    let class_idx: usize = parse_int(toks.next(), line)?;
     let class = *GeometryClass::ALL
         .get(class_idx)
         .ok_or_else(|| ServeError::Journal(format!("line {line}: class index {class_idx}")))?;
-    let bands = parse_usize(toks.next(), line)?;
-    let deadline_idx = parse_usize(toks.next(), line)?;
+    let bands = parse_int(toks.next(), line)?;
+    let deadline_idx: usize = parse_int(toks.next(), line)?;
     let deadline = *DeadlineClass::ALL
         .get(deadline_idx)
         .ok_or_else(|| ServeError::Journal(format!("line {line}: deadline index {deadline_idx}")))?;
@@ -407,7 +404,7 @@ impl Record {
                     .next()
                     .and_then(|t| u64::from_str_radix(t, 16).ok())
                     .ok_or_else(|| ServeError::Journal(format!("line {line}: bad key")))?;
-                let shard = parse_u64(toks.next(), line)? as u32;
+                let shard = parse_int(toks.next(), line)?;
                 Record::Accepted { req, key, shard }
             }
             "S" => {
@@ -419,87 +416,95 @@ impl Record {
                 Record::Shed { req, kind }
             }
             "B" => {
-                let shard = parse_u64(toks.next(), line)? as u32;
-                let batch = parse_u64(toks.next(), line)?;
+                let shard = parse_int(toks.next(), line)?;
+                let batch = parse_int(toks.next(), line)?;
                 let t_s = parse_f64_bits(toks.next(), line)?;
-                let n = parse_usize(toks.next(), line)?;
-                let mut jobs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    jobs.push(parse_u64(toks.next(), line)?);
+                let n = parse_int(toks.next(), line)?;
+                // Grow from the tokens present: `n` is untrusted input.
+                let jobs = toks
+                    .by_ref()
+                    .take(n)
+                    .map(|t| parse_int(Some(t), line))
+                    .collect::<Result<Vec<_>, _>>()?;
+                if jobs.len() < n {
+                    return Err(ServeError::Journal(format!(
+                        "line {line}: {} of {n} batch members",
+                        jobs.len()
+                    )));
                 }
                 Record::Batched { shard, batch, jobs, t_s }
             }
             "T" => Record::Started {
-                shard: parse_u64(toks.next(), line)? as u32,
-                batch: parse_u64(toks.next(), line)?,
+                shard: parse_int(toks.next(), line)?,
+                batch: parse_int(toks.next(), line)?,
                 start_s: parse_f64_bits(toks.next(), line)?,
                 service_s: parse_f64_bits(toks.next(), line)?,
-                nr: parse_usize(toks.next(), line)?,
-                ntg: parse_usize(toks.next(), line)?,
-                policy: parse_usize(toks.next(), line)?,
-                decomp: parse_usize(toks.next(), line)?,
-                epoch: parse_u64(toks.next(), line)?,
+                nr: parse_int(toks.next(), line)?,
+                ntg: parse_int(toks.next(), line)?,
+                policy: parse_int(toks.next(), line)?,
+                decomp: parse_int(toks.next(), line)?,
+                epoch: parse_int(toks.next(), line)?,
                 observed_s: parse_opt_hex(toks.next(), line)?.map(f64::from_bits),
             },
             "C" => {
-                let shard = parse_u64(toks.next(), line)? as u32;
-                let batch = parse_u64(toks.next(), line)?;
-                let job = parse_u64(toks.next(), line)?;
+                let shard = parse_int(toks.next(), line)?;
+                let batch = parse_int(toks.next(), line)?;
+                let job = parse_int(toks.next(), line)?;
                 let done_s = parse_f64_bits(toks.next(), line)?;
                 let hash = parse_opt_hex(toks.next(), line)?;
                 Record::Completed { shard, batch, job, done_s, hash }
             }
             "Z" => Record::Suppressed {
-                shard: parse_u64(toks.next(), line)? as u32,
-                batch: parse_u64(toks.next(), line)?,
-                job: parse_u64(toks.next(), line)?,
+                shard: parse_int(toks.next(), line)?,
+                batch: parse_int(toks.next(), line)?,
+                job: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
                 hash: parse_opt_hex(toks.next(), line)?,
             },
             "X" => Record::CorruptionDetected {
-                shard: parse_u64(toks.next(), line)? as u32,
-                batch: parse_u64(toks.next(), line)?,
-                detections: parse_u64(toks.next(), line)?,
+                shard: parse_int(toks.next(), line)?,
+                batch: parse_int(toks.next(), line)?,
+                detections: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
             },
             "R" => Record::Recomputed {
-                shard: parse_u64(toks.next(), line)? as u32,
-                batch: parse_u64(toks.next(), line)?,
-                rollbacks: parse_u64(toks.next(), line)?,
+                shard: parse_int(toks.next(), line)?,
+                batch: parse_int(toks.next(), line)?,
+                rollbacks: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
             },
             "H" => Record::Heartbeat {
-                shard: parse_u64(toks.next(), line)? as u32,
-                tick: parse_u64(toks.next(), line)?,
+                shard: parse_int(toks.next(), line)?,
+                tick: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
-                ok: parse_u64(toks.next(), line)? != 0,
+                ok: parse_int::<u64>(toks.next(), line)? != 0,
             },
             "D" => Record::ShardDown {
-                shard: parse_u64(toks.next(), line)? as u32,
+                shard: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
             },
             "F" => Record::Failover {
-                from: parse_u64(toks.next(), line)? as u32,
-                to: parse_u64(toks.next(), line)? as u32,
-                job: parse_u64(toks.next(), line)?,
+                from: parse_int(toks.next(), line)?,
+                to: parse_int(toks.next(), line)?,
+                job: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
             },
             "G" => Record::Degraded {
-                level: parse_usize(toks.next(), line)?,
+                level: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
             },
             "U" => Record::ScaleUp {
-                shard: parse_u64(toks.next(), line)? as u32,
+                shard: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
             },
             "V" => Record::ScaleDown {
-                shard: parse_u64(toks.next(), line)? as u32,
+                shard: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
             },
             "W" => Record::Stolen {
-                from: parse_u64(toks.next(), line)? as u32,
-                to: parse_u64(toks.next(), line)? as u32,
-                batch: parse_u64(toks.next(), line)?,
+                from: parse_int(toks.next(), line)?,
+                to: parse_int(toks.next(), line)?,
+                batch: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
             },
             other => {
@@ -919,6 +924,39 @@ mod tests {
             "trailing fields"
         );
         assert!(Journal::decode("").expect("empty ok").is_empty());
+    }
+
+    #[test]
+    fn huge_batch_sizes_are_journal_errors() {
+        // The declared member count sizes nothing: these used to panic
+        // ("capacity overflow") and abort on an 8 TiB allocation.
+        for line in ["B 0 0 0 18446744073709551615", "B 0 0 0 1099511627776", "B 0 0 0 3 7 8"] {
+            assert!(
+                matches!(Record::decode(line, 1), Err(ServeError::Journal(_))),
+                "{line}"
+            );
+        }
+        let ok = Record::decode("B 0 0 0 2 7 8", 1).expect("two members");
+        assert_eq!(ok, Record::Batched { shard: 0, batch: 0, jobs: vec![7, 8], t_s: 0.0 });
+    }
+
+    #[test]
+    fn u32_fields_out_of_range_are_journal_errors() {
+        // A shard of 2^32 used to wrap to shard 0, a line `encode` never
+        // writes.
+        for line in [
+            "D 4294967296 0000000000000000",
+            "F 0 4294967296 1 0000000000000000",
+            "W 4294967296 0 1 0000000000000000",
+            "A 0 4294967296 0 2 0 0000000000000000 00000000000000aa 1",
+        ] {
+            assert!(
+                matches!(Record::decode(line, 1), Err(ServeError::Journal(_))),
+                "{line}"
+            );
+        }
+        let top = Record::decode("D 4294967295 0000000000000000", 1).expect("u32::MAX");
+        assert_eq!(top, Record::ShardDown { shard: u32::MAX, t_s: 0.0 });
     }
 
     #[test]

@@ -9,15 +9,21 @@
 //!   idempotent),
 //! * all of the above still hold with silent-corruption injection
 //!   composed on top of transport chaos and shard death — and every
-//!   corrupt batch the fleet delivers from is journaled as detected.
+//!   corrupt batch the fleet delivers from is journaled as detected;
+//! * the decoders are total: random lines, truncations and single-character
+//!   mutations of a seeded fleet's encoded journal each decode to a value
+//!   or a `ServeError::Journal`, never a panic, and every decoded record
+//!   re-decodes from its own encoding to itself.
 
 use fftx_core::SchedulerPolicy;
 use fftx_serve::{
-    generate, resume_fleet, run_fleet, FleetConfig, FleetFaults, LoadProfile,
-    PlacementMode, ServeChaos, ServeConfig, TrafficConfig,
+    generate, resume_fleet, run_fleet, FleetConfig, FleetFaults, Journal, LoadProfile,
+    PlacementMode, Record, ServeChaos, ServeConfig, ServeError, TrafficConfig,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 fn cfg(shards: usize, fault_seed: u64) -> FleetConfig {
     FleetConfig {
@@ -161,5 +167,115 @@ proptest! {
         let resumed = resume_fleet(&full.journal, &reqs, &cfg).expect("resume");
         prop_assert_eq!(resumed.journal.encode(), full.journal.encode());
         prop_assert_eq!(resumed.jobs, full.jobs);
+    }
+}
+
+/// The encoded journal of one seeded fleet with shard deaths, slowdowns
+/// and failover, built once for the decoder properties.
+fn seeded_journal() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| run_fleet(&trace(11), &cfg(3, 7)).expect("fleet").journal.encode())
+}
+
+/// What random lines are built from: every record tag, digits, hex
+/// letters, the optional-field dash, separators and a non-ASCII char.
+const ALPHABET: &[char] = &[
+    'A', 'S', 'B', 'T', 'C', 'Z', 'X', 'R', 'H', 'D', 'F', 'G', 'U', 'V', 'W', '0', '1', '2',
+    '7', '9', 'a', 'f', 'z', '-', '+', ' ', ' ', '\n', '\t', 'é',
+];
+
+/// Whole fields that reach the decoder's range checks: huge counts, the
+/// first u32 and u64 overflows, a 16-digit hex pattern, a NaN pattern.
+const TOKENS: &[&str] = &[
+    "0",
+    "3",
+    "18446744073709551615",
+    "18446744073709551616",
+    "4294967296",
+    "1099511627776",
+    "3ff0000000000000",
+    "7ff8000000000001",
+    "-",
+    "queue_full",
+];
+
+/// Each decoder returns a value or a `ServeError::Journal` (a panic fails
+/// the property by itself). A decoded record decodes from its own
+/// encoding to itself; encodings are compared, not records, because a
+/// mutation can make a NaN field, which no record equals.
+fn check_total(text: &str) -> Result<(), TestCaseError> {
+    for (i, line) in text.lines().enumerate() {
+        match Record::decode(line, i + 1) {
+            Ok(rec) => {
+                let canonical = rec.encode();
+                let again = Record::decode(&canonical, 1);
+                prop_assert!(again.is_ok(), "{:?} does not decode", canonical);
+                prop_assert_eq!(again.map(|r| r.encode()).unwrap_or_default(), canonical);
+            }
+            Err(ServeError::Journal(_)) => {}
+            Err(e) => prop_assert!(false, "line {:?}: not a journal error: {}", line, e),
+        }
+    }
+    match Journal::decode(text) {
+        Ok(journal) => {
+            let canonical = journal.encode();
+            let again = Journal::decode(&canonical).map(|j| j.encode());
+            prop_assert_eq!(again.ok(), Some(canonical));
+        }
+        Err(ServeError::Journal(_)) => {}
+        Err(e) => prop_assert!(false, "not a journal error: {}", e),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn random_text_never_panics(
+        chars in proptest::collection::vec(0usize..ALPHABET.len(), 0..64),
+    ) {
+        check_total(&chars.iter().map(|&c| ALPHABET[c]).collect::<String>())?;
+    }
+
+    #[test]
+    fn journals_with_an_extreme_token_never_panic(
+        at in 1usize..12,
+        token in 0usize..TOKENS.len(),
+    ) {
+        // Field `at` of every record of the journal becomes `token`: a
+        // batch's member count, a shard, a float pattern, and so on.
+        for line in seeded_journal().lines() {
+            let mut toks: Vec<&str> = line.split(' ').collect();
+            if at < toks.len() {
+                toks[at] = TOKENS[token];
+                check_total(&toks.join(" "))?;
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_journals_never_panic(cut in any::<usize>()) {
+        let text = seeded_journal();
+        check_total(&text[..cut % (text.len() + 1)])?;
+    }
+
+    #[test]
+    fn mutated_journals_never_panic(
+        at in any::<usize>(),
+        op in 0usize..3,
+        c in 0usize..ALPHABET.len(),
+    ) {
+        // The journal is ASCII, so every index is a char boundary.
+        let mut text = seeded_journal().to_string();
+        let i = at % text.len();
+        match op {
+            0 => text.replace_range(i..=i, ALPHABET[c].encode_utf8(&mut [0; 4])),
+            1 => text.insert(i, ALPHABET[c]),
+            _ => {
+                text.remove(i);
+            }
+        }
+        check_total(&text)?;
     }
 }
