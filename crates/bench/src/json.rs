@@ -69,13 +69,17 @@ impl Value {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts, so a hostile input
+/// cannot overflow the stack. `Harness::render_json` writes three levels.
+const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so
+/// is nesting deeper than 64 levels.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing bytes at offset {pos}"));
     }
     Ok(value)
@@ -100,12 +104,17 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, `depth` arrays and objects deep.
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", *pos))
+        }
+        Some(b'{') => parse_object(s, pos, depth + 1),
+        Some(b'[') => parse_array(s, pos, depth + 1),
+        Some(b'"') => Ok(Value::Str(parse_string(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -134,7 +143,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         .map_err(|e| format!("bad number {s:?} at offset {start}: {e}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -172,9 +182,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
+                // One char straight from the input: everything else the
+                // parser steps over is ASCII, so `pos` is on a boundary.
+                let c = s
+                    .get(*pos..)
+                    .and_then(|rest| rest.chars().next())
+                    .ok_or("unterminated string")?;
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -182,7 +195,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -191,7 +205,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -204,7 +218,8 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -214,10 +229,10 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        fields.push((key, parse_value(b, pos)?));
+        fields.push((key, parse_value(s, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -272,5 +287,24 @@ mod tests {
         assert_eq!(arr[0], Value::Null);
         assert_eq!(arr[1].get("b\"c").and_then(Value::as_f64), Some(-150.0));
         assert_eq!(v.get("d").and_then(Value::as_str), Some("x\ny"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok(), "{MAX_DEPTH} levels parse");
+        let over = format!("[{at_limit}]");
+        assert!(parse(&over).is_err(), "{} levels do not", MAX_DEPTH + 1);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 2^20 chars, two-byte ones among them: a per-char re-validation
+        // of the rest of the input would take minutes here.
+        let body: String = (0..1 << 20).map(|i| if i % 7 == 0 { 'é' } else { 'x' }).collect();
+        let v = parse(&format!("\"{body}\"")).expect("parse");
+        assert_eq!(v.as_str().map(str::len), Some(body.len()));
     }
 }
