@@ -464,9 +464,11 @@ fn main() {
     }
 
     // --- The exchange checksum against a memcpy of the same chunk: every
-    // alltoall hashes each chunk at pack and again at unpack. 37,260
-    // values is one dense-slab scatter chunk (621 sticks x 60 planes).
-    let chunk = signal(37_260);
+    // alltoall hashes each chunk at pack and again at unpack. The chunk is
+    // one dense-slab scatter: every stick of the rank over all its planes
+    // (621 x 60 = 37,260 values).
+    let dense = &sticks[0].plan;
+    let chunk = signal(dense.nst * dense.npp);
     let mut copy = vec![Complex64::ZERO; chunk.len()];
     let (checksum_s, memcpy_s) = race(
         15,

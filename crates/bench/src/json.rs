@@ -109,9 +109,10 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> 
     let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{' | b'[') if depth == MAX_DEPTH => {
-            Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", *pos))
-        }
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at offset {}",
+            *pos
+        )),
         Some(b'{') => parse_object(s, pos, depth + 1),
         Some(b'[') => parse_array(s, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(s, pos)?)),
@@ -303,7 +304,9 @@ mod tests {
     fn long_strings_parse_in_linear_time() {
         // 2^20 chars, two-byte ones among them: a per-char re-validation
         // of the rest of the input would take minutes here.
-        let body: String = (0..1 << 20).map(|i| if i % 7 == 0 { 'é' } else { 'x' }).collect();
+        let body: String = (0..1 << 20)
+            .map(|i| if i % 7 == 0 { 'é' } else { 'x' })
+            .collect();
         let v = parse(&format!("\"{body}\"")).expect("parse");
         assert_eq!(v.as_str().map(str::len), Some(body.len()));
     }

@@ -28,8 +28,8 @@ fn document() -> &'static str {
 /// What random text is built from: every JSON structural char, the
 /// literals' letters, number chars, escapes and non-ASCII chars.
 const ALPHABET: &[char] = &[
-    '{', '}', '[', ']', ':', ',', '"', '\\', 'u', 't', 'r', 'e', 'f', 'a', 'l', 's', 'n', '0',
-    '1', '9', '-', '+', '.', 'E', ' ', '\n', 'é', '€',
+    '{', '}', '[', ']', ':', ',', '"', '\\', 'u', 't', 'r', 'e', 'f', 'a', 'l', 's', 'n', '0', '1',
+    '9', '-', '+', '.', 'E', ' ', '\n', 'é', '€',
 ];
 
 /// `parse` returns a value or an error (a panic fails the property by

@@ -234,7 +234,10 @@ fn scenarios() -> Vec<(String, u64)> {
     for mode in modes {
         let problem = Problem::with_grid(FftxConfig::small(2, 2, mode), FftGrid::new(20, 20, 20));
         let (run, _) = run_policy_chaotic(&problem, mode, None);
-        out.push((format!("radix5/clean/{}/2x2", mode.label()), hash_bands(&run.bands)));
+        out.push((
+            format!("radix5/clean/{}/2x2", mode.label()),
+            hash_bands(&run.bands),
+        ));
     }
 
     out

@@ -174,14 +174,19 @@ proptest! {
 /// and failover, built once for the decoder properties.
 fn seeded_journal() -> &'static str {
     static TEXT: OnceLock<String> = OnceLock::new();
-    TEXT.get_or_init(|| run_fleet(&trace(11), &cfg(3, 7)).expect("fleet").journal.encode())
+    TEXT.get_or_init(|| {
+        run_fleet(&trace(11), &cfg(3, 7))
+            .expect("fleet")
+            .journal
+            .encode()
+    })
 }
 
 /// What random lines are built from: every record tag, digits, hex
 /// letters, the optional-field dash, separators and a non-ASCII char.
 const ALPHABET: &[char] = &[
-    'A', 'S', 'B', 'T', 'C', 'Z', 'X', 'R', 'H', 'D', 'F', 'G', 'U', 'V', 'W', '0', '1', '2',
-    '7', '9', 'a', 'f', 'z', '-', '+', ' ', ' ', '\n', '\t', 'é',
+    'A', 'S', 'B', 'T', 'C', 'Z', 'X', 'R', 'H', 'D', 'F', 'G', 'U', 'V', 'W', '0', '1', '2', '7',
+    '9', 'a', 'f', 'z', '-', '+', ' ', ' ', '\n', '\t', 'é',
 ];
 
 /// Whole fields that reach the decoder's range checks: huge counts, the
