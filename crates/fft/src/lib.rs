@@ -1,8 +1,8 @@
 //! # fftx-fft
 //!
 //! From-scratch FFT engine for the FFTXlib-on-KNL reproduction: complex
-//! arithmetic, a mixed-radix Cooley–Tukey kernel with closed-form 2/3/4/7
-//! butterflies and a generic O(r²) loop for the other primes up to 37,
+//! arithmetic, a mixed-radix Cooley–Tukey kernel with closed-form
+//! 2/3/4/5/7 butterflies and a generic O(r²) loop for the primes 11 to 37,
 //! Bluestein for arbitrary lengths, the batched strided entry points
 //! FFTXlib's `fft_scalar` module exposes (`cft_1z`, `cft_2xy`), a dense
 //! 3-D reference transform, and the paper's operation-count model feeding

@@ -5,9 +5,9 @@
 //! rule is implemented here so grids derived from a kinetic-energy cutoff end
 //! up with the exact dimensions the original FFTXlib would pick.
 
-/// Largest prime the mixed-radix engine handles directly. Radices 2, 3, 4
-/// and 7 have closed-form butterflies; 5 and the primes 11 to this one run
-/// the generic O(r^2) loop. Sizes containing a larger prime fall back to
+/// Largest prime the mixed-radix engine handles directly. Radices 2, 3, 4,
+/// 5 and 7 have closed-form butterflies; the primes 11 to this one run the
+/// generic O(r^2) loop. Sizes containing a larger prime fall back to
 /// Bluestein.
 pub const MAX_DIRECT_PRIME: usize = 37;
 
