@@ -117,7 +117,7 @@ pub fn run_retry(
         let w = comm.rank();
         task_rank(problem, comm, |env, rt, shares| {
             for (b, share) in shares.iter().enumerate() {
-                let (env, share) = (env.clone(), share.clone());
+                let (env, share) = (Arc::clone(env), share.clone());
                 let attempts = Arc::new(AtomicU32::new(0));
                 // The fault key of this rank's task for band b. Crashes are
                 // local decisions (no collective state is consumed before the

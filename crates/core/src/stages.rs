@@ -1366,16 +1366,17 @@ impl<'a> SerialRank<'a> {
     }
 }
 
-/// Context cloned into every task of one rank.
-#[derive(Clone)]
+/// The context every task of one rank shares through one rank-local `Arc`,
+/// so a task clones one reference count that no other rank touches.
 pub(crate) struct RankEnv {
     problem: Arc<Problem>,
-    comm: Communicator,
-    sc: Arc<ScatterComms>,
-    sp: Arc<StagePlan>,
+    /// Records for this rank into the world's trace sink.
+    rec: Recorder,
+    sc: ScatterComms,
+    sp: StagePlan,
     /// One arena per runtime worker (a worker runs one task at a time, so
     /// the `Shared` access check never trips).
-    arenas: Arc<Vec<Shared<BufferArena>>>,
+    arenas: Vec<Shared<BufferArena>>,
 }
 
 impl RankEnv {
@@ -1385,8 +1386,7 @@ impl RankEnv {
         &self,
         f: impl FnOnce(&StageRunner<'_>, &ScatterComms, &mut BufferArena) -> R,
     ) -> R {
-        let rec = Recorder::new(self.comm.trace_sink(), self.comm.clock(), self.comm.rank());
-        let runner = self.sp.runner(&self.problem.v, &rec);
+        let runner = self.sp.runner(&self.problem.v, &self.rec);
         f(&runner, &self.sc, &mut self.arenas[fftx_trace::current_thread()].write())
     }
 }
@@ -1399,19 +1399,19 @@ impl RankEnv {
 pub(crate) fn task_rank(
     problem: &Arc<Problem>,
     comm: &Communicator,
-    spawn: impl FnOnce(&RankEnv, &Runtime, &[Shared<Vec<Complex64>>]),
+    spawn: impl FnOnce(&Arc<RankEnv>, &Runtime, &[Shared<Vec<Complex64>>]),
 ) -> Result<(RankShares, f64, u64), TaskError> {
     let cfg = problem.config;
     let w = comm.rank();
-    let env = RankEnv {
+    let env = Arc::new(RankEnv {
         problem: Arc::clone(problem),
-        comm: comm.clone(),
+        rec: Recorder::new(comm.trace_sink(), comm.clock(), w),
         // Task layouts scatter over the whole world; the pencil split (a
         // collective) happens here, before any task runs.
-        sc: Arc::new(ScatterComms::new(comm.clone(), cfg.decomp)),
-        sp: Arc::new(StagePlan::for_problem(problem, w)),
-        arenas: Arc::new((0..cfg.ntg).map(|_| Shared::new(BufferArena::new())).collect()),
-    };
+        sc: ScatterComms::new(comm.clone(), cfg.decomp),
+        sp: StagePlan::for_problem(problem, w),
+        arenas: (0..cfg.ntg).map(|_| Shared::new(BufferArena::new())).collect(),
+    });
     let shares: Vec<_> = problem.initial_shares(w).into_iter().map(Shared::new).collect();
     let mut builder = Runtime::builder(cfg.ntg).clock(comm.clock()).rank(w);
     if let Some(sink) = comm.trace_sink() {
@@ -1566,7 +1566,7 @@ impl BandBufs {
 fn push_band(
     graph: &mut TaskGraph,
     slots: &mut SlotArena,
-    env: &RankEnv,
+    env: &Arc<RankEnv>,
     cut: &'static [CutTask],
     b: usize,
     share: &Shared<Vec<Complex64>>,
@@ -1585,7 +1585,7 @@ fn push_band(
     });
     let nbnd = env.problem.config.nbnd;
     for (n, (label, priority, phases)) in band_tasks(cut, b, nbnd).enumerate() {
-        let (env, share, bufs) = (env.clone(), share.clone(), bufs.clone());
+        let (env, share, bufs) = (Arc::clone(env), share.clone(), bufs.clone());
         graph.node(label, Some(priority), task_deps(cut, n, &bs), move || {
             env.with_runner(|runner, sc, a| match &bufs {
                 None => runner.band_fused(b, sc, &share, a),

@@ -1,5 +1,6 @@
 //! The dependency-slot spawn API: build a task graph declaratively over
-//! abstract dependency slots, then submit it to a [`Runtime`] in one call.
+//! abstract dependency slots, then submit it to a [`Runtime`] in one call,
+//! which takes the scheduler lock once for the whole graph.
 //!
 //! A *slot* is a bare [`Handle`] minted by [`SlotArena`] — it takes part in
 //! the OmpSs dependency rules exactly like a [`crate::Shared`] region's
@@ -10,7 +11,7 @@
 //! lets one declarative stage graph drive every policy.
 
 use crate::handle::{Dep, Handle};
-use crate::runtime::Runtime;
+use crate::runtime::{Runtime, TaskBody};
 
 /// Mints pure dependency slots and remembers them (handy for debugging and
 /// for asserting how many slots a graph construction used).
@@ -89,13 +90,17 @@ impl TaskGraph {
 }
 
 impl Runtime {
-    /// Submits every node of `graph` in creation order. Dependencies are
-    /// resolved by the usual OmpSs rules over the nodes' declared slots;
-    /// nodes whose slots never conflict run concurrently.
+    /// Submits every node of `graph` in creation order, under one
+    /// acquisition of the scheduler lock. Dependencies are resolved by the
+    /// usual OmpSs rules over the nodes' declared slots; nodes whose slots
+    /// never conflict run concurrently.
     pub fn spawn_graph(&self, graph: TaskGraph) {
-        for n in graph.nodes {
-            self.spawn_boxed(n.label, n.priority, &n.deps, n.body);
-        }
+        self.submit(
+            graph
+                .nodes
+                .into_iter()
+                .map(|n| (n.label, n.priority, n.deps, TaskBody::Once(n.body))),
+        )
     }
 }
 

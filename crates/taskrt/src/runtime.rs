@@ -1,12 +1,25 @@
 //! The task scheduler — the Nanos++ role: dynamic dependency resolution and
-//! FIFO dispatch onto a worker-thread pool.
+//! priority dispatch onto a worker-thread pool.
 //!
 //! Tasks are submitted with a list of [`Dep`]s; the runtime builds the
 //! dependency graph on the fly (flow, anti and output dependencies, exactly
 //! the OmpSs rules) and runs every task whose predecessors have finished on
-//! the first free worker. FIFO order is load-bearing: together with
-//! identical task-creation order on every rank it gives the deadlock-freedom
-//! argument for blocking collectives inside tasks (see `fftx-vmpi`).
+//! the first free worker, lowest priority first and ties in creation order.
+//! That order is load-bearing: together with identical task-creation order
+//! on every rank it gives the deadlock-freedom argument for blocking
+//! collectives inside tasks (see `fftx-vmpi`).
+//!
+//! Dispatch is kept lean, because a fine-grained policy pays it on every
+//! task:
+//! - one acquisition of the scheduler lock enters a whole
+//!   [`crate::TaskGraph`], and one finishes a task, releases its successors
+//!   and picks the worker's next task;
+//! - a condvar is notified only when a thread waits on it: the scheduler
+//!   counts its parked workers and its `taskwait` callers;
+//! - tasks live in a slab indexed by id, which is emptied (keeping its
+//!   capacity) when the runtime drains, so once warm the runtime allocates
+//!   nothing of its own per task. Finished tasks keep their slots until
+//!   then, so a failure can still name its predecessors.
 
 use crate::error::TaskError;
 use crate::handle::{Dep, Handle};
@@ -14,6 +27,7 @@ use fftx_trace::{set_current_thread, Lane, TaskRecord, TraceSink, WallClock};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,7 +81,7 @@ impl RetryPolicy {
 /// bodies from [`Runtime::spawn_retryable`] (which must be idempotent over
 /// their input snapshot — re-execution assumes attempt n+1 sees the same
 /// inputs attempt n did).
-enum TaskBody {
+pub(crate) enum TaskBody {
     Once(Box<dyn FnOnce() + Send>),
     Retryable {
         body: Arc<dyn Fn() + Send + Sync>,
@@ -75,59 +89,259 @@ enum TaskBody {
     },
 }
 
-struct TaskState {
+/// A task waiting to be entered: label, priority, dependencies and body.
+pub(crate) type NewTask<D> = (String, Option<u64>, D, TaskBody);
+
+/// One task's entry in the scheduler slab. A reused slot keeps the
+/// capacity of its vectors and of its name.
+#[derive(Default)]
+struct Slot {
+    /// The caller's label, moved into the task's trace record when it
+    /// finishes.
     label: String,
+    /// A copy of the label that stays after the label has moved: the
+    /// wavefront and failure chains name tasks from it.
+    name: String,
     priority: u64,
+    /// `Some` until a worker picks the task.
     body: Option<TaskBody>,
     /// Unfinished predecessors.
     pending: usize,
     /// Tasks to release when this one finishes.
     successors: Vec<u64>,
-    /// Labels of the direct predecessors that were unfinished at
-    /// submission (failure diagnostics).
-    pred_labels: Vec<String>,
+    /// The direct predecessors that were unfinished at submission (failure
+    /// diagnostics).
+    preds: Vec<u64>,
     t_created: f64,
+    finished: bool,
 }
 
-#[derive(Default)]
+/// One task in a region's list of readers since its last writer. Every
+/// region's list is threaded through one buffer, [`Sched::reads`].
+#[derive(Clone, Copy)]
+struct Reader {
+    task: u64,
+    next: Option<usize>,
+}
+
+#[derive(Clone, Copy, Default)]
 struct HandleState {
     last_writer: Option<u64>,
-    readers_since_write: Vec<u64>,
+    /// First and last entry of the readers since `last_writer` in
+    /// [`Sched::reads`].
+    readers: Option<(usize, usize)>,
+}
+
+/// Hashes a [`Handle`]'s id with one multiply. Handles are sequential ids
+/// minted in-process, so a keyed hash buys nothing here.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 #[derive(Default)]
 struct Sched {
-    tasks: HashMap<u64, TaskState>,
+    /// Every task entered since the runtime last drained, at `id - base`.
+    /// Slots from `next_id - base` on are spares from earlier graphs.
+    slots: Vec<Slot>,
+    base: u64,
+    next_id: u64,
     /// Min-heap on (priority, id): lowest priority value runs first; ties
     /// resolve to creation order, so the default (priority == id) is FIFO.
     ready: BinaryHeap<Reverse<(u64, u64)>>,
-    handles: HashMap<Handle, HandleState>,
-    next_id: u64,
+    handles: HashMap<Handle, HandleState, BuildHasherDefault<IdHasher>>,
+    reads: Vec<Reader>,
     unfinished: usize,
+    /// Workers waiting on `cv_ready`.
+    parked: usize,
+    /// `taskwait` callers waiting on `cv_done`.
+    waiting: usize,
     shutdown: bool,
     /// First task failure; sticky — the runtime is fail-stop after it.
     failure: Option<TaskError>,
 }
 
+/// Adds the edge `pred → id` unless `pred` is `id` itself, has finished,
+/// or already has it (a task's own edges are the last ones added).
+fn depend(slots: &mut [Slot], base: u64, pred: u64, id: u64, preds: &mut Vec<u64>) {
+    if pred == id {
+        return;
+    }
+    let p = &mut slots[(pred - base) as usize];
+    if !p.finished && p.successors.last() != Some(&id) {
+        p.successors.push(id);
+        preds.push(pred);
+    }
+}
+
 impl Sched {
+    /// Enters a task into the graph under the OmpSs rules and returns
+    /// whether it is ready at once.
+    fn enter(&mut self, (label, priority, deps, body): NewTask<&[Dep]>, t_created: f64) -> bool {
+        assert!(!self.shutdown, "Runtime: spawn after shutdown");
+        if self.unfinished == 0 {
+            // Drained: every task the handles name has finished, so
+            // forgetting them changes no edge.
+            self.base = self.next_id;
+            self.handles.clear();
+            self.reads.clear();
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.unfinished += 1;
+        let idx = (id - self.base) as usize;
+        if idx == self.slots.len() {
+            self.slots.push(Slot::default());
+        }
+
+        let Sched {
+            slots,
+            base,
+            handles,
+            reads,
+            ..
+        } = self;
+        let mut preds = std::mem::take(&mut slots[idx].preds);
+        preds.clear();
+        for dep in deps {
+            let hs = handles.entry(dep.handle).or_default();
+            if let Some(w) = hs.last_writer {
+                depend(slots, *base, w, id, &mut preds);
+            }
+            if dep.access.writes() {
+                let mut at = hs.readers.map(|(first, _)| first);
+                while let Some(i) = at {
+                    depend(slots, *base, reads[i].task, id, &mut preds);
+                    at = reads[i].next;
+                }
+                *hs = HandleState {
+                    last_writer: Some(id),
+                    readers: None,
+                };
+            } else {
+                let new = reads.len();
+                match hs.readers {
+                    Some((_, last)) if reads[last].task == id => continue,
+                    Some((first, last)) => {
+                        reads[last].next = Some(new);
+                        hs.readers = Some((first, new));
+                    }
+                    None => hs.readers = Some((new, new)),
+                }
+                reads.push(Reader {
+                    task: id,
+                    next: None,
+                });
+            }
+        }
+
+        let slot = &mut slots[idx];
+        slot.name.clear();
+        slot.name.push_str(&label);
+        slot.label = label;
+        slot.priority = priority.unwrap_or(id);
+        slot.body = Some(body);
+        slot.pending = preds.len();
+        slot.successors.clear();
+        slot.preds = preds;
+        slot.t_created = t_created;
+        slot.finished = false;
+        let ready = slot.pending == 0;
+        if ready {
+            self.ready.push(Reverse((slot.priority, id)));
+        }
+        ready
+    }
+
+    /// Pops the next task to run, with whether to run its body: after the
+    /// first failure bodies are skipped, but the graph bookkeeping goes on
+    /// so everything drains and nothing deadlocks.
+    fn pick(&mut self) -> Option<(u64, TaskBody, bool)> {
+        let Reverse((_, id)) = self.ready.pop()?;
+        let body = self.slots[(id - self.base) as usize]
+            .body
+            .take()
+            .expect("a ready task is picked once");
+        Some((id, body, self.failure.is_none()))
+    }
+
+    /// Marks task `id` finished, records `failure` if it is the first, and
+    /// releases the successors. Returns the task's label and creation time
+    /// and the number of successors that became ready.
+    fn finish(&mut self, id: u64, failure: Option<String>) -> (String, f64, usize) {
+        let idx = (id - self.base) as usize;
+        if let (Some(message), None) = (failure, &self.failure) {
+            let t = &self.slots[idx];
+            let chain = t
+                .preds
+                .iter()
+                .map(|&p| self.slots[(p - self.base) as usize].name.clone());
+            self.failure = Some(TaskError::Failed {
+                label: t.name.clone(),
+                chain: chain.collect(),
+                message,
+            });
+        }
+        let t = &mut self.slots[idx];
+        t.finished = true;
+        let (label, t_created) = (std::mem::take(&mut t.label), t.t_created);
+        let successors = std::mem::take(&mut t.successors);
+        let mut released = 0;
+        for &succ in &successors {
+            let s = &mut self.slots[(succ - self.base) as usize];
+            s.pending -= 1;
+            if s.pending == 0 {
+                self.ready.push(Reverse((s.priority, succ)));
+                released += 1;
+            }
+        }
+        self.slots[idx].successors = successors;
+        self.unfinished -= 1;
+        (label, t_created, released)
+    }
+
+    /// Parked workers to wake after `newly` tasks became ready that no
+    /// awake worker has taken.
+    fn wakeups(&self, newly: usize) -> usize {
+        newly.min(self.parked)
+    }
+
+    /// Whether a finish has to wake the `taskwait` callers.
+    fn wake_waiters(&self) -> bool {
+        self.waiting > 0 && (self.unfinished == 0 || self.failure.is_some())
+    }
+
     /// Renders the task-graph wavefront: what is running, ready, blocked.
     fn wavefront(&self) -> String {
         use std::fmt::Write;
-        let ready_ids: std::collections::HashSet<u64> =
-            self.ready.iter().map(|Reverse((_p, id))| *id).collect();
         let mut running = Vec::new();
         let mut ready = Vec::new();
         let mut blocked = Vec::new();
-        let mut ids: Vec<&u64> = self.tasks.keys().collect();
-        ids.sort();
-        for id in ids {
-            let t = &self.tasks[id];
+        let live = (self.next_id - self.base) as usize;
+        for (id, t) in (self.base..).zip(&self.slots[..live]) {
+            if t.finished {
+                continue;
+            }
             if t.body.is_none() {
-                running.push(format!("{} (id {id})", t.label));
-            } else if ready_ids.contains(id) {
-                ready.push(format!("{} (id {id})", t.label));
+                running.push(format!("{} (id {id})", t.name));
+            } else if t.pending == 0 {
+                ready.push(format!("{} (id {id})", t.name));
             } else {
-                blocked.push(format!("{} (id {id}, {} pending deps)", t.label, t.pending));
+                blocked.push(format!("{} (id {id}, {} pending deps)", t.name, t.pending));
             }
         }
         let mut out = String::new();
@@ -301,12 +515,12 @@ impl Runtime {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.submit(
+        self.submit([(
             label.to_string(),
             priority,
             deps,
             TaskBody::Once(Box::new(body)),
-        )
+        )])
     }
 
     /// Submits a **retryable** task: `body` must be idempotent over its
@@ -327,15 +541,11 @@ impl Runtime {
     ) where
         F: Fn() + Send + Sync + 'static,
     {
-        self.submit(
-            label.to_string(),
-            priority,
-            deps,
-            TaskBody::Retryable {
-                body: Arc::new(body),
-                policy,
-            },
-        )
+        let body = TaskBody::Retryable {
+            body: Arc::new(body),
+            policy,
+        };
+        self.submit([(label.to_string(), priority, deps, body)])
     }
 
     /// Total task re-executions performed by this runtime so far.
@@ -343,87 +553,20 @@ impl Runtime {
         self.inner.retries.load(Ordering::Relaxed)
     }
 
-    /// [`Runtime::spawn_prio`] for an already-boxed body and an owned label
-    /// (the graph submission path, which stores heterogeneous bodies).
-    pub(crate) fn spawn_boxed(
-        &self,
-        label: String,
-        priority: Option<u64>,
-        deps: &[Dep],
-        body: Box<dyn FnOnce() + Send + 'static>,
-    ) {
-        self.submit(label, priority, deps, TaskBody::Once(body))
-    }
-
-    /// Enters a task into the graph. `label` is moved into the task and,
-    /// when it finishes, into its trace record; it is cloned only to name
-    /// the task in a failure.
-    fn submit(&self, label: String, priority: Option<u64>, deps: &[Dep], body: TaskBody) {
-        let t_created = self.inner.clock.now();
+    /// Enters `tasks` in order under one acquisition of the scheduler lock
+    /// (each stamps its own creation time), then wakes at most one parked
+    /// worker per task that was ready at once. A label is moved into its
+    /// task and, when the task finishes, into its trace record.
+    pub(crate) fn submit<D: AsRef<[Dep]>>(&self, tasks: impl IntoIterator<Item = NewTask<D>>) {
         let mut sched = self.inner.sched.lock();
-        assert!(!sched.shutdown, "Runtime: spawn after shutdown");
-        let id = sched.next_id;
-        let priority = priority.unwrap_or(id);
-        sched.next_id += 1;
-        sched.unfinished += 1;
-
-        // Dependency edges per the OmpSs rules.
-        let mut pending = 0;
-        let mut pred_labels: Vec<String> = Vec::new();
-        let predecessor_of =
-            |sched: &mut Sched, pred: u64, id: u64, pending: &mut usize, labels: &mut Vec<String>| {
-                if let Some(t) = sched.tasks.get_mut(&pred) {
-                    if !t.successors.contains(&id) {
-                        t.successors.push(id);
-                        *pending += 1;
-                        labels.push(t.label.clone());
-                    }
-                }
-            };
-        for dep in deps {
-            // Collect predecessor ids first to appease the borrow checker.
-            let (writer, readers): (Option<u64>, Vec<u64>) = {
-                let hs = sched.handles.entry(dep.handle).or_default();
-                (hs.last_writer, hs.readers_since_write.clone())
-            };
-            if dep.access.writes() {
-                if let Some(w) = writer {
-                    predecessor_of(&mut sched, w, id, &mut pending, &mut pred_labels);
-                }
-                for r in readers {
-                    if r != id {
-                        predecessor_of(&mut sched, r, id, &mut pending, &mut pred_labels);
-                    }
-                }
-                let hs = sched.handles.get_mut(&dep.handle).expect("handle present");
-                hs.last_writer = Some(id);
-                hs.readers_since_write.clear();
-            } else {
-                if let Some(w) = writer {
-                    predecessor_of(&mut sched, w, id, &mut pending, &mut pred_labels);
-                }
-                let hs = sched.handles.get_mut(&dep.handle).expect("handle present");
-                if !hs.readers_since_write.contains(&id) {
-                    hs.readers_since_write.push(id);
-                }
-            }
+        let mut newly = 0;
+        for (label, priority, deps, body) in tasks {
+            let t_created = self.inner.clock.now();
+            newly += usize::from(sched.enter((label, priority, deps.as_ref(), body), t_created));
         }
-
-        sched.tasks.insert(
-            id,
-            TaskState {
-                label,
-                priority,
-                body: Some(body),
-                pending,
-                successors: Vec::new(),
-                pred_labels,
-                t_created,
-            },
-        );
-        if pending == 0 {
-            sched.ready.push(Reverse((priority, id)));
-            drop(sched);
+        let wake = sched.wakeups(newly);
+        drop(sched);
+        for _ in 0..wake {
             self.inner.cv_ready.notify_one();
         }
     }
@@ -473,16 +616,23 @@ impl Runtime {
             if sched.unfinished == 0 {
                 return Ok(());
             }
-            match deadline {
-                None => self.inner.cv_done.wait(&mut sched),
-                Some(d) => {
-                    if self.inner.cv_done.wait_until(&mut sched, d).timed_out() {
-                        return Err(TaskError::Timeout {
-                            waited: self.inner.taskwait_timeout.expect("deadline implies timeout"),
-                            wavefront: sched.wavefront(),
-                        });
-                    }
+            sched.waiting += 1;
+            let timed_out = match deadline {
+                None => {
+                    self.inner.cv_done.wait(&mut sched);
+                    false
                 }
+                Some(d) => self.inner.cv_done.wait_until(&mut sched, d).timed_out(),
+            };
+            sched.waiting -= 1;
+            if timed_out {
+                return Err(TaskError::Timeout {
+                    waited: self
+                        .inner
+                        .taskwait_timeout
+                        .expect("deadline implies timeout"),
+                    wavefront: sched.wavefront(),
+                });
             }
         }
     }
@@ -509,11 +659,14 @@ impl Runtime {
     }
 
     fn shutdown_impl(&mut self) {
-        {
+        let parked = {
             let mut sched = self.inner.sched.lock();
             sched.shutdown = true;
+            sched.parked
+        };
+        if parked > 0 {
+            self.inner.cv_ready.notify_all();
         }
-        self.inner.cv_ready.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -564,87 +717,83 @@ where
         .collect()
 }
 
+/// Runs one task body; returns its failure message, if any. `attempts`
+/// counts re-executions; the caller's trace record spans all of them (a
+/// retried task reads as one long task, which is exactly the overhead the
+/// recovery bench measures).
+fn execute(inner: &Inner, body: TaskBody) -> Option<String> {
+    let (result, attempts) = match body {
+        TaskBody::Once(f) => (std::panic::catch_unwind(AssertUnwindSafe(f)), 0),
+        TaskBody::Retryable { body, policy } => {
+            let mut attempt = 0u32;
+            loop {
+                match std::panic::catch_unwind(AssertUnwindSafe(|| body())) {
+                    Ok(()) => break (Ok(()), attempt),
+                    Err(p) => {
+                        if attempt >= policy.max_retries {
+                            break (Err(p), attempt);
+                        }
+                        inner.retries.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(policy.backoff(attempt));
+                        attempt += 1;
+                    }
+                }
+            }
+        }
+    };
+    let payload = result.err()?;
+    let message = payload_text(payload.as_ref());
+    Some(if attempts > 0 {
+        format!(
+            "{message} (retry budget exhausted after {} attempts)",
+            attempts + 1
+        )
+    } else {
+        message
+    })
+}
+
 fn worker_loop(inner: &Inner, worker_idx: usize) {
     set_current_thread(worker_idx);
+    // The task picked in the same critical section that finished the last.
+    let mut next = None;
     loop {
-        let (id, body) = {
-            let mut sched = inner.sched.lock();
-            loop {
-                if let Some(Reverse((_prio, id))) = sched.ready.pop() {
-                    let failed = sched.failure.is_some();
-                    let t = sched.tasks.get_mut(&id).expect("ready task exists");
-                    let mut body = t.body.take().expect("task not yet run");
-                    if failed {
-                        // Fail-stop: after the first failure we stop running
-                        // bodies but keep the graph bookkeeping so everything
-                        // drains and nothing deadlocks.
-                        body = TaskBody::Once(Box::new(|| {}));
+        let (id, body, run) = match next.take() {
+            Some(task) => task,
+            None => {
+                let mut sched = inner.sched.lock();
+                loop {
+                    if let Some(task) = sched.pick() {
+                        break task;
                     }
-                    break (id, body);
+                    if sched.shutdown {
+                        return;
+                    }
+                    sched.parked += 1;
+                    inner.cv_ready.wait(&mut sched);
+                    sched.parked -= 1;
                 }
-                if sched.shutdown {
-                    return;
-                }
-                inner.cv_ready.wait(&mut sched);
             }
         };
 
         let t_start = inner.clock.now();
-        // `attempts` counts re-executions; the trace record spans all of
-        // them (a retried task reads as one long task, which is exactly the
-        // overhead the recovery bench measures).
-        let (result, attempts) = match body {
-            TaskBody::Once(f) => (std::panic::catch_unwind(AssertUnwindSafe(f)), 0),
-            TaskBody::Retryable { body, policy } => {
-                let mut attempt = 0u32;
-                loop {
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| body())) {
-                        Ok(()) => break (Ok(()), attempt),
-                        Err(p) => {
-                            if attempt >= policy.max_retries {
-                                break (Err(p), attempt);
-                            }
-                            inner.retries.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(policy.backoff(attempt));
-                            attempt += 1;
-                        }
-                    }
-                }
-            }
+        let failure = if run {
+            execute(inner, body)
+        } else {
+            drop(body);
+            None
         };
         let t_end = inner.clock.now();
 
         let mut sched = inner.sched.lock();
-        let task = sched.tasks.remove(&id).expect("task exists");
-        if let Err(p) = result {
-            if sched.failure.is_none() {
-                let mut message = payload_text(p.as_ref());
-                if attempts > 0 {
-                    message = format!("{message} (retry budget exhausted after {} attempts)",
-                        attempts + 1);
-                }
-                sched.failure = Some(TaskError::Failed {
-                    label: task.label.clone(),
-                    chain: task.pred_labels,
-                    message,
-                });
-            }
-        }
-        let mut woke = 0;
-        for succ in task.successors {
-            if let Some(s) = sched.tasks.get_mut(&succ) {
-                s.pending -= 1;
-                if s.pending == 0 {
-                    let p = s.priority;
-                    sched.ready.push(Reverse((p, succ)));
-                    woke += 1;
-                }
-            }
-        }
-        sched.unfinished -= 1;
-        let done = sched.unfinished == 0 || sched.failure.is_some();
+        let (label, t_created, released) = sched.finish(id, failure);
+        next = sched.pick();
+        // This worker keeps one ready task for itself; only the rest need
+        // a parked worker.
+        let wake = sched.wakeups(released.saturating_sub(usize::from(next.is_some())));
+        let done = sched.wake_waiters();
         drop(sched);
-        for _ in 0..woke {
+        for _ in 0..wake {
             inner.cv_ready.notify_one();
         }
         if done {
@@ -656,8 +805,8 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
             sink.task(TaskRecord {
                 lane: Lane::new(inner.rank, worker_idx),
                 task_id: id,
-                label: task.label,
-                t_created: task.t_created,
+                label,
+                t_created,
                 t_start,
                 t_end,
             });
@@ -847,6 +996,69 @@ mod tests {
         }
         rt.taskwait();
         assert_eq!(*order.lock(), (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_finishing_worker_picks_by_priority_not_by_release() {
+        // One worker: the released successor (priority 1) runs before the
+        // older ready task (priority 5), and ties run in creation order.
+        let rt = Runtime::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let x = Shared::new(());
+        let mut graph = crate::TaskGraph::new();
+        for (label, prio, dep) in [
+            ("gate", 0, Some(x.dep_out())),
+            ("late", 5, None),
+            ("succ", 1, Some(x.dep_in())),
+            ("tie", 1, None),
+        ] {
+            let o = Arc::clone(&order);
+            graph.node(label, Some(prio), dep.into_iter().collect(), move || {
+                o.lock().push(label)
+            });
+        }
+        rt.spawn_graph(graph);
+        rt.taskwait();
+        assert_eq!(*order.lock(), ["gate", "succ", "tie", "late"]);
+    }
+
+    #[test]
+    fn a_drained_runtime_keeps_no_stale_edges() {
+        // The slab and the handle table reset on drain; a region touched
+        // before the drain orders later tasks from scratch.
+        let rt = Runtime::new(2);
+        let x = Shared::new(0u32);
+        for round in 1..=3 {
+            let (w, r) = (x.clone(), x.clone());
+            rt.spawn("write", &[x.dep_out()], move || *w.write() = round);
+            rt.spawn("read", &[x.dep_in()], move || assert_eq!(*r.read(), round));
+            rt.taskwait();
+        }
+        assert_eq!(*x.read(), 3);
+    }
+
+    #[test]
+    fn a_traced_failure_still_names_its_predecessors() {
+        // A finished task's label moves into its trace record; the failure
+        // chain names it from the slot's copy.
+        let sink = TraceSink::new();
+        let rt = Runtime::builder(1).trace(sink.clone()).build();
+        let x = Shared::new(0u8);
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        rt.spawn("gate", &[x.dep_out()], move || {
+            let _ = gate.recv();
+        });
+        rt.spawn("boom", &[x.dep_in()], || panic!("late failure"));
+        release.send(()).expect("gate waits");
+        match rt.try_taskwait() {
+            Err(TaskError::Failed { label, chain, .. }) => {
+                assert_eq!((label.as_str(), chain), ("boom", vec!["gate".to_string()]));
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        let _ = rt.try_shutdown();
+        let labels: Vec<_> = sink.finish().tasks.into_iter().map(|t| t.label).collect();
+        assert_eq!(labels, ["gate", "boom"]);
     }
 
     #[test]
