@@ -2,15 +2,16 @@
 //! clauses of OmpSs's `task` construct.
 //!
 //! [`Shared<T>`] is the storage a task operates on. Access goes through
-//! runtime-checked read/write guards: the dependency graph is what
-//! *schedules* conflicting tasks apart; the guards *verify* the annotations
-//! were right (a wrong `in` where `inout` was needed panics instead of
-//! racing, which is how we keep the `unsafe` sound).
+//! checked read/write guards: the dependency graph is what *schedules*
+//! conflicting tasks apart; the guards *verify* the annotations were right
+//! (a wrong `in` where `inout` was needed panics instead of blocking or
+//! racing). The region is a `std::sync::RwLock` taken only with
+//! `try_read`/`try_write`, so the check needs no `unsafe`, and a region is
+//! `Sync` only when its value is.
 
-use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 static NEXT_HANDLE: AtomicU64 = AtomicU64::new(1);
 
@@ -82,20 +83,20 @@ pub struct Dep {
     pub access: Access,
 }
 
-struct SharedInner<T: ?Sized> {
-    /// `> 0`: number of readers; `-1`: one writer; `0`: free.
-    state: AtomicI64,
+struct SharedInner<T> {
     handle: Handle,
-    cell: UnsafeCell<T>,
+    value: RwLock<T>,
 }
 
-// SAFETY: access to `cell` is mediated by the atomic `state` protocol below
-// (multiple readers xor one writer); a protocol violation panics before any
-// aliasing access is handed out.
-unsafe impl<T: ?Sized + Send> Send for SharedInner<T> {}
-unsafe impl<T: ?Sized + Send> Sync for SharedInner<T> {}
-
-/// A task-shared data region with runtime-verified reader/writer discipline.
+/// A task-shared data region with verified reader/writer discipline.
+///
+/// A region is shared across worker threads only if its value is `Sync`,
+/// so two `in` tasks cannot race through a `Cell`:
+///
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<fftx_taskrt::Shared<std::cell::Cell<u8>>>();
+/// ```
 pub struct Shared<T> {
     inner: Arc<SharedInner<T>>,
 }
@@ -113,9 +114,8 @@ impl<T> Shared<T> {
     pub fn new(value: T) -> Self {
         Shared {
             inner: Arc::new(SharedInner {
-                state: AtomicI64::new(0),
                 handle: Handle(NEXT_HANDLE.fetch_add(1, Ordering::Relaxed)),
-                cell: UnsafeCell::new(value),
+                value: RwLock::new(value),
             }),
         }
     }
@@ -149,106 +149,78 @@ impl<T> Shared<T> {
         }
     }
 
-    /// Acquires shared read access.
+    /// Acquires shared read access. A lock poisoned by a panicking task
+    /// (one a retry may re-run) is recovered: the retry overwrites what
+    /// the failed attempt left.
     ///
     /// # Panics
     /// Panics if a writer currently holds the region — that means a task's
     /// dependency annotations were wrong.
     pub fn read(&self) -> ReadGuard<'_, T> {
-        let mut cur = self.inner.state.load(Ordering::Acquire);
-        loop {
-            assert!(
-                cur >= 0,
+        match self.inner.value.try_read() {
+            Ok(g) => ReadGuard(g),
+            Err(TryLockError::Poisoned(p)) => ReadGuard(p.into_inner()),
+            Err(TryLockError::WouldBlock) => panic!(
                 "Shared: read while a writer is active — missing in/inout dependency \
                  (handle {:?})",
                 self.inner.handle
-            );
-            match self.inner.state.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
+            ),
         }
-        ReadGuard { shared: self }
     }
 
-    /// Acquires exclusive write access.
+    /// Acquires exclusive write access, recovering a poisoned lock like
+    /// [`Shared::read`].
     ///
     /// # Panics
     /// Panics if any reader or writer holds the region.
     pub fn write(&self) -> WriteGuard<'_, T> {
-        let prev =
-            self.inner
-                .state
-                .compare_exchange(0, -1, Ordering::AcqRel, Ordering::Acquire);
-        assert!(
-            prev.is_ok(),
-            "Shared: write while {} active — missing out/inout dependency (handle {:?})",
-            match prev {
-                Err(n) if n > 0 => "readers are",
-                _ => "a writer is",
-            },
-            self.inner.handle
-        );
-        WriteGuard { shared: self }
+        match self.inner.value.try_write() {
+            Ok(g) => WriteGuard(g),
+            Err(TryLockError::Poisoned(p)) => WriteGuard(p.into_inner()),
+            Err(TryLockError::WouldBlock) => panic!(
+                "Shared: write while a reader or writer is active — missing out/inout \
+                 dependency (handle {:?})",
+                self.inner.handle
+            ),
+        }
     }
 
     /// Consumes the region and returns the inner value if this is the last
     /// clone; otherwise returns `Err(self)`.
     pub fn try_unwrap(self) -> Result<T, Self> {
         match Arc::try_unwrap(self.inner) {
-            Ok(inner) => Ok(inner.cell.into_inner()),
+            Ok(inner) => Ok(inner
+                .value
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)),
             Err(inner) => Err(Shared { inner }),
         }
     }
 }
 
 /// Shared read guard; derefs to `&T`.
-pub struct ReadGuard<'a, T> {
-    shared: &'a Shared<T>,
-}
+pub struct ReadGuard<'a, T>(RwLockReadGuard<'a, T>);
 
 impl<T> Deref for ReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        // SAFETY: state > 0 guarantees no writer exists.
-        unsafe { &*self.shared.inner.cell.get() }
-    }
-}
-
-impl<T> Drop for ReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.shared.inner.state.fetch_sub(1, Ordering::AcqRel);
+        &self.0
     }
 }
 
 /// Exclusive write guard; derefs to `&mut T`.
-pub struct WriteGuard<'a, T> {
-    shared: &'a Shared<T>,
-}
+pub struct WriteGuard<'a, T>(RwLockWriteGuard<'a, T>);
 
 impl<T> Deref for WriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        // SAFETY: state == -1 guarantees exclusivity.
-        unsafe { &*self.shared.inner.cell.get() }
+        &self.0
     }
 }
 
 impl<T> DerefMut for WriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: state == -1 guarantees exclusivity.
-        unsafe { &mut *self.shared.inner.cell.get() }
-    }
-}
-
-impl<T> Drop for WriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.shared.inner.state.store(0, Ordering::Release);
+        &mut self.0
     }
 }
 
@@ -315,6 +287,20 @@ mod tests {
         assert_eq!(s.dep_inout().access, Access::InOut);
         assert!(Access::Out.writes() && Access::InOut.writes() && !Access::In.writes());
         assert_eq!(s.dep_in().handle, s.handle());
+    }
+
+    #[test]
+    fn a_lock_poisoned_by_a_panicking_task_is_recovered() {
+        let s = Shared::new(1u32);
+        let t = s.clone();
+        let _ = std::thread::spawn(move || {
+            let _w = t.write();
+            panic!("attempt failed while writing");
+        })
+        .join();
+        *s.write() = 2;
+        assert_eq!(*s.read(), 2);
+        assert_eq!(s.try_unwrap().ok(), Some(2));
     }
 
     #[test]

@@ -2,16 +2,25 @@
 //!
 //! A task-based runtime in the style of OmpSs/Nanos++: tasks declare
 //! `in`/`out`/`inout` dependencies on data regions, the runtime builds the
-//! dependency graph dynamically and dispatches ready tasks FIFO onto a
-//! worker-thread pool. This is the programming-model substrate for the two
-//! optimisation strategies of the paper (task-per-step with flow
-//! dependencies, and task-per-FFT with independent tasks).
+//! dependency graph dynamically and dispatches ready tasks by priority
+//! (ties in creation order) onto a worker-thread pool. This is the
+//! programming-model substrate for the two optimisation strategies of the
+//! paper (task-per-step with flow dependencies, and task-per-FFT with
+//! independent tasks).
 //!
-//! * [`handle::Shared`] — a data region with runtime-verified reader/writer
-//!   discipline (wrong dependency annotations panic instead of racing);
+//! * [`handle::Shared`] — a data region on a `std::sync::RwLock` whose
+//!   guards verify the reader/writer discipline (wrong dependency
+//!   annotations panic instead of racing); the crate has no `unsafe`;
 //! * [`runtime::Runtime`] — the scheduler: `spawn`, `taskloop`, `taskwait`.
+//!   It takes its lock once per submitted [`TaskGraph`] and once per
+//!   finished task (finish, release and pick together), notifies only
+//!   parked threads, and resets its task slab on drain, so once warm it
+//!   allocates nothing of its own per task;
+//! * [`graph::TaskGraph`] — a batch of tasks over abstract dependency
+//!   slots, submitted in one call.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod graph;
