@@ -229,15 +229,27 @@ fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-/// An unsigned integer field of the record's own width, so a value `encode`
-/// never writes (a shard of 2^32, say) is an error, not a wrapped value.
+/// An unsigned integer field of the record's own width, exactly as
+/// `encode` writes it: ASCII digits with no sign and no leading zero. A
+/// value `encode` never writes (a shard of 2^32, say) is an error, not a
+/// wrapped value.
 fn parse_int<T: std::str::FromStr>(tok: Option<&str>, line: usize) -> Result<T, ServeError> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| ServeError::Journal(format!("line {line}: bad integer field")))
+    tok.filter(|t| {
+        t.bytes().all(|b| b.is_ascii_digit()) && (*t == "0" || !t.is_empty() && !t.starts_with('0'))
+    })
+    .and_then(|t| t.parse().ok())
+    .ok_or_else(|| ServeError::Journal(format!("line {line}: bad integer field")))
+}
+
+/// A 64-bit pattern exactly as `encode` writes it: 16 lower-case hex
+/// digits.
+fn parse_hex(tok: Option<&str>) -> Option<u64> {
+    tok.filter(|t| t.len() == 16 && t.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|t| u64::from_str_radix(t, 16).ok())
 }
 
 fn parse_f64_bits(tok: Option<&str>, line: usize) -> Result<f64, ServeError> {
-    tok.and_then(|t| u64::from_str_radix(t, 16).ok())
+    parse_hex(tok)
         .map(f64::from_bits)
         .ok_or_else(|| ServeError::Journal(format!("line {line}: bad float bit pattern")))
 }
@@ -247,9 +259,9 @@ fn parse_f64_bits(tok: Option<&str>, line: usize) -> Result<f64, ServeError> {
 fn parse_opt_hex(tok: Option<&str>, line: usize) -> Result<Option<u64>, ServeError> {
     match tok {
         Some("-") => Ok(None),
-        Some(t) => u64::from_str_radix(t, 16)
+        Some(_) => parse_hex(tok)
             .map(Some)
-            .map_err(|_| ServeError::Journal(format!("line {line}: bad hex field"))),
+            .ok_or_else(|| ServeError::Journal(format!("line {line}: bad hex field"))),
         None => Err(ServeError::Journal(format!("line {line}: missing hex field"))),
     }
 }
@@ -388,21 +400,21 @@ impl Record {
     }
 
     /// Decodes one encoded line (`line` is the 1-based line number used in
-    /// error messages).
+    /// error messages). Decoding is strict: fields are separated by single
+    /// spaces and each must read exactly as [`Record::encode`] writes it,
+    /// so every accepted line equals its record's encoding.
     ///
     /// # Errors
     /// [`ServeError::Journal`] on any malformed field.
     pub fn decode(s: &str, line: usize) -> Result<Record, ServeError> {
-        let mut toks = s.split_ascii_whitespace();
+        let mut toks = s.split(' ');
         let tag = toks
             .next()
             .ok_or_else(|| ServeError::Journal(format!("line {line}: empty record")))?;
         let rec = match tag {
             "A" => {
                 let req = decode_req(&mut toks, line)?;
-                let key = toks
-                    .next()
-                    .and_then(|t| u64::from_str_radix(t, 16).ok())
+                let key = parse_hex(toks.next())
                     .ok_or_else(|| ServeError::Journal(format!("line {line}: bad key")))?;
                 let shard = parse_int(toks.next(), line)?;
                 Record::Accepted { req, key, shard }
@@ -411,6 +423,7 @@ impl Record {
                 let req = decode_req(&mut toks, line)?;
                 let kind = toks
                     .next()
+                    .filter(|k| !k.is_empty())
                     .ok_or_else(|| ServeError::Journal(format!("line {line}: missing shed kind")))?
                     .to_string();
                 Record::Shed { req, kind }
@@ -477,7 +490,15 @@ impl Record {
                 shard: parse_int(toks.next(), line)?,
                 tick: parse_int(toks.next(), line)?,
                 t_s: parse_f64_bits(toks.next(), line)?,
-                ok: parse_int::<u64>(toks.next(), line)? != 0,
+                ok: match toks.next() {
+                    Some("0") => false,
+                    Some("1") => true,
+                    _ => {
+                        return Err(ServeError::Journal(format!(
+                            "line {line}: bad heartbeat flag"
+                        )))
+                    }
+                },
             },
             "D" => Record::ShardDown {
                 shard: parse_int(toks.next(), line)?,
@@ -598,14 +619,15 @@ impl Journal {
         out
     }
 
-    /// Decodes an [`encode`](Journal::encode)d journal.
+    /// Decodes an [`encode`](Journal::encode)d journal: one
+    /// [`Record::decode`] line per `\n`, skipping empty lines.
     ///
     /// # Errors
     /// [`ServeError::Journal`] on any malformed line.
     pub fn decode(s: &str) -> Result<Journal, ServeError> {
         let mut j = Journal::new();
-        for (i, line) in s.lines().enumerate() {
-            if line.trim().is_empty() {
+        for (i, line) in s.split('\n').enumerate() {
+            if line.is_empty() {
                 continue;
             }
             j.append(Record::decode(line, i + 1)?);
@@ -930,14 +952,56 @@ mod tests {
     fn huge_batch_sizes_are_journal_errors() {
         // The declared member count sizes nothing: these used to panic
         // ("capacity overflow") and abort on an 8 TiB allocation.
-        for line in ["B 0 0 0 18446744073709551615", "B 0 0 0 1099511627776", "B 0 0 0 3 7 8"] {
+        for line in [
+            "B 0 0 0000000000000000 18446744073709551615",
+            "B 0 0 0000000000000000 1099511627776",
+            "B 0 0 0000000000000000 3 7 8",
+        ] {
             assert!(
                 matches!(Record::decode(line, 1), Err(ServeError::Journal(_))),
                 "{line}"
             );
         }
-        let ok = Record::decode("B 0 0 0 2 7 8", 1).expect("two members");
+        let ok = Record::decode("B 0 0 0000000000000000 2 7 8", 1).expect("two members");
         assert_eq!(ok, Record::Batched { shard: 0, batch: 0, jobs: vec![7, 8], t_s: 0.0 });
+    }
+
+    #[test]
+    fn fields_must_read_exactly_as_encode_writes_them() {
+        // Each of these used to decode to a record whose encoding differs
+        // from the line: a short float pattern, a signed hex field, a
+        // signed integer, leading zeros, upper-case hex, a heartbeat flag
+        // other than 0 or 1, doubled or tab separators, a CR line end.
+        for line in [
+            "H 0 1 0 7",
+            "H 0 1 +1f 1",
+            "D +3 0000000000000000",
+            "D 03 0000000000000000",
+            "D 3 3FF0000000000000",
+            "D 3 +3ff000000000000",
+            "H 0 1 0000000000000000 7",
+            "D 3  0000000000000000",
+            "D\t3 0000000000000000",
+            "D 3 0000000000000000 ",
+            "D 3 0000000000000000\r",
+            "S 0 0 0 2 0 0000000000000000 ",
+        ] {
+            assert!(
+                matches!(Record::decode(line, 1), Err(ServeError::Journal(_))),
+                "{line:?}"
+            );
+        }
+        for line in [
+            "H 0 1 0000000000000000 1",
+            "H 0 1 0000000000000000 0",
+            "D 0 3ff0000000000000",
+            "D 10 0000000000000000",
+        ] {
+            let rec = Record::decode(line, 1).expect("canonical line");
+            assert_eq!(rec.encode(), line);
+        }
+        assert!(Journal::decode("D 3 0000000000000000\r\n").is_err(), "CRLF");
+        assert!(Journal::decode(" \n").is_err(), "a blank line is not empty");
     }
 
     #[test]
