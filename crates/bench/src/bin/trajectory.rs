@@ -25,6 +25,7 @@ const EXPECTED: &[&str] = &[
     "fig7",
     "future_overlap",
     "integrity",
+    "policies",
     "recovery",
     "resilience",
     "schedulers",
