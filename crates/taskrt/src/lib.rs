@@ -13,9 +13,8 @@
 //!   annotations panic instead of racing); the crate has no `unsafe`;
 //! * [`runtime::Runtime`] — the scheduler: `spawn`, `taskloop`, `taskwait`.
 //!   It takes its lock once per submitted [`TaskGraph`] and once per
-//!   finished task (finish, release and pick together), notifies only
-//!   parked threads, and resets its task slab on drain, so once warm it
-//!   allocates nothing of its own per task;
+//!   finished task (finish, release and pick together), and wakes a
+//!   worker only if one is parked;
 //! * [`graph::TaskGraph`] — a batch of tasks over abstract dependency
 //!   slots, submitted in one call.
 

@@ -14,19 +14,19 @@
 //! - one acquisition of the scheduler lock enters a whole
 //!   [`crate::TaskGraph`], and one finishes a task, releases its successors
 //!   and picks the worker's next task;
-//! - a condvar is notified only when a thread waits on it: the scheduler
-//!   counts its parked workers and its `taskwait` callers;
-//! - tasks live in a slab indexed by id, which is emptied (keeping its
-//!   capacity) when the runtime drains, so once warm the runtime allocates
-//!   nothing of its own per task. Finished tasks keep their slots until
-//!   then, so a failure can still name its predecessors.
+//! - a task that becomes ready wakes a worker only if one is parked: the
+//!   scheduler counts its parked workers;
+//! - tasks live in a slab indexed by id, and a task names its
+//!   predecessors by id. A finished task keeps its slot while a successor
+//!   that may still fail could name it; slots then retire from the oldest
+//!   end, so the slab holds only the graph's live span.
 
 use crate::error::TaskError;
 use crate::handle::{Dep, Handle};
 use fftx_trace::{set_current_thread, Lane, TaskRecord, TraceSink, WallClock};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,16 +92,11 @@ pub(crate) enum TaskBody {
 /// A task waiting to be entered: label, priority, dependencies and body.
 pub(crate) type NewTask<D> = (String, Option<u64>, D, TaskBody);
 
-/// One task's entry in the scheduler slab. A reused slot keeps the
-/// capacity of its vectors and of its name.
-#[derive(Default)]
+/// One task's entry in the scheduler slab.
 struct Slot {
-    /// The caller's label, moved into the task's trace record when it
-    /// finishes.
+    /// The caller's label: it names the task in the wavefront, in failures
+    /// and in its trace record.
     label: String,
-    /// A copy of the label that stays after the label has moved: the
-    /// wavefront and failure chains name tasks from it.
-    name: String,
     priority: u64,
     /// `Some` until a worker picks the task.
     body: Option<TaskBody>,
@@ -112,24 +107,17 @@ struct Slot {
     /// The direct predecessors that were unfinished at submission (failure
     /// diagnostics).
     preds: Vec<u64>,
+    /// Successors that have not finished. While one is left, its failure
+    /// may name this task, so the slot stays.
+    unfinished_successors: usize,
     t_created: f64,
     finished: bool,
 }
 
-/// One task in a region's list of readers since its last writer. Every
-/// region's list is threaded through one buffer, [`Sched::reads`].
-#[derive(Clone, Copy)]
-struct Reader {
-    task: u64,
-    next: Option<usize>,
-}
-
-#[derive(Clone, Copy, Default)]
+#[derive(Default)]
 struct HandleState {
     last_writer: Option<u64>,
-    /// First and last entry of the readers since `last_writer` in
-    /// [`Sched::reads`].
-    readers: Option<(usize, usize)>,
+    readers_since_write: Vec<u64>,
 }
 
 /// Hashes a [`Handle`]'s id with one multiply. Handles are sequential ids
@@ -155,35 +143,36 @@ impl Hasher for IdHasher {
 
 #[derive(Default)]
 struct Sched {
-    /// Every task entered since the runtime last drained, at `id - base`.
-    /// Slots from `next_id - base` on are spares from earlier graphs.
-    slots: Vec<Slot>,
+    /// Task `id` at `id - base`, from the oldest task a failure may still
+    /// name on. A slot retires when its task and all its successors have
+    /// finished; retired slots leave from the front.
+    slots: VecDeque<Slot>,
     base: u64,
-    next_id: u64,
     /// Min-heap on (priority, id): lowest priority value runs first; ties
     /// resolve to creation order, so the default (priority == id) is FIFO.
     ready: BinaryHeap<Reverse<(u64, u64)>>,
     handles: HashMap<Handle, HandleState, BuildHasherDefault<IdHasher>>,
-    reads: Vec<Reader>,
     unfinished: usize,
     /// Workers waiting on `cv_ready`.
     parked: usize,
-    /// `taskwait` callers waiting on `cv_done`.
-    waiting: usize,
     shutdown: bool,
     /// First task failure; sticky — the runtime is fail-stop after it.
     failure: Option<TaskError>,
 }
 
-/// Adds the edge `pred → id` unless `pred` is `id` itself, has finished,
-/// or already has it (a task's own edges are the last ones added).
-fn depend(slots: &mut [Slot], base: u64, pred: u64, id: u64, preds: &mut Vec<u64>) {
-    if pred == id {
+/// Adds the edge `pred → id` unless `pred` has finished or already has it
+/// (a task's own edges are the last ones added). A task below `base` has
+/// retired, and `id` itself is not in the slab yet.
+fn depend(slots: &mut VecDeque<Slot>, base: u64, pred: u64, id: u64, preds: &mut Vec<u64>) {
+    let Some(p) = pred
+        .checked_sub(base)
+        .and_then(|i| slots.get_mut(i as usize))
+    else {
         return;
-    }
-    let p = &mut slots[(pred - base) as usize];
+    };
     if !p.finished && p.successors.last() != Some(&id) {
         p.successors.push(id);
+        p.unfinished_successors += 1;
         preds.push(pred);
     }
 }
@@ -193,76 +182,46 @@ impl Sched {
     /// whether it is ready at once.
     fn enter(&mut self, (label, priority, deps, body): NewTask<&[Dep]>, t_created: f64) -> bool {
         assert!(!self.shutdown, "Runtime: spawn after shutdown");
-        if self.unfinished == 0 {
-            // Drained: every task the handles name has finished, so
-            // forgetting them changes no edge.
-            self.base = self.next_id;
-            self.handles.clear();
-            self.reads.clear();
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.unfinished += 1;
-        let idx = (id - self.base) as usize;
-        if idx == self.slots.len() {
-            self.slots.push(Slot::default());
-        }
-
+        let id = self.base + self.slots.len() as u64;
+        let mut preds = Vec::new();
         let Sched {
             slots,
             base,
             handles,
-            reads,
             ..
         } = self;
-        let mut preds = std::mem::take(&mut slots[idx].preds);
-        preds.clear();
         for dep in deps {
             let hs = handles.entry(dep.handle).or_default();
             if let Some(w) = hs.last_writer {
                 depend(slots, *base, w, id, &mut preds);
             }
             if dep.access.writes() {
-                let mut at = hs.readers.map(|(first, _)| first);
-                while let Some(i) = at {
-                    depend(slots, *base, reads[i].task, id, &mut preds);
-                    at = reads[i].next;
+                for &r in &hs.readers_since_write {
+                    depend(slots, *base, r, id, &mut preds);
                 }
-                *hs = HandleState {
-                    last_writer: Some(id),
-                    readers: None,
-                };
-            } else {
-                let new = reads.len();
-                match hs.readers {
-                    Some((_, last)) if reads[last].task == id => continue,
-                    Some((first, last)) => {
-                        reads[last].next = Some(new);
-                        hs.readers = Some((first, new));
-                    }
-                    None => hs.readers = Some((new, new)),
-                }
-                reads.push(Reader {
-                    task: id,
-                    next: None,
-                });
+                hs.last_writer = Some(id);
+                hs.readers_since_write.clear();
+            } else if hs.readers_since_write.last() != Some(&id) {
+                hs.readers_since_write.push(id);
             }
         }
 
-        let slot = &mut slots[idx];
-        slot.name.clear();
-        slot.name.push_str(&label);
-        slot.label = label;
-        slot.priority = priority.unwrap_or(id);
-        slot.body = Some(body);
-        slot.pending = preds.len();
-        slot.successors.clear();
-        slot.preds = preds;
-        slot.t_created = t_created;
-        slot.finished = false;
-        let ready = slot.pending == 0;
+        let priority = priority.unwrap_or(id);
+        let ready = preds.is_empty();
+        slots.push_back(Slot {
+            label,
+            priority,
+            body: Some(body),
+            pending: preds.len(),
+            successors: Vec::new(),
+            preds,
+            unfinished_successors: 0,
+            t_created,
+            finished: false,
+        });
+        self.unfinished += 1;
         if ready {
-            self.ready.push(Reverse((slot.priority, id)));
+            self.ready.push(Reverse((priority, id)));
         }
         ready
     }
@@ -279,29 +238,35 @@ impl Sched {
         Some((id, body, self.failure.is_none()))
     }
 
-    /// Marks task `id` finished, records `failure` if it is the first, and
-    /// releases the successors. Returns the task's label and creation time
-    /// and the number of successors that became ready.
-    fn finish(&mut self, id: u64, failure: Option<String>) -> (String, f64, usize) {
+    /// Marks task `id` finished, records `failure` if it is the first,
+    /// releases the successors and retires the slots no failure can name
+    /// any more. Returns a copy of the task's label if `copy_label` asks
+    /// for one (for its trace record), its creation time and the number of
+    /// successors that became ready.
+    fn finish(
+        &mut self,
+        id: u64,
+        failure: Option<String>,
+        copy_label: bool,
+    ) -> (Option<String>, f64, usize) {
         let idx = (id - self.base) as usize;
         if let (Some(message), None) = (failure, &self.failure) {
             let t = &self.slots[idx];
-            let chain = t
-                .preds
-                .iter()
-                .map(|&p| self.slots[(p - self.base) as usize].name.clone());
+            let name = |&p: &u64| self.slots[(p - self.base) as usize].label.clone();
             self.failure = Some(TaskError::Failed {
-                label: t.name.clone(),
-                chain: chain.collect(),
+                label: t.label.clone(),
+                chain: t.preds.iter().map(name).collect(),
                 message,
             });
         }
         let t = &mut self.slots[idx];
         t.finished = true;
-        let (label, t_created) = (std::mem::take(&mut t.label), t.t_created);
+        let label = copy_label.then(|| t.label.clone());
+        let t_created = t.t_created;
         let successors = std::mem::take(&mut t.successors);
+        let preds = std::mem::take(&mut t.preds);
         let mut released = 0;
-        for &succ in &successors {
+        for succ in successors {
             let s = &mut self.slots[(succ - self.base) as usize];
             s.pending -= 1;
             if s.pending == 0 {
@@ -309,7 +274,17 @@ impl Sched {
                 released += 1;
             }
         }
-        self.slots[idx].successors = successors;
+        for p in preds {
+            self.slots[(p - self.base) as usize].unfinished_successors -= 1;
+        }
+        while self
+            .slots
+            .front()
+            .is_some_and(|s| s.finished && s.unfinished_successors == 0)
+        {
+            self.slots.pop_front();
+            self.base += 1;
+        }
         self.unfinished -= 1;
         (label, t_created, released)
     }
@@ -320,28 +295,22 @@ impl Sched {
         newly.min(self.parked)
     }
 
-    /// Whether a finish has to wake the `taskwait` callers.
-    fn wake_waiters(&self) -> bool {
-        self.waiting > 0 && (self.unfinished == 0 || self.failure.is_some())
-    }
-
     /// Renders the task-graph wavefront: what is running, ready, blocked.
     fn wavefront(&self) -> String {
         use std::fmt::Write;
         let mut running = Vec::new();
         let mut ready = Vec::new();
         let mut blocked = Vec::new();
-        let live = (self.next_id - self.base) as usize;
-        for (id, t) in (self.base..).zip(&self.slots[..live]) {
+        for (id, t) in (self.base..).zip(&self.slots) {
             if t.finished {
                 continue;
             }
             if t.body.is_none() {
-                running.push(format!("{} (id {id})", t.name));
+                running.push(format!("{} (id {id})", t.label));
             } else if t.pending == 0 {
-                ready.push(format!("{} (id {id})", t.name));
+                ready.push(format!("{} (id {id})", t.label));
             } else {
-                blocked.push(format!("{} (id {id}, {} pending deps)", t.name, t.pending));
+                blocked.push(format!("{} (id {id}, {} pending deps)", t.label, t.pending));
             }
         }
         let mut out = String::new();
@@ -556,7 +525,7 @@ impl Runtime {
     /// Enters `tasks` in order under one acquisition of the scheduler lock
     /// (each stamps its own creation time), then wakes at most one parked
     /// worker per task that was ready at once. A label is moved into its
-    /// task and, when the task finishes, into its trace record.
+    /// task; a traced task's record gets a copy when the task finishes.
     pub(crate) fn submit<D: AsRef<[Dep]>>(&self, tasks: impl IntoIterator<Item = NewTask<D>>) {
         let mut sched = self.inner.sched.lock();
         let mut newly = 0;
@@ -616,23 +585,16 @@ impl Runtime {
             if sched.unfinished == 0 {
                 return Ok(());
             }
-            sched.waiting += 1;
-            let timed_out = match deadline {
-                None => {
-                    self.inner.cv_done.wait(&mut sched);
-                    false
+            match deadline {
+                None => self.inner.cv_done.wait(&mut sched),
+                Some(d) => {
+                    if self.inner.cv_done.wait_until(&mut sched, d).timed_out() {
+                        return Err(TaskError::Timeout {
+                            waited: self.inner.taskwait_timeout.expect("deadline implies timeout"),
+                            wavefront: sched.wavefront(),
+                        });
+                    }
                 }
-                Some(d) => self.inner.cv_done.wait_until(&mut sched, d).timed_out(),
-            };
-            sched.waiting -= 1;
-            if timed_out {
-                return Err(TaskError::Timeout {
-                    waited: self
-                        .inner
-                        .taskwait_timeout
-                        .expect("deadline implies timeout"),
-                    wavefront: sched.wavefront(),
-                });
             }
         }
     }
@@ -659,14 +621,11 @@ impl Runtime {
     }
 
     fn shutdown_impl(&mut self) {
-        let parked = {
+        {
             let mut sched = self.inner.sched.lock();
             sched.shutdown = true;
-            sched.parked
-        };
-        if parked > 0 {
-            self.inner.cv_ready.notify_all();
         }
+        self.inner.cv_ready.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -786,12 +745,12 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
         let t_end = inner.clock.now();
 
         let mut sched = inner.sched.lock();
-        let (label, t_created, released) = sched.finish(id, failure);
+        let (label, t_created, released) = sched.finish(id, failure, inner.trace.is_some());
         next = sched.pick();
         // This worker keeps one ready task for itself; only the rest need
         // a parked worker.
         let wake = sched.wakeups(released.saturating_sub(usize::from(next.is_some())));
-        let done = sched.wake_waiters();
+        let done = sched.unfinished == 0 || sched.failure.is_some();
         drop(sched);
         for _ in 0..wake {
             inner.cv_ready.notify_one();
@@ -801,7 +760,7 @@ fn worker_loop(inner: &Inner, worker_idx: usize) {
         }
         // Off the successors' critical path. The record still lands before
         // shutdown returns, since shutdown joins this worker.
-        if let Some(sink) = &inner.trace {
+        if let (Some(sink), Some(label)) = (&inner.trace, label) {
             sink.task(TaskRecord {
                 lane: Lane::new(inner.rank, worker_idx),
                 task_id: id,
@@ -1024,8 +983,8 @@ mod tests {
 
     #[test]
     fn a_drained_runtime_keeps_no_stale_edges() {
-        // The slab and the handle table reset on drain; a region touched
-        // before the drain orders later tasks from scratch.
+        // After a drain the handle table still names tasks whose slots
+        // have retired; they order nothing, so each round starts afresh.
         let rt = Runtime::new(2);
         let x = Shared::new(0u32);
         for round in 1..=3 {
@@ -1038,9 +997,36 @@ mod tests {
     }
 
     #[test]
+    fn finished_tasks_retire_from_the_slab() {
+        // One worker runs a 100-task flow chain, then blocks in a task
+        // after it. Only the blocked task and its direct predecessor, which
+        // its failure would name, keep slots.
+        let rt = Runtime::new(1);
+        let x = Shared::new(());
+        for _ in 0..100 {
+            rt.spawn("link", &[x.dep_inout()], || {});
+        }
+        let (started, on_start) = std::sync::mpsc::channel::<()>();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        rt.spawn("gate", &[x.dep_inout()], move || {
+            started.send(()).expect("test waits");
+            let _ = gate.recv();
+        });
+        on_start.recv().expect("gate starts");
+        {
+            let sched = rt.inner.sched.lock();
+            assert_eq!((sched.base, sched.slots.len()), (99, 2));
+        }
+        release.send(()).expect("gate waits");
+        rt.taskwait();
+        let sched = rt.inner.sched.lock();
+        assert_eq!((sched.base, sched.slots.len()), (101, 0));
+    }
+
+    #[test]
     fn a_traced_failure_still_names_its_predecessors() {
-        // A finished task's label moves into its trace record; the failure
-        // chain names it from the slot's copy.
+        // A finished task's trace record takes a copy of its label; the
+        // slot keeps the label for the failure chain.
         let sink = TraceSink::new();
         let rt = Runtime::builder(1).trace(sink.clone()).build();
         let x = Shared::new(0u8);
