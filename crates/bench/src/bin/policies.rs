@@ -3,24 +3,25 @@
 //! The KNL model ranks the fine-grained policies first; this bin measures
 //! what each one costs here. It runs the real engine (`run_policy`) in
 //! alternating rounds, one call per row per round, so host drift lands on
-//! every row alike, and records the median milliseconds per band:
+//! every row alike, and prints the median milliseconds per band:
 //!
 //! - the 14³ serving problem (32 bands a call): all five policies at 2×1,
 //!   and serial, task-per-FFT and async at 1×2;
 //! - the 60³ dense-slab problem (8 bands a call): serial at 1×2 and
 //!   task-per-FFT at 2×1.
 //!
-//! It also records `async_over_fft_14_2x1`, the split-phase policy's band
+//! It also prints `async_over_fft_14_2x1`, the split-phase policy's band
 //! time over task-per-FFT's on 14³ at 2×1: the task runtime's per-task
-//! cost, which the model charges as 1% of a band. Its one gate is
-//! correctness: every call of every row hashes its bands equal to the
-//! first row on its grid (a policy is a schedule, not an algorithm).
-//! Wall-clock values vary from run to run, so the bench is volatile.
+//! cost, which the model charges as 1% of a band. The ratio moves by about
+//! 0.2 between runs of one binary, so the bin is a measurement tool: it
+//! writes no artifact and gates nothing (`schedulers` and `golden_bitwise`
+//! already check that every policy computes the same bands).
+//!
+//! ```sh
+//! cargo run --release -p fftx-bench --bin policies
+//! ```
 
-use fftx_bench::{CheckKind, GateOp, Harness};
 use fftx_core::{run_policy, FftxConfig, Problem, SchedulerPolicy};
-use fftx_serve::band_hash;
-use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,7 +58,6 @@ struct Row {
     ntg: usize,
     problem: Arc<Problem>,
     ms_per_band: Vec<f64>,
-    hashes: Vec<u64>,
 }
 
 impl Row {
@@ -75,7 +75,6 @@ impl Row {
             ntg,
             problem: Problem::new(cfg),
             ms_per_band: Vec::new(),
-            hashes: Vec::new(),
         }
     }
 
@@ -91,10 +90,9 @@ impl Row {
 
     fn race_once(&mut self) {
         let t = Instant::now();
-        let out = run_policy(&self.problem, self.policy);
+        run_policy(&self.problem, self.policy);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         self.ms_per_band.push(ms / self.grid.nbnd as f64);
-        self.hashes.push(band_hash(&out.bands));
     }
 
     fn median(&self) -> f64 {
@@ -125,34 +123,15 @@ fn main() {
         }
     }
 
-    let mut h = Harness::new_volatile("policies");
-    let mut csv = String::from("grid,policy,layout,rounds,ms_per_band\n");
-    let mut mismatches = 0u64;
     for row in &rows {
-        let reference = rows
-            .iter()
-            .find(|r| r.grid.name == row.grid.name)
-            .map(|r| r.hashes[0]);
-        mismatches += row.hashes.iter().filter(|&&x| Some(x) != reference).count() as u64;
-        let ms = row.median();
         println!(
             "{:>3}³  {:<7} {}x{}  {:>8.4} ms/band",
             row.grid.name,
             row.policy.name(),
             row.nr,
             row.ntg,
-            ms
+            row.median()
         );
-        let _ = writeln!(
-            csv,
-            "{},{},{}x{},{},{ms:.6}",
-            row.grid.name,
-            row.policy.name(),
-            row.nr,
-            row.ntg,
-            row.ms_per_band.len()
-        );
-        h.metric_f64(&format!("ms_per_band_{}", row.key()), ms, 6);
     }
     let ms = |key: &str| {
         rows.iter()
@@ -160,15 +139,5 @@ fn main() {
             .map_or(f64::NAN, Row::median)
     };
     let ratio = ms("async_14_2x1") / ms("fft_14_2x1");
-    println!("\nasync / task-per-FFT on 14³ at 2x1: {ratio:.3}");
-    h.artifact("policies.csv", &csv, CheckKind::Structure);
-    h.metric_f64("async_over_fft_14_2x1", ratio, 4)
-        .metric_u64("band_hash_mismatches", mismatches);
-    h.gate(
-        "every call of every row hashes its bands equal on its grid",
-        "band_hash_mismatches",
-        GateOp::Eq,
-        0.0,
-    );
-    std::process::exit(h.finish());
+    println!("\nasync_over_fft_14_2x1 (async / task-per-FFT on 14³ at 2x1): {ratio:.3}");
 }

@@ -25,7 +25,6 @@ const EXPECTED: &[&str] = &[
     "fig7",
     "future_overlap",
     "integrity",
-    "policies",
     "recovery",
     "resilience",
     "schedulers",
